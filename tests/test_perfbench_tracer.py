@@ -1,0 +1,42 @@
+"""The benchmark's tracer still finds the engine functions it wraps.
+
+`perfbench/tracer.py` binds its wrappers by module and function name, so a
+rename or a move of a traced target would make traced benchmark runs read
+zero for that layer.  This test fails instead.
+"""
+
+import pathlib
+import sys
+
+from eliminant.cli import run_pipeline
+from eliminant.parser import parse_ideal_file
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+
+TRACED = (
+    "pseudo.pseudo_divide",
+    "pqr.proper_divide",
+    "assembly.gcd_reduce",
+    "pseudo.pseudo_eliminant",
+    "pqr.proper_eliminant",
+)
+
+
+def test_tracer_binds_engine_targets(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    sys.modules.pop("tracer", None)
+    import tracer
+
+    trace = tracer.Tracer()
+    trace.install()
+    try:
+        for name in ("simple.ideal", "modular.ideal"):
+            ideal = parse_ideal_file((FIXTURES / name).read_text())
+            run_pipeline(ideal).to_json()
+    finally:
+        trace.restore()
+    totals = trace.totals()
+    for name in TRACED:
+        assert totals[name][0] >= 1, f"{name} recorded no call"
+    assert tracer.installed_wrappers() == []

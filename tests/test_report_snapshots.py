@@ -1,0 +1,37 @@
+"""Byte-identical CLI reports against committed snapshots.
+
+Each snapshot is the full `--emit both` output (text, then JSON) of one
+fixture under one set of options, so eliminants, components, reduced bases,
+multipliers, membership verdicts and remainders are all pinned, under every
+strategy toggle.  The files are expected output: a change that alters any of
+them changes what the engine reports and must say why.
+"""
+
+import pathlib
+
+import pytest
+
+from eliminant.cli import EXIT_OK, main
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+SNAPSHOTS = FIXTURES / "snapshots"
+
+CASES = {
+    "simple.both": ("simple.ideal",),
+    "modular.both": ("modular.ideal",),
+    "twovars.both": ("twovars.ideal",),
+    "modular.no-coprime-skip": ("modular.ideal", "--strategy", "no-coprime-skip"),
+    "modular.no-triangular-skip": ("modular.ideal", "--strategy", "no-triangular-skip"),
+    "modular.no-chi-delta": ("modular.ideal", "--strategy", "no-chi-delta"),
+    "modular.no-base-change": ("modular.ideal", "--strategy", "no-base-change"),
+    "simple.membership": ("simple.ideal", "--membership", str(FIXTURES / "probes.txt")),
+    "twovars.lift-pseudo": ("twovars.ideal", "--lift", "pseudo"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_snapshot(name, capsys):
+    fixture, *options = CASES[name]
+    assert main([str(FIXTURES / fixture), "--emit", "both", *options]) == EXIT_OK
+    expected = (SNAPSHOTS / f"{name}.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == expected
