@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 
 from .compat import CompatSplit
+from .engine import Division, divide, reduced
 from .multipoly import MultiPoly, VarContext, mon_div, mon_divides
 from .pqr import (
     PqrCtx,
-    PqrElem,
     ProperOutcome,
     _unit_normalize,
     lift_multipoly,
@@ -79,89 +79,49 @@ def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
     raise AssertionError("no coprime adjustment found")
 
 
-@dataclass
-class GcdDivision:
-    multiplier: PqrElem        # unit
-    quotients: list
-    remainder: MultiPoly
-
-
 def _eligible(divisors, mon):
     return [(i, b) for i, b in enumerate(divisors) if mon_divides(b.lm, mon)]
 
 
-def _term_reducible(c: PqrElem, hits, modulus: UniPoly) -> bool:
-    g, _ = poly_multi_ext_gcd([b.lc.lift() for _, b in hits])
-    d_st = poly_gcd(g, modulus)
-    return (c.rep % d_st).is_zero if not d_st.is_constant else True
+def _gcd_step(divisors, mon, c):
+    # the term is reducible when c lies in the ideal of the gcd g of all
+    # eligible leading coefficients; the step combines the eligible divisors
+    # through g's cofactors
+    hits = _eligible(divisors, mon)
+    if not hits:
+        return None
+    ring: PqrCtx = c.ctx
+    g, cofs = poly_multi_ext_gcd([b.lc.lift() for _, b in hits])
+    d_st = poly_gcd(g, ring.modulus)
+    if not d_st.is_constant and not (c.rep % d_st).is_zero:
+        return None
+    lift = c.lift()
+    m = poly_lcm(lift, g)
+    mu = ring.elem(exact_div(m, lift))
+    if mu.is_unit():
+        scale = ring.elem(exact_div(m, g))
+    else:
+        # coefficient gcd has a non-unit cofactor against this term:
+        # rescale the combination instead of the dividend
+        mu = ring.one_elem()
+        w = _coprime_adjust(g, d_st, ring.modulus)
+        scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
+    parts = [(i, scale * ring.elem(cof)) for (i, _), cof in zip(hits, cofs)]
+    return mu, [(i, factor) for i, factor in parts if not factor.is_zero]
 
 
-def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly]) -> GcdDivision:
+def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
     """Full gcd-division of f by the divisor list over a residue context.
 
     The overall multiplier is always a unit: a reduction step either has a
     unit interim multiplier outright, or is replaced by a combination scaled
     through a coprime adjustment of the coefficient gcd.
     """
-    ctx = f.ctx
-    ring: PqrCtx = ctx.ring
-    lam = ring.one_elem()
-    quotients = [MultiPoly.zero(ctx) for _ in divisors]
-    h = f
-    while True:
-        hit = None
-        for mon, c in h.terms:
-            cands = _eligible(divisors, mon)
-            if not cands:
-                continue
-            g, cofs = poly_multi_ext_gcd([b.lc.lift() for _, b in cands])
-            d_st = poly_gcd(g, ring.modulus)
-            if not d_st.is_constant and not (c.rep % d_st).is_zero:
-                continue
-            hit = (mon, c, cands, g, cofs, d_st)
-            break
-        if hit is None:
-            break
-        mon, c, cands, g, cofs, d_st = hit
-        l_alpha = c.lift()
-        mu = ring.elem(exact_div(poly_lcm(l_alpha, g), l_alpha))
-        if mu.is_unit():
-            m = ring.elem(exact_div(poly_lcm(l_alpha, g), g))
-            if not mu.rep.is_one:
-                lam = lam * mu
-                h = h.scale(mu)
-                quotients = [q.scale(mu) for q in quotients]
-            for (bi, b), cof in zip(cands, cofs):
-                factor = m * ring.elem(cof)
-                if factor.is_zero:
-                    continue
-                shift = mon_div(mon, b.lm)
-                h = h - b.mul_term(factor, shift)
-                quotients[bi] = quotients[bi] + MultiPoly.term(ctx, factor, shift)
-        else:
-            # coefficient gcd has a non-unit cofactor against this term:
-            # rescale the combination instead of the dividend
-            w = _coprime_adjust(g, d_st, ring.modulus)
-            t = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
-            for (bi, b), cof in zip(cands, cofs):
-                factor = t * ring.elem(cof)
-                if factor.is_zero:
-                    continue
-                shift = mon_div(mon, b.lm)
-                h = h - b.mul_term(factor, shift)
-                quotients[bi] = quotients[bi] + MultiPoly.term(ctx, factor, shift)
-        if not h.coeff_at(mon).is_zero:
-            raise AssertionError("gcd-term reduction failed to clear the term")
-    return GcdDivision(lam, quotients, h)
+    return divide(f, divisors, _gcd_step)
 
 
 def gcd_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
-    ring: PqrCtx = f.ctx.ring
-    for mon, c in f.terms:
-        cands = _eligible(divisors, mon)
-        if cands and _term_reducible(c, cands, ring.modulus):
-            return False
-    return True
+    return reduced(f, divisors, _gcd_step)
 
 
 # -- basis normalization ladder ---------------------------------------------------
@@ -175,9 +135,7 @@ def _basis_sorted(basis: list[MultiPoly]) -> list[MultiPoly]:
 
 
 def _lt_reducible(b: MultiPoly, others: list[MultiPoly]) -> bool:
-    ring: PqrCtx = b.ctx.ring
-    cands = _eligible(others, b.lm)
-    return bool(cands) and _term_reducible(b.lc, cands, ring.modulus)
+    return _gcd_step(others, b.lm, b.lc) is not None
 
 
 def make_irredundant(basis: list[MultiPoly]) -> list[MultiPoly]:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success (including a trivial ideal, which is reported, not
 fatal), 2 parse error, 3 not zero-dimensional, 4 internal invariant
-violation.  Reports are byte-identical across runs unless --timings is
-given.
+violation or arithmetic failure.  Reports are byte-identical across runs
+unless --timings is given.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .buchberger import groebner_self_check, oracle_eliminant, reduced_groebner
 from .compat import compatible_split, lc_compatibility_check
 from .multipoly import MultiPoly
 from .parser import IdealFile, ParseError, parse_ideal_file, parse_probe_file
-from .pqr import proper_eliminant, residue_context
+from .pqr import NotAUnitError, ZeroElementError, proper_eliminant, residue_context
 from .pseudo import (
     NotZeroDimensionalError,
     PseudoOutcome,
@@ -34,7 +34,7 @@ from .pseudo import (
     normalize_content,
     pseudo_eliminant,
 )
-from .unipoly import UniPoly
+from .unipoly import UniPoly, content_scale
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -52,22 +52,7 @@ def _mpoly_str(f: MultiPoly) -> str:
 
 def _pretty_multiplier(p: UniPoly, x1: str) -> str:
     """Print monic-normalized multipliers with primitive integer coefficients."""
-    from .fields import RationalField
-    from fractions import Fraction
-    from math import gcd as int_gcd
-
-    if not isinstance(p.field, RationalField):
-        return p.fmt(x1)
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    num = 0
-    for c in p.coeffs:
-        num = int_gcd(num, abs(int(c * den)))
-    scale = Fraction(den, num or 1)
-    if p.lc * scale < 0:
-        scale = -scale
-    return p.scale(Fraction(scale)).fmt(x1)
+    return p.scale(content_scale(p.field, [p], p.lc)).fmt(x1)
 
 
 @dataclass
@@ -346,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except AssertionError as exc:
+    except (AssertionError, ArithmeticError, NotAUnitError, ZeroElementError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

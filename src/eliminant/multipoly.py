@@ -127,9 +127,6 @@ class VarContext:
     def mon_one(self) -> Monomial:
         return mon_one(self.arity)
 
-    def zero_coeff(self):
-        return self.ring_zero()
-
     def ring_zero(self):
         if isinstance(self.ring, _PolyRingTag):
             return UniPoly.zero(self.field)
@@ -139,9 +136,6 @@ class VarContext:
         if isinstance(self.ring, _PolyRingTag):
             return UniPoly.one(self.field)
         return self.ring.one_elem()
-
-    def coeff_is_zero(self, c) -> bool:
-        return c.is_zero
 
     def with_ring(self, ring) -> "VarContext":
         return VarContext(ring, self.field, self.x1, self.tilde, self.order)

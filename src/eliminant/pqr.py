@@ -5,20 +5,25 @@ reduced mod q.  Units are exactly the residues coprime to q; every nonzero
 residue factors as unit * standard factor, where the standard factor is the
 monic gcd of its lift with q.  Division in the tail variables is restricted
 to steps whose interim multiplier is a unit (term divisibility by the whole
-leading term), so remainders stay meaningful despite zero divisors.
+leading term), so remainders stay meaningful despite zero divisors; it is a
+step rule for the shared loop `engine.divide`.
 
-The eliminant search mirrors the one over K[x1]: S-polynomials are formed
-with multipliers computed on lifts (never zero), pairs are pruned when the
-skip multiplier is a unit, and univariate remainders shrink the modulus.  By
-default the ring itself is rebased to the shrunken modulus (all carried data
-re-projected), which both matches the mathematics and keeps coefficients
-small; the final answer is read back in the ring we started from.
+The eliminant search is `engine.Elimination`, the same one that runs over
+K[x1]; `_ResidueRing` adapts it.  The adapter forms S-polynomials with
+multipliers computed on lifts (never zero), skips a pair only when the skip
+multiplier is a unit, ranks triangular candidates by the standard factor of
+their multiplier, and folds univariate remainders into a shrinking modulus.
+By default the ring itself is rebased to the shrunken modulus (all carried
+data re-projected), which both matches the mathematics and keeps
+coefficients small; its finish step adds the S-polynomials against the
+modulus, and the final answer is read back in the ring we started from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .engine import Division, Elimination, InvalidSPolyInput, divide, reduced
 from .multipoly import (
     MultiPoly,
     VarContext,
@@ -28,7 +33,14 @@ from .multipoly import (
     mon_lcm,
 )
 from .pseudo import StrategyConfig
-from .unipoly import UniPoly, exact_div, poly_gcd, poly_lcm, poly_multi_ext_gcd
+from .unipoly import (
+    UniPoly,
+    content_scale,
+    exact_div,
+    poly_gcd,
+    poly_lcm,
+    poly_multi_ext_gcd,
+)
 
 
 class NotAUnitError(ValueError):
@@ -103,6 +115,10 @@ class PqrElem:
     @property
     def is_zero(self) -> bool:
         return self.rep.is_zero
+
+    @property
+    def is_one(self) -> bool:
+        return self.rep.is_one
 
     def _check(self, other: "PqrElem"):
         if self.ctx != other.ctx:
@@ -244,8 +260,6 @@ def spoly_q(f: MultiPoly, g) -> MultiPoly:
     are computed on lifts, so they are nonzero even when the lcm of the
     leading coefficients vanishes in the ring.
     """
-    from .pseudo import InvalidSPolyInput
-
     if f.is_zero or f.is_coeff:
         raise InvalidSPolyInput("first operand must have tail variables")
     ctx = f.ctx
@@ -328,73 +342,36 @@ def check_triangular_identity_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> boo
 # -- proper division --------------------------------------------------------------
 
 
-@dataclass
-class ProperDivision:
-    multiplier: PqrElem            # always a unit
-    quotients: list
-    remainder: MultiPoly
+def _proper_step(divisors, mon, c):
+    ring = c.ctx
+    lift = c.lift()
+    for i, b in enumerate(divisors):
+        if not mon_divides(b.lm, mon):
+            continue
+        lb = b.lc.lift()
+        m = poly_lcm(lift, lb)
+        mu = ring.elem(exact_div(m, lift))
+        if mu.is_unit():
+            return mu, [(i, ring.elem(exact_div(m, lb)))]
+    return None
 
 
-def proper_divide(f: MultiPoly, divisors: list[MultiPoly]) -> ProperDivision:
+def proper_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
     """Divide f in the residue ring, reducing only unit-multiplier steps.
 
     A term c*m reduces against a divisor b when lm(b) divides m and the
     interim multiplier lcm(lift c, lift lc b)/lift c projects to a unit,
     which is exactly divisibility of the term by the whole leading term of b.
+    The multiplier of the result is therefore always a unit.
     """
-    from .pseudo import InvalidSPolyInput
-
-    ctx = f.ctx
-    ring: PqrCtx = ctx.ring
-    for b in divisors:
-        if b.is_zero or b.is_coeff:
-            raise InvalidSPolyInput("divisors must have tail variables")
-    lam = ring.one_elem()
-    quotients = [MultiPoly.zero(ctx) for _ in divisors]
-    h = f
-    while True:
-        hit = None
-        for mon, c in h.terms:
-            lc_lift = c.lift()
-            for bi, b in enumerate(divisors):
-                if not mon_divides(b.lm, mon):
-                    continue
-                lb = b.lc.lift()
-                m = poly_lcm(lc_lift, lb)
-                mu = ring.elem(exact_div(m, lc_lift))
-                if not mu.is_unit():
-                    continue
-                hit = (mon, bi, b, mu, ring.elem(exact_div(m, lb)))
-                break
-            if hit:
-                break
-        if hit is None:
-            break
-        mon, bi, b, mu, factor = hit
-        shift = mon_div(mon, b.lm)
-        if not mu.rep.is_one:
-            lam = lam * mu
-            h = h.scale(mu)
-            quotients = [q.scale(mu) for q in quotients]
-        h = h - b.mul_term(factor, shift)
-        quotients[bi] = quotients[bi] + MultiPoly.term(ctx, factor, shift)
-    return ProperDivision(lam, quotients, h)
+    return divide(f, divisors, _proper_step)
 
 
 def properly_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
-    ring: PqrCtx = f.ctx.ring
-    for mon, c in f.terms:
-        lc_lift = c.lift()
-        for b in divisors:
-            if not mon_divides(b.lm, mon):
-                continue
-            mu = ring.elem(exact_div(poly_lcm(lc_lift, b.lc.lift()), lc_lift))
-            if mu.is_unit():
-                return False
-    return True
+    return reduced(f, divisors, _proper_step)
 
 
-# -- the modular eliminant engine ---------------------------------------------
+# -- the eliminant search over the residue ring -------------------------------
 
 
 @dataclass
@@ -414,333 +391,142 @@ class ProperOutcome:
         return self.eliminant.fmt(self.basis_var_ctx.x1)
 
 
-def _content_scalar(f: MultiPoly):
-    """Scalar bringing the canonical lift of f into content-normal form."""
-    from fractions import Fraction
-    from math import gcd as int_gcd
-
-    from .fields import RationalField
-
-    field = f.ctx.field
-    if isinstance(field, RationalField):
-        num_gcd, den_lcm = 0, 1
-        for _, c in f.terms:
-            for a in c.rep.coeffs:
-                num_gcd = int_gcd(num_gcd, abs(a.numerator))
-                den_lcm = den_lcm * a.denominator // int_gcd(den_lcm, a.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        if f.lc.rep.lc * scale < 0:
-            scale = -scale
-        return scale
-    return field.inv(f.lc.rep.lc)
-
-
 def _unit_normalize(f: MultiPoly) -> MultiPoly:
     """Constant-scale normalization; preferred lifts follow the scaling."""
     if f.is_zero:
         return f
-    k = _content_scalar(f)
+    k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.lc)
     return MultiPoly(f.ctx, {m: c.scale_scalar(k) for m, c in f.terms})
 
 
-class _ProperEngine:
+class _ResidueRing:
+    """K[x1]/(q) for the shared search; the ring shrinks as univariate members appear.
+
+    A pair is skipped only when its skip multiplier is a unit, or, without
+    base change, coprime to the temporary eliminant (chi-delta).  With base
+    change a univariate member rebases the run to the smaller modulus and
+    re-projects everything it carries; without it the member shrinks the
+    temporary eliminant `e`.  The finish step adds the special S-polynomials
+    against the modulus (or `e`) until nothing changes.  proper_divide is
+    called through this module's globals, where perfbench's tracer binds its
+    wrapper.
+    """
+
+    spoly = staticmethod(spoly_q)
+    reduced = staticmethod(properly_reduced)
+    normalize = staticmethod(_unit_normalize)
+    coprime_multiplier = staticmethod(coprime_skip_multiplier)
+    triangular_multiplier = staticmethod(triangular_multiplier_q)
+    check_triangle = staticmethod(check_triangular_identity_q)
+
     def __init__(self, var_ctx: VarContext, strategy: StrategyConfig):
         self.var_ctx = var_ctx
         self.ring: PqrCtx = var_ctx.ring
+        self.start_ring = self.ring
         self.strategy = strategy
-        self.arena: list[MultiPoly | None] = []
-        self.alive: list[int] = []
-        self.queue: list = []       # (key, seq, spoly)
-        self.seq = 0
-        self.used_triplets: set = set()
-        self.decided_pairs: set = set()
         self.e: UniPoly | None = None   # nonzero temporary eliminant (no base change)
-        self.inconsistent = False
         self.behead_done: set = set()   # (slot, modulus/eliminant) pairs
 
-    # ----- bookkeeping
+    def current(self, f: MultiPoly) -> MultiPoly:
+        """f re-projected into the current ring, whose modulus divides f's.
 
-    def listed(self) -> list[tuple[int, MultiPoly]]:
-        entries = [(i, self.arena[i]) for i in self.alive]
-        entries.sort(
-            key=lambda e: (self.var_ctx.order.key(e[1].lm), e[1].lc.rep.degree, e[0])
-        )
-        return entries
-
-    def pair_key(self, i: int, j: int):
-        return self.var_ctx.order.key(mon_lcm(self.arena[i].lm, self.arena[j].lm))
-
-    def add_element(self, f: MultiPoly) -> int:
-        slot = len(self.arena)
-        self.arena.append(f)
-        self.alive.append(slot)
-        return slot
-
-    # ----- univariate members: shrink the modulus / rebase
-
-    def fold_univariate(self, r: PqrElem) -> bool:
-        """Fold a univariate ideal member into the eliminant state.
-
-        Returns False when the ideal is revealed trivial.
+        Canonical representatives and preferred lifts both stay congruent.
         """
-        if r.is_zero:
-            return True
-        g = poly_gcd(r.rep, self.ring.modulus)
-        if g.is_constant:
-            self.inconsistent = True
-            return False
-        if self.strategy.base_change:
-            if g == self.ring.modulus:
-                return True
-            self._rebase(g)
-            return True
-        if self.e is None:
-            self.e = g
-        else:
-            g2 = poly_gcd(g, self.e)
-            if g2.is_constant:
-                self.inconsistent = True
-                return False
-            self.e = g2
-        return True
+        if f.ctx == self.var_ctx:
+            return f
+        ring = self.ring
+        out = {m: PqrElem(ring, c.rep % ring.modulus, c.pref) for m, c in f.terms}
+        return MultiPoly(self.var_ctx, out)
 
-    def _rebase(self, new_modulus: UniPoly):
-        """Continue over the smaller ring modulo new_modulus.
+    def sort_key(self, f: MultiPoly):
+        return (self.var_ctx.order.key(f.lm), f.lc.rep.degree)
 
-        The new modulus divides the old one, so canonical representatives
-        and preferred lifts both stay congruent; everything carried by the
-        run is re-projected in place.
-        """
-        new_ring = PqrCtx(new_modulus)
-        new_ctx = self.var_ctx.with_ring(new_ring)
+    def reduce(self, s: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+        if s.is_coeff:
+            return s
+        return proper_divide(s, basis).remainder
 
-        def move(f: MultiPoly) -> MultiPoly:
-            out = {}
-            for mon, c in f.terms:
-                out[mon] = PqrElem(new_ring, c.rep % new_modulus, c.pref)
-            return MultiPoly(new_ctx, out)
-
-        pending_univ: list[PqrElem] = []
-        for slot in list(self.alive):
-            moved = move(self.arena[slot])
-            if moved.is_zero:
-                self.alive.remove(slot)
-                self.arena[slot] = None
-            elif moved.is_coeff:
-                self.alive.remove(slot)
-                self.arena[slot] = None
-                pending_univ.append(moved.as_coeff())
-            else:
-                self.arena[slot] = moved
-        new_queue = []
-        for key, seq, s in self.queue:
-            moved = move(s)
-            if moved.is_zero:
-                continue
-            if moved.is_coeff:
-                pending_univ.append(moved.as_coeff())
-                continue
-            new_queue.append((key, seq, moved))
-        self.var_ctx = new_ctx
-        self.ring = new_ring
-        self.queue = new_queue
-        # behead bookkeeping refers to the old modulus; reset
-        self.behead_done = set()
-        for r in pending_univ:
-            if not self.fold_univariate(r):
-                return
-
-    # ----- pair decisions
-
-    def decide_batch(self, pairs: list[tuple[int, int]]):
-        for i, j in sorted(pairs, key=lambda p: (self.pair_key(*p), p)):
-            if self.inconsistent:
-                return
-            self.decide_pair(i, j)
-            self.decided_pairs.add(frozenset((i, j)))
-
-    def decide_pair(self, i: int, j: int):
-        # a coprime pair is only skippable when the shared coefficient gcd is
-        # a unit; otherwise a triangular identity may still excuse the pair
-        f, g = self.arena[i], self.arena[j]
-        if self.strategy.coprime_skip and mon_coprime(f.lm, g.lm):
-            d = coprime_skip_multiplier(f, g)
-            if d.is_unit():
-                return
-            if (
-                self.strategy.chi_delta
-                and not self.strategy.base_change
-                and self.e is not None
-                and poly_gcd(d.rep, self.e).is_constant
-            ):
-                return
-        if self.strategy.triangular_skip and self._try_triangular(i, j):
-            return
-        s = spoly_q(f, g)
-        if s.is_zero:
-            return
-        self.queue.append((self.pair_key(i, j), self.seq, s))
-        self.seq += 1
-
-    def _tri_complexity(self, lam: PqrElem):
+    def rank(self, lam: PqrElem):
         st = poly_gcd(lam.rep, self.ring.modulus)
         return (st.degree, lam.rep.degree - st.degree)
 
-    def _triangular_candidates(self, i: int, j: int):
-        # both companion pairs must already be decided so rewrite chains
-        # always point backwards (see the polynomial-ring engine)
-        f, g = self.arena[i], self.arena[j]
-        gamma = mon_lcm(f.lm, g.lm)
-        out = []
-        for pos, (k, h) in enumerate(self.listed()):
-            if k in (i, j) or frozenset((i, j, k)) in self.used_triplets:
-                continue
-            if (
-                frozenset((i, k)) not in self.decided_pairs
-                or frozenset((j, k)) not in self.decided_pairs
-            ):
-                continue
-            if not mon_divides(h.lm, gamma):
-                continue
-            lam = triangular_multiplier_q(f, g, h)
-            out.append((self._tri_complexity(lam), pos, k, lam))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
+    def excuse(self, lam: PqrElem) -> bool:
+        return lam.is_unit() or (
+            self.strategy.chi_delta
+            and not self.strategy.base_change
+            and self.e is not None
+            and poly_gcd(lam.rep, self.e).is_constant
+        )
 
-    def _try_triangular(self, i: int, j: int) -> bool:
-        for _, _, k, lam in self._triangular_candidates(i, j):
-            skippable = lam.is_unit() or (
-                self.strategy.chi_delta
-                and not self.strategy.base_change
-                and self.e is not None
-                and poly_gcd(lam.rep, self.e).is_constant
-            )
-            if not skippable:
-                continue
-            self.used_triplets.add(frozenset((i, j, k)))
-            if self.strategy.debug_checks:
-                if not check_triangular_identity_q(
-                    self.arena[i], self.arena[j], self.arena[k]
-                ):
-                    raise AssertionError(
-                        "residue-ring triangular identity failed to verify"
-                    )
+    # ----- univariate members: shrink the modulus / rebase
+
+    def fold_univariate(self, run: Elimination, r: PqrElem) -> bool:
+        g = poly_gcd(r.rep, self.ring.modulus)
+        if g.is_constant:
+            return False
+        if self.strategy.base_change:
+            if g != self.ring.modulus:
+                self._rebase(run, g)
             return True
-        return False
+        if self.e is not None:
+            g = poly_gcd(g, self.e)
+            if g.is_constant:
+                return False
+        self.e = g
+        return True
 
-    # ----- main loop
+    def _rebase(self, run: Elimination, new_modulus: UniPoly):
+        """Continue over the smaller ring modulo new_modulus."""
+        self.ring = PqrCtx(new_modulus)
+        self.var_ctx = self.var_ctx.with_ring(self.ring)
+        # behead bookkeeping refers to the old modulus
+        self.behead_done = set()
+        for r in run.remap(self.current):
+            if run.inconsistent:
+                return
+            run.fold(r)
 
-    def run(self, projected: list[MultiPoly]) -> ProperOutcome:
-        start_ring = self.ring
-        for f in projected:
-            if self.inconsistent:
+    # ----- the finish step
+
+    def finish(self, run: Elimination) -> ProperOutcome:
+        while not run.inconsistent:
+            before = (self.ring.modulus, self.e, run.slots())
+            self._behead_round(run)
+            run.drain()
+            if (self.ring.modulus, self.e, run.slots()) == before:
                 break
-            if f.ctx != self.var_ctx:
-                # an earlier univariate member already shrank the modulus
-                ring = self.ring
-                f = MultiPoly(
-                    self.var_ctx,
-                    {m: PqrElem(ring, c.rep % ring.modulus, c.pref) for m, c in f.terms},
-                )
-            if f.is_zero:
-                continue
-            if f.is_coeff:
-                if not self.fold_univariate(f.as_coeff()):
-                    break
-            else:
-                self.add_element(_unit_normalize(f))
-        if not self.inconsistent:
-            ids = list(self.alive)
-            self.decide_batch([(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]])
-            self._drain()
-            while not self.inconsistent:
-                before = (self.ring.modulus, self.e, tuple(self.alive))
-                self._behead_round()
-                self._drain()
-                if (self.ring.modulus, self.e, tuple(self.alive)) == before:
-                    break
-        return self._finalize(start_ring)
-
-    def _drain(self):
-        while self.queue and not self.inconsistent:
-            self.queue.sort(key=lambda t: (t[0], t[1]))
-            _, _, s = self.queue.pop(0)
-            if s.ctx != self.var_ctx:
-                # queued before a rebase that happened mid-drain
-                ring = self.ring
-                s = MultiPoly(
-                    self.var_ctx,
-                    {m: PqrElem(ring, c.rep % ring.modulus, c.pref) for m, c in s.terms},
-                )
-            if s.is_zero:
-                continue
-            if s.is_coeff:
-                if not self.fold_univariate(s.as_coeff()):
-                    return
-                continue
-            division = proper_divide(s, [p for _, p in self.listed()])
-            r = division.remainder
-            if r.is_zero:
-                continue
-            if r.is_coeff:
-                if not self.fold_univariate(r.as_coeff()):
-                    return
-                continue
-            slot = self.add_element(_unit_normalize(r))
-            self.decide_batch([(i, slot) for i in self.alive if i != slot])
-
-    def _behead_round(self):
-        """Queue the special S-polynomials against the modulus or eliminant."""
-        if self.strategy.base_change or self.e is None:
-            marker = ("q", self.ring.modulus)
-            for slot, f in self.listed():
-                if f.lc.is_unit():
-                    continue
-                if (slot, marker) in self.behead_done:
-                    continue
-                self.behead_done.add((slot, marker))
-                s = spoly_q(f, MODULUS)
-                if not s.is_zero:
-                    self.queue.append((self.var_ctx.order.key(f.lm), self.seq, s))
-                    self.seq += 1
-        else:
-            e_elem = self.ring.elem(self.e)
-            marker = ("e", self.e)
-            for slot, f in self.listed():
-                if f.lc.is_unit():
-                    continue
-                d = pqr_gcd(f.lc, e_elem)
-                if d.is_unit():
-                    continue
-                if (slot, marker) in self.behead_done:
-                    continue
-                self.behead_done.add((slot, marker))
-                s = spoly_q(f, e_elem)
-                if not s.is_zero:
-                    self.queue.append((self.var_ctx.order.key(f.lm), self.seq, s))
-                    self.seq += 1
-
-    def _finalize(self, start_ring: PqrCtx) -> ProperOutcome:
-        basis = [p for _, p in self.listed()]
-        if self.inconsistent:
+        if run.inconsistent:
             return ProperOutcome(
-                ctx=start_ring,
-                eliminant=UniPoly.one(start_ring.field),
+                ctx=self.start_ring,
+                eliminant=UniPoly.one(self.start_ring.field),
                 basis=[],
                 basis_var_ctx=self.var_ctx,
                 inconsistent=True,
             )
+        e = self.e
         if self.strategy.base_change:
-            final_modulus = self.ring.modulus
-            e = None if final_modulus == start_ring.modulus else final_modulus
-        else:
-            e = self.e
+            e = None if self.ring == self.start_ring else self.ring.modulus
         return ProperOutcome(
-            ctx=start_ring,
-            eliminant=e,
-            basis=basis,
-            basis_var_ctx=self.var_ctx,
+            ctx=self.start_ring, eliminant=e, basis=run.polys(), basis_var_ctx=self.var_ctx
         )
+
+    def _behead_round(self, run: Elimination):
+        """Queue the special S-polynomials against the modulus or eliminant."""
+        if self.strategy.base_change or self.e is None:
+            against, marker = MODULUS, ("q", self.ring.modulus)
+        else:
+            against, marker = self.ring.elem(self.e), ("e", self.e)
+        for _, slot, f in run.basis:
+            if f.lc.is_unit():
+                continue
+            if against is not MODULUS and pqr_gcd(f.lc, against).is_unit():
+                continue
+            if (slot, marker) in self.behead_done:
+                continue
+            self.behead_done.add((slot, marker))
+            s = spoly_q(f, against)
+            if not s.is_zero:
+                run.push(run.order.key(f.lm), s)
 
 
 def proper_eliminant(
@@ -755,4 +541,6 @@ def proper_eliminant(
     """
     strategy = strategy or StrategyConfig()
     projected = [project_multipoly(g, var_ctx, keep_lifts=True) for g in generators]
-    return _ProperEngine(var_ctx, strategy).run(projected)
+    ring = _ResidueRing(var_ctx, strategy)
+    # read lazily: a univariate generator may rebase the ring before the next
+    return Elimination(ring, var_ctx.order, strategy).run(ring.current(f) for f in projected)

@@ -4,22 +4,23 @@ Division here never inverts leading coefficients: a term with coefficient c
 is cleared against a divisor with leading coefficient l by scaling the whole
 dividend with the interim multiplier lcm(c, l)/c.  The accumulated multiplier
 stays a univariate polynomial, so no rational-function coefficients (and none
-of their size explosion) ever appear.
+of their size explosion) ever appear.  The division is a step rule for the
+shared loop `engine.divide`.
 
-The eliminant search processes S-polynomials smallest first, prunes pairs
-with coprime leading monomials or with a usable triangular identity, and
-collects every non-constant multiplier it uses; those multipliers are what
-later decides which factors of the result are trustworthy.
+The eliminant search is `engine.Elimination`, shared with the residue rings
+of pqr.py; `_PseudoRing` adapts it to K[x1].  S-polynomials are processed
+smallest first, pairs with coprime leading monomials or with a usable
+triangular identity are pruned, and every non-constant multiplier used, by a
+division or by a pruned pair, is collected; those multipliers are what later
+decides which factors of the result are trustworthy.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as int_gcd
 
-from .fields import RationalField
+from .engine import Division, Elimination, InvalidSPolyInput, divide, reduced
 from .multipoly import (
     MultiPoly,
     VarContext,
@@ -28,15 +29,18 @@ from .multipoly import (
     mon_divides,
     mon_lcm,
 )
-from .unipoly import UniPoly, exact_div, poly_gcd, poly_lcm, squarefree_part
+from .unipoly import (
+    UniPoly,
+    content_scale,
+    exact_div,
+    poly_gcd,
+    poly_lcm,
+    squarefree_part,
+)
 
 
 class NotZeroDimensionalError(ValueError):
     """No univariate combination was found; the ideal cannot be zero-dimensional."""
-
-
-class InvalidSPolyInput(ValueError):
-    pass
 
 
 DEBUG_ENV = "ELIMINANT_DEBUG_CHECKS"
@@ -90,18 +94,8 @@ def normalize_content(f: MultiPoly) -> MultiPoly:
     if f.is_zero:
         return f
     field = f.ctx.field
-    if isinstance(field, RationalField):
-        num_gcd, den_lcm = 0, 1
-        for _, c in f.terms:
-            for a in c.coeffs:
-                num_gcd = int_gcd(num_gcd, abs(a.numerator))
-                den_lcm = den_lcm * a.denominator // int_gcd(den_lcm, a.denominator)
-        scale = Fraction(den_lcm, num_gcd)
-        if f.lc.lc * scale < 0:
-            scale = -scale
-        return f.scale(UniPoly.constant(field, scale))
-    inv = field.inv(f.lc.lc)
-    return f.scale(UniPoly.constant(field, inv))
+    scale = content_scale(field, (c for _, c in f.terms), f.lc.lc)
+    return f.scale(UniPoly.constant(field, scale))
 
 
 # -- S-polynomials over the PID ----------------------------------------------
@@ -177,14 +171,15 @@ def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
 # -- pseudo-division -----------------------------------------------------------
 
 
-@dataclass
-class PseudoDivision:
-    multiplier: UniPoly
-    quotients: list
-    remainder: MultiPoly
+def _pseudo_step(divisors, mon, c):
+    for i, b in enumerate(divisors):
+        if mon_divides(b.lm, mon):
+            m = poly_lcm(c, b.lc)
+            return exact_div(m, c), [(i, exact_div(m, b.lc))]
+    return None
 
 
-def pseudo_divide(f: MultiPoly, divisors: list[MultiPoly]) -> PseudoDivision:
+def pseudo_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
     """Divide f by the list, scaling f as needed so every step stays in K[x1].
 
     Divisor preference follows list order, so callers pass divisors sorted by
@@ -195,45 +190,14 @@ def pseudo_divide(f: MultiPoly, divisors: list[MultiPoly]) -> PseudoDivision:
     with the remainder's support disjoint from the leading-monomial ideal of
     the divisors.
     """
-    ctx = f.ctx
-    for b in divisors:
-        if b.is_zero or b.is_coeff:
-            raise InvalidSPolyInput("divisors must have tail variables")
-    lam = UniPoly.one(ctx.field)
-    quotients = [MultiPoly.zero(ctx) for _ in divisors]
-    h = f
-    while True:
-        hit = None
-        for mon, c in h.terms:
-            for bi, b in enumerate(divisors):
-                if mon_divides(b.lm, mon):
-                    hit = (mon, c, bi, b)
-                    break
-            if hit:
-                break
-        if hit is None:
-            break
-        mon, c, bi, b = hit
-        m = poly_lcm(c, b.lc)
-        mu = exact_div(m, c)
-        factor = exact_div(m, b.lc)
-        shift = mon_div(mon, b.lm)
-        if not mu.is_one:
-            lam = lam * mu
-            h = h.scale(mu)
-            quotients = [q.scale(mu) for q in quotients]
-        h = h - b.mul_term(factor, shift)
-        quotients[bi] = quotients[bi] + MultiPoly.term(ctx, factor, shift)
-    return PseudoDivision(lam, quotients, h)
+    return divide(f, divisors, _pseudo_step)
 
 
 def pseudo_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
-    return all(
-        not mon_divides(b.lm, mon) for mon, _ in f.terms for b in divisors
-    )
+    return reduced(f, divisors, _pseudo_step)
 
 
-# -- the eliminant engine -------------------------------------------------------
+# -- the eliminant search over K[x1] ---------------------------------------------
 
 
 @dataclass
@@ -256,33 +220,44 @@ def _poly_sort_key(p: UniPoly):
     return (p.degree, tuple(str(c) for c in p.coeffs))
 
 
-def _basis_sort_key(entry):
-    slot, poly = entry
-    return (poly.ctx.order.key(poly.lm), poly.lc.degree, slot)
+class _PseudoRing:
+    """K[x1] for the shared search: every skipped pair records its multiplier.
 
+    Traced functions (pseudo_divide, normalize_content) are called through
+    this module's globals, where perfbench's tracer binds its wrappers.
+    """
 
-class _PseudoEngine:
+    spoly = staticmethod(spoly)
+    reduced = staticmethod(pseudo_reduced)
+    coprime_multiplier = staticmethod(coprime_multiplier)
+    triangular_multiplier = staticmethod(triangular_multiplier)
+    check_triangle = staticmethod(check_triangular_identity)
+
     def __init__(self, ctx: VarContext, strategy: StrategyConfig):
         self.ctx = ctx
         self.strategy = strategy
-        self.arena: list[MultiPoly] = []
-        self.alive: list[int] = []
         self.f0 = UniPoly.zero(ctx.field)
         self.multipliers: dict = {}
-        self.queue: list = []   # (lcm key, seq, spoly, pair)
-        self.seq = 0
-        self.used_triplets: set = set()
-        self.decided_pairs: set = set()
-        self.inconsistent = False
 
-    # ordering helpers
+    def sort_key(self, f: MultiPoly):
+        return (self.ctx.order.key(f.lm), f.lc.degree)
 
-    def listed(self) -> list[tuple[int, MultiPoly]]:
-        entries = [(i, self.arena[i]) for i in self.alive]
-        entries.sort(key=_basis_sort_key)
-        return entries
+    def normalize(self, f: MultiPoly) -> MultiPoly:
+        return normalize_content(f)
 
-    def record_multiplier(self, lam: UniPoly):
+    def reduce(self, s: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+        division = pseudo_divide(s, basis)
+        self.record(division.multiplier)
+        return division.remainder
+
+    def rank(self, lam: UniPoly) -> int:
+        return squarefree_part(lam).degree
+
+    def excuse(self, lam: UniPoly) -> bool:
+        self.record(lam)
+        return True
+
+    def record(self, lam: UniPoly):
         if lam.is_constant:
             return
         if self.strategy.chi_delta and not self.f0.is_zero:
@@ -290,128 +265,24 @@ class _PseudoEngine:
                 return
         self.multipliers[lam.monic()] = None
 
-    def fold_univariate(self, r: UniPoly) -> bool:
-        """Account for a univariate member; returns False on a unit (trivial ideal)."""
+    def fold_univariate(self, run: Elimination, r: UniPoly) -> bool:
         if r.is_constant:
-            self.inconsistent = True
             return False
-        if self.f0.is_zero:
-            self.f0 = r.monic()
-        else:
-            self.f0 = poly_gcd(self.f0, r)
-            if self.f0.is_constant:
-                self.inconsistent = True
-                return False
-        return True
+        self.f0 = r.monic() if self.f0.is_zero else poly_gcd(self.f0, r)
+        return not self.f0.is_constant
 
-    def add_element(self, f: MultiPoly, check_growth: bool = False) -> int:
-        slot = len(self.arena)
-        if check_growth and self.strategy.debug_checks:
-            others = [self.arena[i] for i in self.alive]
-            if not pseudo_reduced(f, others):
-                raise AssertionError("inserted element not reduced: lt ideal did not grow")
-        self.arena.append(f)
-        self.alive.append(slot)
-        return slot
-
-    # pair decisions
-
-    def pair_key(self, i: int, j: int):
-        lcm = mon_lcm(self.arena[i].lm, self.arena[j].lm)
-        return self.ctx.order.key(lcm)
-
-    def decide_batch(self, pairs: list[tuple[int, int]]):
-        for i, j in sorted(pairs, key=lambda p: (self.pair_key(*p), p)):
-            self.decide_pair(i, j)
-            self.decided_pairs.add(frozenset((i, j)))
-
-    def decide_pair(self, i: int, j: int):
-        f, g = self.arena[i], self.arena[j]
-        if self.strategy.coprime_skip:
-            d = coprime_multiplier(f, g)
-            if d is not None:
-                self.record_multiplier(d)
-                return
-        if self.strategy.triangular_skip and self._try_triangular(i, j):
-            return
-        s = spoly(f, g)
-        if s.is_zero:
-            return
-        self.queue.append((self.pair_key(i, j), self.seq, s))
-        self.seq += 1
-
-    def _triangular_candidates(self, i: int, j: int):
-        # a pair may be excused through h only when both of its companion
-        # pairs were already decided: the rewrite chain then points strictly
-        # backwards and can never lose an S-polynomial in a cycle
-        f, g = self.arena[i], self.arena[j]
-        gamma = mon_lcm(f.lm, g.lm)
-        out = []
-        for pos, (k, h) in enumerate(self.listed()):
-            if k in (i, j):
-                continue
-            if frozenset((i, j, k)) in self.used_triplets:
-                continue
-            if (
-                frozenset((i, k)) not in self.decided_pairs
-                or frozenset((j, k)) not in self.decided_pairs
-            ):
-                continue
-            if not mon_divides(h.lm, gamma):
-                continue
-            lam = triangular_multiplier(f, g, h)
-            out.append((squarefree_part(lam).degree, pos, k, lam))
-        out.sort(key=lambda t: (t[0], t[1]))
-        return out
-
-    def _try_triangular(self, i: int, j: int) -> bool:
-        candidates = self._triangular_candidates(i, j)
-        if not candidates:
-            return False
-        _, _, k, lam = candidates[0]
-        self.used_triplets.add(frozenset((i, j, k)))
-        if self.strategy.debug_checks:
-            if not check_triangular_identity(self.arena[i], self.arena[j], self.arena[k]):
-                raise AssertionError("triangular identity failed to verify")
-        self.record_multiplier(lam)
-        return True
-
-    # the main loop
-
-    def run(self, generators: list[MultiPoly]) -> PseudoOutcome:
-        for gen in generators:
-            if gen.is_zero:
-                continue
-            if gen.is_coeff:
-                if not self.fold_univariate(gen.as_coeff()):
-                    return self._trivial_outcome()
-            else:
-                self.add_element(normalize_content(gen))
-        ids = list(self.alive)
-        self.decide_batch([(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]])
-        while self.queue:
-            self.queue.sort(key=lambda t: (t[0], t[1]))
-            _, _, s = self.queue.pop(0)
-            div = self.listed()
-            division = pseudo_divide(s, [p for _, p in div])
-            self.record_multiplier(division.multiplier)
-            r = division.remainder
-            if r.is_zero:
-                continue
-            if r.is_coeff:
-                if not self.fold_univariate(r.as_coeff()):
-                    return self._trivial_outcome()
-                continue
-            r = normalize_content(r)
-            slot = self.add_element(r, check_growth=True)
-            self.decide_batch([(i, slot) for i in self.alive if i != slot])
+    def finish(self, run: Elimination) -> PseudoOutcome:
+        multipliers = sorted(self.multipliers, key=_poly_sort_key)
+        if run.inconsistent:
+            one = UniPoly.one(self.ctx.field)
+            return PseudoOutcome(one, [], multipliers, [], inconsistent=True)
         if self.f0.is_zero:
             raise NotZeroDimensionalError(
                 "no univariate member found; ideal is not zero-dimensional over "
                 f"{self.ctx.x1}"
             )
         chi = self.f0.monic()
-        basis = [p for _, p in self.listed()]
+        basis = run.polys()
         lc_gcds = {}
         for b in basis:
             d = poly_gcd(b.lc, chi)
@@ -420,17 +291,8 @@ class _PseudoEngine:
         return PseudoOutcome(
             eliminant=chi,
             basis=basis,
-            multipliers=sorted(self.multipliers, key=_poly_sort_key),
+            multipliers=multipliers,
             lc_gcds=sorted(lc_gcds, key=_poly_sort_key),
-        )
-
-    def _trivial_outcome(self) -> PseudoOutcome:
-        return PseudoOutcome(
-            eliminant=UniPoly.one(self.ctx.field),
-            basis=[],
-            multipliers=sorted(self.multipliers, key=_poly_sort_key),
-            lc_gcds=[],
-            inconsistent=True,
         )
 
 
@@ -444,4 +306,5 @@ def pseudo_eliminant(
     for g in generators:
         if g.ctx != ctx:
             raise ValueError("generators from mixed contexts")
-    return _PseudoEngine(ctx, strategy or StrategyConfig()).run(generators)
+    strategy = strategy or StrategyConfig()
+    return Elimination(_PseudoRing(ctx, strategy), ctx.order, strategy).run(generators)

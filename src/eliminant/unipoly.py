@@ -54,10 +54,6 @@ class UniPoly:
     def gen(cls, field) -> "UniPoly":
         return cls(field, (field.zero, field.one))
 
-    @classmethod
-    def from_int_coeffs(cls, field, coeffs) -> "UniPoly":
-        return cls(field, [field.from_int(c) for c in coeffs])
-
     # -- basic queries -----------------------------------------------------
 
     @property
@@ -172,13 +168,6 @@ class UniPoly:
             out.append(F.mul(self.coeffs[i], F.from_int(i)))
         return UniPoly(F, out)
 
-    def evaluate(self, c):
-        F = self.field
-        acc = F.zero
-        for a in reversed(self.coeffs):
-            acc = F.add(F.mul(acc, c), a)
-        return acc
-
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -254,6 +243,24 @@ def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
     if not r.is_zero:
         raise ArithmeticError("division expected to be exact")
     return q
+
+
+def content_scale(field, polys, lead):
+    """The constant that puts a polynomial with coefficients `polys` in printable form.
+
+    Over Q the scaled coefficients are integers with trivial common content
+    and `lead`, the polynomial's leading field coefficient, turns positive.
+    Over GF(p) `lead` turns into 1.
+    """
+    if not isinstance(field, RationalField):
+        return field.inv(lead)
+    num_gcd, den_lcm = 0, 1
+    for p in polys:
+        for a in p.coeffs:
+            num_gcd = int_gcd(num_gcd, abs(a.numerator))
+            den_lcm = den_lcm * a.denominator // int_gcd(den_lcm, a.denominator)
+    scale = Fraction(den_lcm, num_gcd)
+    return -scale if lead * scale < 0 else scale
 
 
 # -- gcd family ---------------------------------------------------------------

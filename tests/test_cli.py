@@ -3,7 +3,11 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
+import eliminant.cli as cli
 from eliminant.cli import (
+    EXIT_INTERNAL,
     EXIT_NOT_ZERO_DIM,
     EXIT_OK,
     EXIT_PARSE,
@@ -11,6 +15,7 @@ from eliminant.cli import (
     run_pipeline,
 )
 from eliminant.parser import parse_ideal_file, parse_poly
+from eliminant.pqr import NotAUnitError, ZeroElementError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -117,3 +122,17 @@ def test_main_entry_direct(capsys):
     assert main([str(FIXTURES / "simple.ideal"), "--emit", "text"]) == EXIT_OK
     out = capsys.readouterr().out
     assert "eliminant" in out
+
+
+@pytest.mark.parametrize(
+    "exc",
+    [NotAUnitError("no inverse"), ZeroElementError("gcd(0, 0)"), ArithmeticError("inexact")],
+    ids=lambda e: type(e).__name__,
+)
+def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
+    def fail(*_args, **_kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_pipeline", fail)
+    assert main([str(FIXTURES / "simple.ideal")]) == EXIT_INTERNAL
+    assert str(exc) in capsys.readouterr().err
