@@ -18,7 +18,6 @@ from .assembly import (
     Decomposition,
     assemble,
     component_remainder,
-    is_member,
     lift_component_basis,
 )
 from .buchberger import groebner_self_check, oracle_eliminant, reduced_groebner
@@ -260,15 +259,24 @@ def attach_oracle(report: PipelineReport) -> None:
 
 
 def attach_membership(report: PipelineReport, probes: list) -> None:
+    """Verdict and per-component remainders of each probe, reducing it once per component.
+
+    The verdict is the one `is_member` gives: every remainder is zero, and a
+    trivial ideal contains every probe.
+    """
+    dec = report.decomposition
     for text, probe in probes:
-        verdict = is_member(probe, report.decomposition)
-        entry = {"probe": text, "member": verdict}
-        if not report.decomposition.inconsistent:
-            entry["remainders"] = [
-                _mpoly_str(component_remainder(probe, comp))
-                for comp in report.decomposition.components
-            ]
-        report.membership.append(entry)
+        if dec.inconsistent:
+            report.membership.append({"probe": text, "member": True})
+            continue
+        remainders = [component_remainder(probe, comp) for comp in dec.components]
+        report.membership.append(
+            {
+                "probe": text,
+                "member": all(r.is_zero for r in remainders),
+                "remainders": [_mpoly_str(r) for r in remainders],
+            }
+        )
 
 
 def run_membership(ideal: IdealFile, probe_text: str, strategy=None) -> PipelineReport:

@@ -1,9 +1,11 @@
 """Exact coefficient fields: arbitrary-precision rationals and prime fields GF(p).
 
 Both are perfect fields, which is all the rest of the package assumes.
-Field elements are plain Python values (`Fraction` for the rationals,
-canonical residues `int` in [0, p) for GF(p)); the field object supplies
-the arithmetic so polynomial code stays agnostic.
+Field elements are plain Python values: `Fraction` for the rationals,
+canonical residues `int` in [0, p) for GF(p).  The field objects name the
+field (`char` is 0 for Q and p for GF(p)), parse and print scalars, and
+supply scalar arithmetic to the Buchberger oracle.  `UniPoly` does its own
+integer arithmetic and only reads `char` from them.
 """
 
 from __future__ import annotations
@@ -15,18 +17,36 @@ class FieldParseError(ValueError):
     """A scalar literal could not be parsed for the active field."""
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# exactly for every n < 3.18 * 10^23 (Jiang and Deng, 2014), which covers
+# every modulus PrimeField accepts.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+MAX_PRIME_BITS = 64
+"""GF(p) is accepted for primes p < 2**MAX_PRIME_BITS."""
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 3.18 * 10^23."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -86,9 +106,11 @@ class RationalField:
 
 
 class PrimeField:
-    """GF(p) for a word-sized prime p; elements are ints reduced mod p."""
+    """GF(p) for a word-sized prime p < 2**64; elements are ints reduced mod p."""
 
     def __init__(self, p: int):
+        if p.bit_length() > MAX_PRIME_BITS:
+            raise ValueError(f"{p} is too large: GF(p) needs p < 2^{MAX_PRIME_BITS}")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

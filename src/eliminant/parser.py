@@ -9,7 +9,8 @@ Expression grammar (no implicit multiplication):
     atom   := NUMBER | NAME | '(' expr ')'
 
 NUMBER is an integer or, over Q, a rational written NUM '/' NUM with no other
-use of '/'.  Ideal files are line oriented:
+use of '/'.  A power may not raise the degree in any one variable above
+MAX_EXPONENT.  Ideal files are line oriented:
 
     field Q            (or: field GF <p>)
     vars z < y < x     (first name is the variable eliminated to)
@@ -22,9 +23,10 @@ Blank lines and '#' comments are skipped.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
-from .fields import GF, QQ, RationalField
+from .fields import GF, QQ
 from .multipoly import MultiPoly, VarContext, base_context
 from .unipoly import UniPoly
 
@@ -39,56 +41,77 @@ class ParseError(ValueError):
         super().__init__(message + where)
 
 
-_TOKEN_CHARS = set("+-*^()")
+# NUMBER (with an optional '/' tail), NAME, an operator, or any other
+# non-space character, which is an error; whitespace falls between matches.
+_TOKEN = re.compile(r"(\d+(?:/\d*)?)|([^\W\d]\w*)|([-+*^()])|(\S)")
 
 
 def _tokenize(text: str, line_no: int | None = None):
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _TOKEN_CHARS:
-            tokens.append((ch, ch, i))
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < n and text[j].isdigit():
-                j += 1
-            # rational literal: INT '/' INT
-            if j < n and text[j] == "/":
-                k = j + 1
-                while k < n and text[k].isdigit():
-                    k += 1
-                if k == j + 1:
-                    raise ParseError("expected digits after '/'", line_no, j + 1)
-                tokens.append(("num", text[i:k], i))
-                i = k
-            else:
-                tokens.append(("num", text[i:j], i))
-                i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(("name", text[i:j], i))
-            i = j
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line_no, i + 1)
-    tokens.append(("end", "", n))
+    for m in _TOKEN.finditer(text):
+        num, name, op, bad = m.groups()
+        col = m.start()
+        if num is not None:
+            if num[-1] == "/":
+                raise ParseError("expected digits after '/'", line_no, col + len(num))
+            tokens.append(("num", num, col))
+        elif name is not None:
+            tokens.append(("name", name, col))
+        elif op is not None:
+            tokens.append((op, op, col))
+        else:
+            raise ParseError(f"unexpected character {bad!r}", line_no, col + 1)
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
+MAX_EXPONENT = 1000
+"""Largest degree in any one variable that `^` may produce."""
+
+
+def _term_add(a: dict, b: dict, sign: int, p: int) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m, 0) + sign * c
+        if p:
+            v %= p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _term_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple([x + y for x, y in zip(ma, mb)])
+            out[m] = out.get(m, 0) + ca * cb
+    if p:
+        return {m: v for m, c in out.items() if (v := c % p)}
+    return {m: c for m, c in out.items() if c}
+
+
 class _ExprParser:
+    """Evaluates an expression into one term dict {(e_x1, e_tail...): scalar}.
+
+    Scalars are ints or Fractions over Q and residues over GF(p).  The
+    MultiPoly is built once from the final dict, so its terms are sorted once.
+    """
+
     def __init__(self, tokens, ctx: VarContext, line_no: int | None):
         self.tokens = tokens
         self.pos = 0
         self.ctx = ctx
         self.line = line_no
+        self.p = ctx.field.char
+        names = (ctx.x1, *ctx.tilde)
+        self.unit = (0,) * len(names)
+        self.var_keys = {
+            name: tuple(1 if j == i else 0 for j in range(len(names)))
+            for i, name in enumerate(names)
+        }
 
     def peek(self):
         return self.tokens[self.pos]
@@ -105,73 +128,95 @@ class _ExprParser:
         tok = self.peek()
         if tok[0] != "end":
             raise ParseError(f"trailing input {tok[1]!r}", self.line, tok[2] + 1)
-        return value
+        return self._build(value)
 
-    def expr(self) -> MultiPoly:
+    def _build(self, value: dict) -> MultiPoly:
+        ctx = self.ctx
+        by_tail: dict = {}
+        for (e1, *tail), c in value.items():
+            row = by_tail.setdefault(tuple(tail), {})
+            row[e1] = c
+        wrap = getattr(ctx.ring, "elem", None)
+        term_map = {}
+        for mon, row in by_tail.items():
+            dense = [0] * (max(row) + 1)
+            for e1, c in row.items():
+                dense[e1] = c
+            coeff = UniPoly(ctx.field, dense)
+            term_map[mon] = wrap(coeff) if wrap is not None else coeff
+        return MultiPoly(ctx, term_map)
+
+    def expr(self) -> dict:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
             op = self.take()[0]
             rhs = self.term()
-            value = value + rhs if op == "+" else value - rhs
+            value = _term_add(value, rhs, 1 if op == "+" else -1, self.p)
         return value
 
-    def term(self) -> MultiPoly:
+    def term(self) -> dict:
         value = self.unary()
         while self.peek()[0] == "*":
             self.take()
-            value = value * self.unary()
+            value = _term_mul(value, self.unary(), self.p)
         return value
 
-    def unary(self) -> MultiPoly:
+    def unary(self) -> dict:
         if self.peek()[0] == "-":
             self.take()
-            return -self.unary()
+            return _term_add({}, self.unary(), -1, self.p)
         if self.peek()[0] == "+":
             self.take()
             return self.unary()
         return self.power()
 
-    def power(self) -> MultiPoly:
+    def power(self) -> dict:
         base = self.atom()
-        if self.peek()[0] == "^":
-            self.take()
-            tok = self.take("num")
-            if "/" in tok[1]:
-                raise ParseError("exponent must be an integer", self.line, tok[2] + 1)
-            n = int(tok[1])
-            value = MultiPoly.from_coeff(self.ctx, self.ctx.ring_one())
-            for _ in range(n):
-                value = value * base
-            return value
-        return base
+        if self.peek()[0] != "^":
+            return base
+        self.take()
+        tok = self.take("num")
+        if "/" in tok[1]:
+            raise ParseError("exponent must be an integer", self.line, tok[2] + 1)
+        n = int(tok[1])
+        top = max((max(m) for m in base), default=0)
+        if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
+            raise ParseError(
+                f"power exceeds degree {MAX_EXPONENT} in one variable", self.line, tok[2] + 1
+            )
+        # square-and-multiply
+        value = {self.unit: 1}
+        while n:
+            if n & 1:
+                value = _term_mul(value, base, self.p)
+            n >>= 1
+            if n:
+                base = _term_mul(base, base, self.p)
+        return value
 
-    def atom(self) -> MultiPoly:
+    def atom(self) -> dict:
         kind, text, col = self.peek()
         if kind == "num":
             self.take()
-            if "/" in text and not isinstance(self.ctx.field, RationalField):
-                raise ParseError("rational literal in a prime field", self.line, col + 1)
-            scalar = self.ctx.field.parse(text)
-            c = UniPoly.constant(self.ctx.field, scalar)
-            return MultiPoly.from_coeff(self.ctx, self._to_ring(c))
+            if "/" in text:
+                if self.p:
+                    raise ParseError("rational literal in a prime field", self.line, col + 1)
+                scalar = self.ctx.field.parse(text)
+            else:
+                scalar = int(text) % self.p if self.p else int(text)
+            return {self.unit: scalar} if scalar else {}
         if kind == "name":
             self.take()
-            try:
-                return MultiPoly.var(self.ctx, text)
-            except ValueError as exc:
-                raise ParseError(str(exc), self.line, col + 1) from exc
+            key = self.var_keys.get(text)
+            if key is None:
+                raise ParseError(f"unknown variable {text!r}", self.line, col + 1)
+            return {key: 1}
         if kind == "(":
             self.take()
             value = self.expr()
             self.take(")")
             return value
         raise ParseError(f"unexpected token {text!r}", self.line, col + 1)
-
-    def _to_ring(self, c: UniPoly):
-        ring = self.ctx.ring
-        if hasattr(ring, "elem"):
-            return ring.elem(c)
-        return c
 
 
 def parse_poly(text: str, ctx: VarContext, line_no: int | None = None) -> MultiPoly:

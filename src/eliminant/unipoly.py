@@ -1,17 +1,31 @@
 """Univariate polynomials over an exact field: the PID K[x1].
 
-Dense representation (ascending coefficients, no trailing zeros).  The zero
-polynomial has degree -1, which compares below every natural number, so the
-usual `deg r < deg g` division guard admits the zero remainder without a
-special case.
+Dense representation on an integer kernel: a polynomial is a tuple `nums`
+of integer numerators (ascending, no trailing zeros) over one positive
+integer denominator `den`.
+
+- Over Q the form is canonical by `gcd(den, *nums) == 1`.
+- Over GF(p), `den == 1` and `nums` are residues in [0, p).
+
+Equality and hashing compare this canonical form.  Arithmetic runs as plain
+integer loops with one normalisation per result: one `gcd` over Q, one
+`% p` per output coefficient over GF(p).  Results that are canonical by
+construction (zero, one, negation, shifts, GF products and monic scaling)
+skip that pass.  Division over Q is fraction-free on the numerators
+(Knuth, TAOCP vol. 2, 4.6.1) followed by one rescale.  Field elements
+(`Fraction` over Q, residues over GF(p)) appear only at the boundary: the
+constructor, `constant`, `scale`, and the `coeffs`, `coeff` and `lc`
+accessors.
+
+The zero polynomial has degree -1, which compares below every natural
+number, so the usual `deg r < deg g` division guard admits the zero
+remainder without a special case.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd as int_gcd
-
-from .fields import RationalField
+from math import gcd as int_gcd, lcm as int_lcm
 
 
 class BothZeroError(ValueError):
@@ -26,25 +40,78 @@ class ZeroInputError(ValueError):
     """Multiplicity of a factor in the zero polynomial is undefined."""
 
 
+_alloc = object.__new__
+
+
+def _raw(field, nums: tuple, den: int = 1) -> "UniPoly":
+    """A UniPoly from data already in canonical form."""
+    p = _alloc(UniPoly)
+    p.field = field
+    p.nums = nums
+    p.den = den
+    return p
+
+
+def _q_make(field, nums: list, den: int) -> "UniPoly":
+    """Canonical polynomial over Q from integer numerators over a nonzero denominator."""
+    while nums and not nums[-1]:
+        nums.pop()
+    if not nums:
+        return _raw(field, ())
+    if den != 1:
+        g = int_gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = [c // g for c in nums]
+            den //= g
+    return _raw(field, tuple(nums), den)
+
+
+def _gf_make(field, nums: list) -> "UniPoly":
+    """Canonical polynomial over GF(p) from residues in [0, p)."""
+    while nums and not nums[-1]:
+        nums.pop()
+    return _raw(field, tuple(nums))
+
+
+def _q_str(n: int, den: int) -> str:
+    """The rational n/den in lowest terms, written as `str(Fraction)` writes it."""
+    g = int_gcd(n, den)
+    if g != den:
+        return f"{n // g}/{den // g}"
+    return str(n // g)
+
+
 class UniPoly:
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field, coeffs):
-        cs = list(coeffs)
-        while cs and field.is_zero(cs[-1]):
-            cs.pop()
+        """The polynomial with ascending coefficients `coeffs`, elements of `field`."""
         self.field = field
-        self.coeffs = tuple(cs)
+        p = field.char
+        if p:
+            nums = [int(c) % p for c in coeffs]
+            while nums and not nums[-1]:
+                nums.pop()
+            self.nums, self.den = tuple(nums), 1
+            return
+        cs = list(coeffs)
+        den = 1
+        for c in cs:
+            den = int_lcm(den, c.denominator)
+        made = _q_make(field, [c.numerator * (den // c.denominator) for c in cs], den)
+        self.nums, self.den = made.nums, made.den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, field) -> "UniPoly":
-        return cls(field, ())
+        return _raw(field, ())
 
     @classmethod
     def one(cls, field) -> "UniPoly":
-        return cls(field, (field.one,))
+        return _raw(field, (1,))
 
     @classmethod
     def constant(cls, field, c) -> "UniPoly":
@@ -52,85 +119,146 @@ class UniPoly:
 
     @classmethod
     def gen(cls, field) -> "UniPoly":
-        return cls(field, (field.zero, field.one))
+        return _raw(field, (0, 1))
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """Ascending coefficients as field elements."""
+        if self.field.char:
+            return self.nums
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def is_constant(self) -> bool:
-        return len(self.coeffs) <= 1
+        return len(self.nums) <= 1
 
     @property
     def is_one(self) -> bool:
-        return len(self.coeffs) == 1 and self.coeffs[0] == self.field.one
+        return self.nums == (1,) and self.den == 1
 
     @property
     def lc(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroInputError("leading coefficient of zero polynomial")
-        return self.coeffs[-1]
+        return self.coeff(len(self.nums) - 1)
 
     def coeff(self, k: int):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
-        return self.field.zero
+        if not 0 <= k < len(self.nums):
+            return Fraction(0) if not self.field.char else 0
+        if self.field.char:
+            return self.nums[k]
+        return Fraction(self.nums[k], self.den)
+
+    def _lc_inverse(self):
+        """The field element that makes this polynomial monic."""
+        if self.field.char:
+            return pow(self.nums[-1], -1, self.field.char)
+        return Fraction(self.den, self.nums[-1])
 
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "UniPoly"):
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("mixed coefficient fields")
 
-    def __add__(self, other: "UniPoly") -> "UniPoly":
+    def _combine(self, other: "UniPoly", sign: int) -> "UniPoly":
+        """self + sign * other, sign in {1, -1}."""
         self._check(other)
+        a, b = self.nums, other.nums
+        if not b:
+            return self
         F = self.field
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = F.add(out[i], c)
-        return UniPoly(F, out)
+        if not a:
+            return other if sign == 1 else -other
+        p = F.char
+        if p:
+            if len(a) >= len(b):
+                out = list(a)
+                for i, c in enumerate(b):
+                    out[i] = (out[i] + sign * c) % p
+            else:
+                out = [(sign * c) % p for c in b]
+                for i, c in enumerate(a):
+                    out[i] = (out[i] + c) % p
+            return _gf_make(F, out)
+        da, db = self.den, other.den
+        if da == db:
+            ma, mb, den = 1, sign, da
+        else:
+            g = int_gcd(da, db)
+            ma, mb = db // g, sign * (da // g)
+            den = da * ma
+        if len(a) >= len(b):
+            out = [c * ma for c in a] if ma != 1 else list(a)
+            for i, c in enumerate(b):
+                out[i] += c * mb
+        else:
+            out = [c * mb for c in b]
+            for i, c in enumerate(a):
+                out[i] += c * ma
+        return _q_make(F, out, den)
 
-    def __neg__(self) -> "UniPoly":
-        F = self.field
-        return UniPoly(F, [F.neg(c) for c in self.coeffs])
+    def __add__(self, other: "UniPoly") -> "UniPoly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self) -> "UniPoly":
+        p = self.field.char
+        if p:
+            return _raw(self.field, tuple(p - c if c else 0 for c in self.nums))
+        return _raw(self.field, tuple(-c for c in self.nums), self.den)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
         F = self.field
-        if self.is_zero or other.is_zero:
-            return UniPoly.zero(F)
-        out = [F.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if F.is_zero(a):
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = F.add(out[i + j], F.mul(a, b))
-        return UniPoly(F, out)
+        a, b = self.nums, other.nums
+        if not a or not b:
+            return _raw(F, ())
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        p = F.char
+        if p:
+            # a product of nonzero polynomials over a field keeps a nonzero top
+            return _raw(F, tuple([c % p for c in out]))
+        return _q_make(F, out, self.den * other.den)
 
     def scale(self, c) -> "UniPoly":
+        """Multiply by the field element c."""
         F = self.field
-        if F.is_zero(c):
-            return UniPoly.zero(F)
-        return UniPoly(F, [F.mul(a, c) for a in self.coeffs])
+        p = F.char
+        if p:
+            c = int(c) % p
+            if not c or not self.nums:
+                return _raw(F, ())
+            if c == 1:
+                return self
+            return _raw(F, tuple([a * c % p for a in self.nums]))
+        cn, cd = c.numerator, c.denominator
+        if not cn or not self.nums:
+            return _raw(F, ())
+        return _q_make(F, [a * cn for a in self.nums], self.den * cd)
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        return UniPoly(self.field, (self.field.zero,) * k + self.coeffs)
+        return _raw(self.field, (0,) * k + self.nums, self.den)
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -151,34 +279,46 @@ class UniPoly:
         return divrem(self, other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divrem(self, other)[1]
+        return _remainder(self, other)
 
     def monic(self) -> "UniPoly":
-        if self.is_zero:
+        nums = self.nums
+        if not nums:
             return self
-        lc = self.lc
-        if lc == self.field.one:
+        F = self.field
+        lc = nums[-1]
+        p = F.char
+        if p:
+            if lc == 1:
+                return self
+            inv = pow(lc, -1, p)
+            return _raw(F, tuple([c * inv % p for c in nums]))
+        if lc == self.den:
             return self
-        return self.scale(self.field.inv(lc))
+        if lc < 0:
+            return _q_make(F, [-c for c in nums], -lc)
+        return _q_make(F, list(nums), lc)
 
     def derivative(self) -> "UniPoly":
         F = self.field
-        out = []
-        for i in range(1, len(self.coeffs)):
-            out.append(F.mul(self.coeffs[i], F.from_int(i)))
-        return UniPoly(F, out)
+        out = [i * c for i, c in enumerate(self.nums)][1:]
+        p = F.char
+        if p:
+            return _gf_make(F, [c % p for c in out])
+        return _q_make(F, out, self.den)
 
     # -- comparisons / hashing ---------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, UniPoly)
-            and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
+            and (self.field is other.field or self.field == other.field)
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.coeffs))
+        return hash((self.field.char, self.nums, self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -188,16 +328,14 @@ class UniPoly:
     def fmt(self, var: str = "x") -> str:
         if self.is_zero:
             return "0"
-        F = self.field
+        den = self.den
         pieces = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if F.is_zero(c):
+        for k in range(len(self.nums) - 1, -1, -1):
+            c = self.nums[k]
+            if not c:
                 continue
-            cs = F.fmt(c)
-            neg = cs.startswith("-")
-            if neg:
-                cs = cs[1:]
+            neg = c < 0
+            cs = _q_str(-c if neg else c, den)
             if k == 0:
                 body = cs
             else:
@@ -214,28 +352,104 @@ class UniPoly:
 
 
 # -- division ---------------------------------------------------------------
+#
+# Both loops work on numerator lists.  Over GF(p) the dividend's entries are
+# reduced lazily: the leading entry when it is read, the remainder at the
+# end.  Over Q the loop is fraction-free: when the divisor's leading integer
+# does not divide the current leading entry, the remainder (and the quotient
+# built so far) is scaled by the smallest factor that makes it divide, so
+# s * a == quot * b + rem with one accumulated scale s > 0.
+
+
+def _gf_divmod(a: tuple, b: tuple, p: int) -> tuple[list, list]:
+    """Quotient and remainder of residue lists, b nonzero."""
+    db = len(b) - 1
+    r = list(a)
+    nq = len(r) - db
+    if nq <= 0:
+        return [], r
+    lb = b[-1]
+    inv = 1 if lb == 1 else pow(lb, -1, p)
+    low = b[:-1]
+    q = [0] * nq
+    for k in range(nq - 1, -1, -1):
+        c = r[k + db] % p
+        if c:
+            if inv != 1:
+                c = c * inv % p
+            q[k] = c
+            for j, y in enumerate(low, k):
+                r[j] -= c * y
+    rem = [c % p for c in r[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
+
+
+def _q_divmod(a: tuple, b: tuple) -> tuple[list, list, int]:
+    """(quot, rem, s) on integer lists with s * a == quot * b + rem and s > 0."""
+    db = len(b) - 1
+    r = list(a)
+    nq = len(r) - db
+    lb = b[-1]
+    low = b[:-1]
+    q = [0] * nq
+    s = 1
+    for k in range(nq - 1, -1, -1):
+        top = k + db
+        c = r[top]
+        if not c:
+            continue
+        if c % lb:
+            g = int_gcd(c, lb)
+            m = abs(lb) // g
+            c = c // g if lb > 0 else -c // g
+            for i in range(top):
+                r[i] *= m
+            for i in range(k + 1, nq):
+                q[i] *= m
+            s *= m
+        else:
+            c //= lb
+        q[k] = c
+        for j, y in enumerate(low, k):
+            r[j] -= c * y
+    rem = r[:db]
+    return q, rem, s
 
 
 def divrem(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     """Quotient and remainder with deg r < deg g."""
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
+    f._check(g)
     F = f.field
-    if f.degree < g.degree:
-        return UniPoly.zero(F), f
-    rem = list(f.coeffs)
-    dg = g.degree
-    inv_lc = F.inv(g.lc)
-    quot = [F.zero] * (len(rem) - dg)
-    for k in range(len(rem) - dg - 1, -1, -1):
-        c = rem[k + dg]
-        if F.is_zero(c):
-            continue
-        q = F.mul(c, inv_lc)
-        quot[k] = q
-        for i, gc in enumerate(g.coeffs):
-            rem[k + i] = F.sub(rem[k + i], F.mul(q, gc))
-    return UniPoly(F, quot), UniPoly(F, rem[:dg])
+    if len(f.nums) < len(g.nums):
+        return _raw(F, ()), f
+    p = F.char
+    if p:
+        q, r = _gf_divmod(f.nums, g.nums, p)
+        return _raw(F, tuple(q)), _raw(F, tuple(r))
+    q, r, s = _q_divmod(f.nums, g.nums)
+    den = s * f.den
+    if g.den != 1:
+        q = [c * g.den for c in q]
+    return _q_make(F, q, den), _q_make(F, r, den)
+
+
+def _remainder(f: UniPoly, g: UniPoly) -> UniPoly:
+    """divrem(f, g)[1] without building the quotient polynomial."""
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    f._check(g)
+    if len(f.nums) < len(g.nums):
+        return f
+    F = f.field
+    p = F.char
+    if p:
+        return _raw(F, tuple(_gf_divmod(f.nums, g.nums, p)[1]))
+    _, r, s = _q_divmod(f.nums, g.nums)
+    return _q_make(F, r, s * f.den)
 
 
 def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -252,13 +466,13 @@ def content_scale(field, polys, lead):
     and `lead`, the polynomial's leading field coefficient, turns positive.
     Over GF(p) `lead` turns into 1.
     """
-    if not isinstance(field, RationalField):
-        return field.inv(lead)
+    if field.char:
+        return pow(lead, -1, field.char)
     num_gcd, den_lcm = 0, 1
     for p in polys:
-        for a in p.coeffs:
-            num_gcd = int_gcd(num_gcd, abs(a.numerator))
-            den_lcm = den_lcm * a.denominator // int_gcd(den_lcm, a.denominator)
+        # content(nums / den) = content(nums) / den, already in lowest terms
+        num_gcd = int_gcd(num_gcd, *p.nums)
+        den_lcm = int_lcm(den_lcm, p.den)
     scale = Fraction(den_lcm, num_gcd)
     return -scale if lead * scale < 0 else scale
 
@@ -270,28 +484,12 @@ def content_scale(field, polys, lead):
 # intermediate numerators bounded; the external contract is a monic gcd.
 
 
-def _int_content(cs: list[int]) -> int:
-    g = 0
-    for c in cs:
-        g = int_gcd(g, abs(c))
-        if g == 1:
-            return 1
-    return g or 1
-
-
 def _int_primitive(cs: list[int]) -> list[int]:
-    g = _int_content(cs)
-    if cs and cs[-1] < 0:
+    """cs over its content, with a positive leading entry."""
+    g = int_gcd(*cs)
+    if cs[-1] < 0:
         g = -g
-    return [c // g for c in cs]
-
-
-def _to_int_primitive(f: UniPoly) -> list[int]:
-    den = 1
-    for c in f.coeffs:
-        den = den * c.denominator // int_gcd(den, c.denominator)
-    ints = [int(c * den) for c in f.coeffs]
-    return _int_primitive(ints)
+    return [c // g for c in cs] if g != 1 else cs
 
 
 def _int_prem(a: list[int], b: list[int]) -> list[int]:
@@ -320,20 +518,23 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return g.monic()
     if g.is_zero:
         return f.monic()
+    f._check(g)
     F = f.field
-    if isinstance(F, RationalField):
-        a = _to_int_primitive(f)
-        b = _to_int_primitive(g)
-        if len(a) < len(b):
-            a, b = b, a
+    p = F.char
+    if p:
+        a, b = f.nums, g.nums
         while b:
-            r = _int_prem(a, b)
-            a, b = b, _int_primitive(r) if r else []
-        return UniPoly(F, [Fraction(c) for c in a]).monic()
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, a % b
-    return a.monic()
+            a, b = b, _gf_divmod(a, b, p)[1]
+        return _raw(F, tuple(a)).monic()
+    a = _int_primitive(list(f.nums))
+    b = _int_primitive(list(g.nums))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _int_prem(a, b)
+        a, b = b, _int_primitive(r) if r else []
+    # a is primitive with a positive leading entry: a / a[-1] is canonical
+    return _raw(F, tuple(a), a[-1])
 
 
 def poly_lcm(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -355,7 +556,7 @@ def poly_ext_gcd(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
         r0, r1 = r1, r
         u0, u1 = u1, u0 - q * u1
         v0, v1 = v1, v0 - q * v1
-    c = F.inv(r0.lc)
+    c = r0._lc_inverse()
     return r0.monic(), u0.scale(c), v0.scale(c)
 
 
@@ -379,7 +580,7 @@ def poly_multi_ext_gcd(polys: list[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:
         coeffs = [u * c for c in coeffs]
         coeffs[i] = coeffs[i] + v
         d = d2
-    c = F.inv(d.lc)
+    c = d._lc_inverse()
     return d.monic(), [q.scale(c) for q in coeffs]
 
 
@@ -389,15 +590,15 @@ def poly_multi_ext_gcd(polys: list[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:
 def _frobenius_downshift(f: UniPoly) -> UniPoly:
     """For char p and f' = 0, return g with g(x)^p = f(x) over GF(p)."""
     p = f.field.char
-    out = [f.field.zero] * (f.degree // p + 1)
-    for k, c in enumerate(f.coeffs):
-        if f.field.is_zero(c):
+    out = [0] * (f.degree // p + 1)
+    for k, c in enumerate(f.nums):
+        if not c:
             continue
         if k % p:
             raise AssertionError("derivative-zero poly with exponent not divisible by p")
         # over GF(p) every scalar is its own p-th root
         out[k // p] = c
-    return UniPoly(f.field, out)
+    return _raw(f.field, tuple(out))
 
 
 def _sqf_exponents(char: int):

@@ -2,6 +2,7 @@ import json
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -136,3 +137,21 @@ def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_pipeline", fail)
     assert main([str(FIXTURES / "simple.ideal")]) == EXIT_INTERNAL
     assert str(exc) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        "field Q\nvars z < y < x\nideal:\nx^100000000\n",
+        "field Q\nvars z < y < x\nideal:\nz^100000000\n",
+        "field GF 1000000000000000000000000000000000000003\nvars z < y\nideal:\ny - z\nz^2\n",
+    ],
+    ids=["tail-exponent", "x1-exponent", "40-digit-prime"],
+)
+def test_hostile_inputs_exit_2_quickly(body, tmp_path, capsys):
+    path = tmp_path / "hostile.ideal"
+    path.write_text(body)
+    t0 = time.perf_counter()
+    assert main([str(path)]) == EXIT_PARSE
+    assert time.perf_counter() - t0 < 1.0
+    assert "error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -61,3 +62,21 @@ def test_canonicalization_idempotent():
         q = Fraction(rng.randint(-50, 50), rng.randint(1, 50))
         assert QQ.parse(str(q)) == q
         assert q.denominator > 0
+
+
+def test_primality_is_exact_and_fast():
+    from eliminant.fields import _is_prime
+
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+    assert [n for n in range(3000) if _is_prime(n)] == [n for n in range(3000) if trial(n)]
+    assert GF(2**64 - 59).p == 2**64 - 59          # the largest prime below 2^64
+    # Carmichael numbers; 3215031751 is a strong pseudoprime to bases 2, 3, 5, 7
+    for n in (561, 3215031751):
+        with pytest.raises(ValueError):
+            GF(n)
+    t0 = time.perf_counter()
+    with pytest.raises(ValueError):
+        GF(1000000000000000000000000000000000000003)   # a prime, but not below 2^64
+    assert time.perf_counter() - t0 < 1.0

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -229,3 +230,198 @@ def test_multiplicity_additive_random():
         f = random_unipoly(rng, QQ, max_deg=3, nonzero=True) * p ** rng.randint(0, 2)
         g = random_unipoly(rng, QQ, max_deg=3, nonzero=True) * p ** rng.randint(0, 2)
         assert multiplicity(p, f * g) == multiplicity(p, f) + multiplicity(p, g)
+
+
+# -- reference loops ------------------------------------------------------------
+#
+# The kernel keeps integer numerators over one denominator.  These plain
+# loops on lists of field elements (Fractions over Q, residues over GF(p))
+# are the reference it must agree with, coefficient for coefficient.
+
+
+class _RefField:
+    def __init__(self, p):
+        self.p = p
+
+    def norm(self, a):
+        return a % self.p if self.p else Fraction(a)
+
+    def inv(self, a):
+        return pow(a, -1, self.p) if self.p else 1 / Fraction(a)
+
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(R, a, b, sign=1):
+    n = max(len(a), len(b))
+    a, b = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+    return _ref_trim(R.norm(x + sign * y) for x, y in zip(a, b))
+
+
+def _ref_mul(R, a, b):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(R.norm(c) for c in out)
+
+
+def _ref_scale(R, a, c):
+    return _ref_trim(R.norm(x * c) for x in a)
+
+
+def _ref_monic(R, a):
+    return _ref_scale(R, a, R.inv(a[-1])) if a else []
+
+
+def _ref_derivative(R, a):
+    return _ref_trim(R.norm(i * c) for i, c in enumerate(a))[1:] if len(a) > 1 else []
+
+
+def _ref_divrem(R, a, b):
+    r = list(a)
+    inv = R.inv(b[-1])
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = R.norm(r[k + len(b) - 1] * inv)
+        q[k] = c
+        for i, y in enumerate(b):
+            r[k + i] = R.norm(r[k + i] - c * y)
+    return _ref_trim(q), _ref_trim(r[: len(b) - 1])
+
+
+def _ref_ext_gcd(R, f, g):
+    r0, r1, u0, u1, v0, v1 = f, g, [R.norm(1)], [], [], [R.norm(1)]
+    while r1:
+        q, r = _ref_divrem(R, r0, r1)
+        r0, r1 = r1, r
+        u0, u1 = u1, _ref_add(R, u0, _ref_mul(R, q, u1), -1)
+        v0, v1 = v1, _ref_add(R, v0, _ref_mul(R, q, v1), -1)
+    c = R.inv(r0[-1])
+    return _ref_scale(R, r0, c), _ref_scale(R, u0, c), _ref_scale(R, v0, c)
+
+
+def _ref_multi_ext_gcd(R, polys):
+    d = polys[0]
+    coeffs = [[R.norm(1)] if d else []] + [[] for _ in polys[1:]]
+    for i in range(1, len(polys)):
+        if not polys[i]:
+            continue
+        if not d:
+            d, coeffs[i] = polys[i], [R.norm(1)]
+            continue
+        d2, u, v = _ref_ext_gcd(R, d, polys[i])
+        coeffs = [_ref_mul(R, u, c) for c in coeffs]
+        coeffs[i] = _ref_add(R, coeffs[i], v)
+        d = d2
+    c = R.inv(d[-1])
+    return _ref_scale(R, d, c), [_ref_scale(R, q, c) for q in coeffs]
+
+
+def _ref_poly(rng, R, max_deg, nonzero=False):
+    while True:
+        if R.p:
+            cs = [rng.randrange(R.p) for _ in range(rng.randint(0, max_deg + 1))]
+        else:
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(rng.randint(0, max_deg + 1))]
+        cs = _ref_trim(cs)
+        if cs or not nonzero:
+            return cs
+
+
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 7])
+def test_kernel_matches_reference_loops(p):
+    rng = random.Random(1000 + p)
+    F = GF(p) if p else QQ
+    R = _RefField(p)
+
+    def up(cs):
+        return UniPoly(F, cs)
+
+    def same(got, ref):
+        assert list(got.coeffs) == ref
+
+    for _ in range(300):
+        a, b = _ref_poly(rng, R, 6), _ref_poly(rng, R, 5)
+        fa, fb = up(a), up(b)
+        same(fa, a)
+        same(fa + fb, _ref_add(R, a, b))
+        same(fa - fb, _ref_add(R, a, b, -1))
+        same(fa * fb, _ref_mul(R, a, b))
+        c = R.norm(rng.randint(-5, 5)) if p else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        same(fa.scale(c), _ref_scale(R, a, c))
+        same(fa.monic(), _ref_monic(R, a))
+        same(fa.derivative(), _ref_derivative(R, a))
+        if b:
+            q, r = divrem(fa, fb)
+            rq, rr = _ref_divrem(R, a, b)
+            same(q, rq)
+            same(r, rr)
+            same(fa % fb, rr)
+        if a or b:
+            same(poly_gcd(fa, fb), _ref_ext_gcd(R, a, b)[0])
+            d, u, v = poly_ext_gcd(fa, fb)
+            rd, ru, rv = _ref_ext_gcd(R, a, b)
+            same(d, rd)
+            same(u, ru)
+            same(v, rv)
+        family = [a, b] + [_ref_poly(rng, R, 4) for _ in range(rng.randint(0, 2))]
+        if any(family):
+            d, cofs = poly_multi_ext_gcd([up(x) for x in family])
+            rd, rcofs = _ref_multi_ext_gcd(R, family)
+            same(d, rd)
+            for got, ref in zip(cofs, rcofs):
+                same(got, ref)
+
+
+def _canonical(f):
+    if f.field.char:
+        return f.den == 1 and all(0 <= c < f.field.char for c in f.nums)
+    return f.den > 0 and math.gcd(f.den, *f.nums) == 1 and (bool(f.nums) or f.den == 1)
+
+
+def test_canonical_form_equality_and_hash():
+    half = UniPoly(QQ, [Fraction(1, 2), Fraction(3, 4)])
+    same_half = [
+        UniPoly(QQ, [Fraction(2, 4), Fraction(6, 8), 0, 0]),
+        UniPoly(QQ, [Fraction(1, -2) * -1, Fraction(-3, -4)]),
+        UniPoly(QQ, [Fraction(-1, 2), Fraction(-3, 4)]).scale(Fraction(-1)),
+        (half * U("z+1")) // U("z+1"),
+        half + UniPoly.zero(QQ),
+        UniPoly(QQ, [Fraction(3, 2), Fraction(9, 4)]).scale(Fraction(1, 3)),
+    ]
+    for g in same_half:
+        assert g == half and hash(g) == hash(half)
+        assert _canonical(g)
+    zeros = [
+        UniPoly.zero(QQ),
+        UniPoly(QQ, [0, Fraction(0, 5)]),
+        half - half,
+        half.scale(0),
+        U("z") - U("z"),
+    ]
+    for z in zeros:
+        assert z == UniPoly.zero(QQ) and hash(z) == hash(UniPoly.zero(QQ))
+        assert z.is_zero and z.degree == -1 and _canonical(z)
+    ints = UniPoly(QQ, [2, 4])
+    assert ints == UniPoly(QQ, [Fraction(2), Fraction(4)]) and ints.nums == (2, 4)
+    F = GF(7)
+    g = UniPoly(F, [8, -1, 14])
+    assert g == UniPoly(F, [1, 6]) and hash(g) == hash(UniPoly(F, (1, 6, 0)))
+    assert _canonical(g) and _canonical(-g) and _canonical(g.monic())
+    assert g - g == UniPoly.zero(F) and hash(g - g) == hash(UniPoly.zero(F))
+    # the same numerators over different fields are different polynomials
+    assert UniPoly(QQ, [1, 1]) != UniPoly(F, [1, 1])
+    rng = random.Random(12)
+    for _ in range(200):
+        a = random_unipoly(rng, QQ, max_deg=4, bound=6)
+        b = random_unipoly(rng, QQ, max_deg=3, bound=6, nonzero=True).scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
+        for r in (a + b, a - b, a * b, a % b, a // b, a.monic(), a.derivative(), b.monic()):
+            assert _canonical(r)
