@@ -9,8 +9,8 @@ Expression grammar (no implicit multiplication):
     atom   := NUMBER | NAME | '(' expr ')'
 
 NUMBER is an integer or, over Q, a rational written NUM '/' NUM with no other
-use of '/'.  A power may not raise the degree in any one variable above
-MAX_EXPONENT.  Ideal files are line oriented:
+use of '/'.  An exponent, and the degree a power reaches in any one
+variable, may not exceed MAX_EXPONENT.  Ideal files are line oriented:
 
     field Q            (or: field GF <p>)
     vars z < y < x     (first name is the variable eliminated to)
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from operator import add
 
 from .fields import GF, QQ
 from .multipoly import MultiPoly, VarContext, base_context
@@ -66,7 +67,7 @@ def _tokenize(text: str, line_no: int | None = None):
 
 
 MAX_EXPONENT = 1000
-"""Largest degree in any one variable that `^` may produce."""
+"""Largest exponent after `^`, and largest degree in one variable a power may produce."""
 
 
 def _term_add(a: dict, b: dict, sign: int, p: int) -> dict:
@@ -86,7 +87,7 @@ def _term_mul(a: dict, b: dict, p: int) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = tuple([x + y for x, y in zip(ma, mb)])
+            m = tuple(map(add, ma, mb))
             out[m] = out.get(m, 0) + ca * cb
     if p:
         return {m: v for m, c in out.items() if (v := c % p)}
@@ -182,7 +183,7 @@ class _ExprParser:
         top = max((max(m) for m in base), default=0)
         if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
             raise ParseError(
-                f"power exceeds degree {MAX_EXPONENT} in one variable", self.line, tok[2] + 1
+                f"power exceeds the exponent limit {MAX_EXPONENT}", self.line, tok[2] + 1
             )
         # square-and-multiply
         value = {self.unit: 1}

@@ -1,6 +1,6 @@
 """Univariate polynomials over an exact field: the PID K[x1].
 
-Dense representation on an integer kernel: a polynomial is a tuple `nums`
+Dense representation on an integer kernel: a polynomial is a list `nums`
 of integer numerators (ascending, no trailing zeros) over one positive
 integer denominator `den`.
 
@@ -43,8 +43,11 @@ class ZeroInputError(ValueError):
 _alloc = object.__new__
 
 
-def _raw(field, nums: tuple, den: int = 1) -> "UniPoly":
-    """A UniPoly from data already in canonical form."""
+def _raw(field, nums: list, den: int = 1) -> "UniPoly":
+    """A UniPoly from data already in canonical form.
+
+    `nums` is stored, not copied: no list a UniPoly holds is ever mutated.
+    """
     p = _alloc(UniPoly)
     p.field = field
     p.nums = nums
@@ -57,7 +60,7 @@ def _q_make(field, nums: list, den: int) -> "UniPoly":
     while nums and not nums[-1]:
         nums.pop()
     if not nums:
-        return _raw(field, ())
+        return _raw(field, [])
     if den != 1:
         g = int_gcd(den, *nums)
         if den < 0:
@@ -65,14 +68,14 @@ def _q_make(field, nums: list, den: int) -> "UniPoly":
         if g != 1:
             nums = [c // g for c in nums]
             den //= g
-    return _raw(field, tuple(nums), den)
+    return _raw(field, nums, den)
 
 
 def _gf_make(field, nums: list) -> "UniPoly":
     """Canonical polynomial over GF(p) from residues in [0, p)."""
     while nums and not nums[-1]:
         nums.pop()
-    return _raw(field, tuple(nums))
+    return _raw(field, nums)
 
 
 def _q_str(n: int, den: int) -> str:
@@ -88,30 +91,24 @@ class UniPoly:
 
     def __init__(self, field, coeffs):
         """The polynomial with ascending coefficients `coeffs`, elements of `field`."""
-        self.field = field
         p = field.char
         if p:
-            nums = [int(c) % p for c in coeffs]
-            while nums and not nums[-1]:
-                nums.pop()
-            self.nums, self.den = tuple(nums), 1
-            return
-        cs = list(coeffs)
-        den = 1
-        for c in cs:
-            den = int_lcm(den, c.denominator)
-        made = _q_make(field, [c.numerator * (den // c.denominator) for c in cs], den)
-        self.nums, self.den = made.nums, made.den
+            made = _gf_make(field, [c % p for c in coeffs])
+        else:
+            cs = list(coeffs)
+            den = int_lcm(*[c.denominator for c in cs])
+            made = _q_make(field, [c.numerator * (den // c.denominator) for c in cs], den)
+        self.field, self.nums, self.den = field, made.nums, made.den
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, field) -> "UniPoly":
-        return _raw(field, ())
+        return _raw(field, [])
 
     @classmethod
     def one(cls, field) -> "UniPoly":
-        return _raw(field, (1,))
+        return _raw(field, [1])
 
     @classmethod
     def constant(cls, field, c) -> "UniPoly":
@@ -119,7 +116,7 @@ class UniPoly:
 
     @classmethod
     def gen(cls, field) -> "UniPoly":
-        return _raw(field, (0, 1))
+        return _raw(field, [0, 1])
 
     # -- basic queries -----------------------------------------------------
 
@@ -127,7 +124,7 @@ class UniPoly:
     def coeffs(self) -> tuple:
         """Ascending coefficients as field elements."""
         if self.field.char:
-            return self.nums
+            return tuple(self.nums)
         den = self.den
         return tuple(Fraction(n, den) for n in self.nums)
 
@@ -145,7 +142,7 @@ class UniPoly:
 
     @property
     def is_one(self) -> bool:
-        return self.nums == (1,) and self.den == 1
+        return self.nums == [1] and self.den == 1
 
     @property
     def lc(self):
@@ -154,11 +151,8 @@ class UniPoly:
         return self.coeff(len(self.nums) - 1)
 
     def coeff(self, k: int):
-        if not 0 <= k < len(self.nums):
-            return Fraction(0) if not self.field.char else 0
-        if self.field.char:
-            return self.nums[k]
-        return Fraction(self.nums[k], self.den)
+        n = self.nums[k] if 0 <= k < len(self.nums) else 0
+        return n if self.field.char else Fraction(n, self.den)
 
     def _lc_inverse(self):
         """The field element that makes this polynomial monic."""
@@ -218,15 +212,15 @@ class UniPoly:
     def __neg__(self) -> "UniPoly":
         p = self.field.char
         if p:
-            return _raw(self.field, tuple(p - c if c else 0 for c in self.nums))
-        return _raw(self.field, tuple(-c for c in self.nums), self.den)
+            return _raw(self.field, [p - c if c else 0 for c in self.nums])
+        return _raw(self.field, [-c for c in self.nums], self.den)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
         self._check(other)
         F = self.field
         a, b = self.nums, other.nums
         if not a or not b:
-            return _raw(F, ())
+            return _raw(F, [])
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
@@ -235,7 +229,7 @@ class UniPoly:
         p = F.char
         if p:
             # a product of nonzero polynomials over a field keeps a nonzero top
-            return _raw(F, tuple([c % p for c in out]))
+            return _raw(F, [c % p for c in out])
         return _q_make(F, out, self.den * other.den)
 
     def scale(self, c) -> "UniPoly":
@@ -243,22 +237,22 @@ class UniPoly:
         F = self.field
         p = F.char
         if p:
-            c = int(c) % p
+            c %= p
             if not c or not self.nums:
-                return _raw(F, ())
+                return _raw(F, [])
             if c == 1:
                 return self
-            return _raw(F, tuple([a * c % p for a in self.nums]))
+            return _raw(F, [a * c % p for a in self.nums])
         cn, cd = c.numerator, c.denominator
         if not cn or not self.nums:
-            return _raw(F, ())
+            return _raw(F, [])
         return _q_make(F, [a * cn for a in self.nums], self.den * cd)
 
     def shift(self, k: int) -> "UniPoly":
         """Multiply by x^k."""
         if self.is_zero:
             return self
-        return _raw(self.field, (0,) * k + self.nums, self.den)
+        return _raw(self.field, [0] * k + self.nums, self.den)
 
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
@@ -292,7 +286,7 @@ class UniPoly:
             if lc == 1:
                 return self
             inv = pow(lc, -1, p)
-            return _raw(F, tuple([c * inv % p for c in nums]))
+            return _raw(F, [c * inv % p for c in nums])
         if lc == self.den:
             return self
         if lc < 0:
@@ -318,7 +312,7 @@ class UniPoly:
         )
 
     def __hash__(self) -> int:
-        return hash((self.field.char, self.nums, self.den))
+        return hash((self.field.char, tuple(self.nums), self.den))
 
     def __bool__(self) -> bool:
         return not self.is_zero
@@ -361,7 +355,7 @@ class UniPoly:
 # s * a == quot * b + rem with one accumulated scale s > 0.
 
 
-def _gf_divmod(a: tuple, b: tuple, p: int) -> tuple[list, list]:
+def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
     """Quotient and remainder of residue lists, b nonzero."""
     db = len(b) - 1
     r = list(a)
@@ -386,7 +380,7 @@ def _gf_divmod(a: tuple, b: tuple, p: int) -> tuple[list, list]:
     return q, rem
 
 
-def _q_divmod(a: tuple, b: tuple) -> tuple[list, list, int]:
+def _q_divmod(a: list, b: list) -> tuple[list, list, int]:
     """(quot, rem, s) on integer lists with s * a == quot * b + rem and s > 0."""
     db = len(b) - 1
     r = list(a)
@@ -415,6 +409,8 @@ def _q_divmod(a: tuple, b: tuple) -> tuple[list, list, int]:
         for j, y in enumerate(low, k):
             r[j] -= c * y
     rem = r[:db]
+    while rem and not rem[-1]:
+        rem.pop()
     return q, rem, s
 
 
@@ -425,11 +421,11 @@ def divrem(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     f._check(g)
     F = f.field
     if len(f.nums) < len(g.nums):
-        return _raw(F, ()), f
+        return _raw(F, []), f
     p = F.char
     if p:
         q, r = _gf_divmod(f.nums, g.nums, p)
-        return _raw(F, tuple(q)), _raw(F, tuple(r))
+        return _raw(F, q), _raw(F, r)
     q, r, s = _q_divmod(f.nums, g.nums)
     den = s * f.den
     if g.den != 1:
@@ -447,7 +443,7 @@ def _remainder(f: UniPoly, g: UniPoly) -> UniPoly:
     F = f.field
     p = F.char
     if p:
-        return _raw(F, tuple(_gf_divmod(f.nums, g.nums, p)[1]))
+        return _raw(F, _gf_divmod(f.nums, g.nums, p)[1])
     _, r, s = _q_divmod(f.nums, g.nums)
     return _q_make(F, r, s * f.den)
 
@@ -480,7 +476,7 @@ def content_scale(field, polys, lead):
 # -- gcd family ---------------------------------------------------------------
 #
 # Over Q the Euclidean loop runs on primitive integer coefficient lists
-# (pseudo-remainders with content stripped each round) to keep the
+# (fraction-free remainders with content stripped each round) to keep the
 # intermediate numerators bounded; the external contract is a monic gcd.
 
 
@@ -490,24 +486,6 @@ def _int_primitive(cs: list[int]) -> list[int]:
     if cs[-1] < 0:
         g = -g
     return [c // g for c in cs] if g != 1 else cs
-
-
-def _int_prem(a: list[int], b: list[int]) -> list[int]:
-    """Pseudo-remainder of primitive integer polys (low-to-high lists)."""
-    r = a[:]
-    db = len(b) - 1
-    lb = b[-1]
-    while len(r) - 1 >= db:
-        lr = r[-1]
-        k = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[k + i] -= lr * bc
-        while r and r[-1] == 0:
-            r.pop()
-        if not r:
-            break
-    return r
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -525,16 +503,16 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         a, b = f.nums, g.nums
         while b:
             a, b = b, _gf_divmod(a, b, p)[1]
-        return _raw(F, tuple(a)).monic()
+        return _raw(F, a).monic()
     a = _int_primitive(list(f.nums))
     b = _int_primitive(list(g.nums))
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_prem(a, b)
+        r = _q_divmod(a, b)[1]
         a, b = b, _int_primitive(r) if r else []
     # a is primitive with a positive leading entry: a / a[-1] is canonical
-    return _raw(F, tuple(a), a[-1])
+    return _raw(F, a, a[-1])
 
 
 def poly_lcm(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -598,7 +576,7 @@ def _frobenius_downshift(f: UniPoly) -> UniPoly:
             raise AssertionError("derivative-zero poly with exponent not divisible by p")
         # over GF(p) every scalar is its own p-th root
         out[k // p] = c
-    return _raw(f.field, tuple(out))
+    return _raw(f.field, out)
 
 
 def _sqf_exponents(char: int):

@@ -411,7 +411,7 @@ def test_canonical_form_equality_and_hash():
         assert z == UniPoly.zero(QQ) and hash(z) == hash(UniPoly.zero(QQ))
         assert z.is_zero and z.degree == -1 and _canonical(z)
     ints = UniPoly(QQ, [2, 4])
-    assert ints == UniPoly(QQ, [Fraction(2), Fraction(4)]) and ints.nums == (2, 4)
+    assert ints == UniPoly(QQ, [Fraction(2), Fraction(4)]) and ints.nums == [2, 4]
     F = GF(7)
     g = UniPoly(F, [8, -1, 14])
     assert g == UniPoly(F, [1, 6]) and hash(g) == hash(UniPoly(F, (1, 6, 0)))
