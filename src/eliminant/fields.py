@@ -18,8 +18,9 @@ class FieldParseError(ValueError):
 
 
 # The first twelve primes: as Miller-Rabin bases they decide primality
-# exactly for every n < 3.18 * 10^23 (Jiang and Deng, 2014), which covers
-# every modulus PrimeField accepts.
+# exactly for every n < 3.18 * 10^23 (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", 2017), which covers every modulus
+# PrimeField accepts.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 MAX_PRIME_BITS = 64

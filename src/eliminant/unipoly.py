@@ -273,7 +273,7 @@ class UniPoly:
         return divrem(self, other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return _remainder(self, other)
+        return divrem(self, other)[1]
 
     def monic(self) -> "UniPoly":
         nums = self.nums
@@ -431,21 +431,6 @@ def divrem(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     if g.den != 1:
         q = [c * g.den for c in q]
     return _q_make(F, q, den), _q_make(F, r, den)
-
-
-def _remainder(f: UniPoly, g: UniPoly) -> UniPoly:
-    """divrem(f, g)[1] without building the quotient polynomial."""
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    f._check(g)
-    if len(f.nums) < len(g.nums):
-        return f
-    F = f.field
-    p = F.char
-    if p:
-        return _raw(F, _gf_divmod(f.nums, g.nums, p)[1])
-    _, r, s = _q_divmod(f.nums, g.nums)
-    return _q_make(F, r, s * f.den)
 
 
 def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
