@@ -13,11 +13,20 @@ lies in the ideal generated by the gcd of the eligible leading coefficients,
 and the reduction combines all eligible divisors through that gcd's
 cofactors.  This is the membership-grade reduction; the eliminant engines
 never use it because the cofactors are where coefficient swell hides.
+
+The gcd, its cofactors and its gcd with the modulus depend only on which
+divisors are eligible, so a step looks them up in a table keyed by the
+tuple of eligible indices.  Each gcd-division builds its own table, and each
+component owns one for its basis, which never changes after assembly; the
+component's first probe fills it, so assembly itself never pays for it.
+When the gcd divides the term's coefficient the step needs no multiplier:
+the dividend is not rescaled and the verdict is read off the remainder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 from .compat import CompatSplit
 from .engine import Division, divide, reduced
@@ -33,6 +42,7 @@ from .pqr import (
 from .pseudo import PseudoOutcome
 from .unipoly import (
     UniPoly,
+    divrem,
     exact_div,
     poly_ext_gcd,
     poly_gcd,
@@ -79,49 +89,74 @@ def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
     raise AssertionError("no coprime adjustment found")
 
 
-def _eligible(divisors, mon):
-    return [(i, b) for i, b in enumerate(divisors) if mon_divides(b.lm, mon)]
+def _eligible(divisors, mon) -> tuple:
+    """Indices of the divisors whose leading monomial divides mon."""
+    return tuple(i for i, b in enumerate(divisors) if mon_divides(b.lm, mon))
 
 
-def _gcd_step(divisors, mon, c):
+def _lc_gcd(divisors, hits, ring: PqrCtx):
+    """(g, cofactors as residues, gcd(g, q)) for the divisors at `hits`.
+
+    g is the monic gcd of their leading-coefficient lifts and the cofactors
+    combine those lifts into g.
+    """
+    g, cofs = poly_multi_ext_gcd([divisors[i].lc.lift() for i in hits])
+    return g, [ring.elem(cof) for cof in cofs], poly_gcd(g, ring.modulus)
+
+
+def _gcd_step(divisors, mon, c, table):
     # the term is reducible when c lies in the ideal of the gcd g of all
     # eligible leading coefficients; the step combines the eligible divisors
-    # through g's cofactors
+    # through g's cofactors.  `_lc_gcd` depends only on which divisors are
+    # eligible, so `table` keeps it by the tuple of eligible indices.
     hits = _eligible(divisors, mon)
     if not hits:
         return None
     ring: PqrCtx = c.ctx
-    g, cofs = poly_multi_ext_gcd([b.lc.lift() for _, b in hits])
-    d_st = poly_gcd(g, ring.modulus)
+    entry = table.get(hits)
+    if entry is None:
+        entry = table[hits] = _lc_gcd(divisors, hits, ring)
+    g, cofs, d_st = entry
     if not d_st.is_constant and not (c.rep % d_st).is_zero:
         return None
-    lift = c.lift()
-    m = poly_lcm(lift, g)
-    mu = ring.elem(exact_div(m, lift))
-    if mu.is_unit():
-        scale = ring.elem(exact_div(m, g))
+    # when g divides the coefficient's lift the step needs no multiplier
+    mu = ring.one_elem()
+    if g.is_one:
+        scale = c
     else:
-        # coefficient gcd has a non-unit cofactor against this term:
-        # rescale the combination instead of the dividend
-        mu = ring.one_elem()
-        w = _coprime_adjust(g, d_st, ring.modulus)
-        scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
-    parts = [(i, scale * ring.elem(cof)) for (i, _), cof in zip(hits, cofs)]
+        lift = c.lift()
+        quo, rem = divrem(lift, g)
+        if rem.is_zero:
+            scale = ring.elem(quo)
+        else:
+            m = poly_lcm(lift, g)
+            interim = ring.elem(exact_div(m, lift))
+            if interim.is_unit():
+                mu, scale = interim, ring.elem(exact_div(m, g))
+            else:
+                # coefficient gcd has a non-unit cofactor against this term:
+                # rescale the combination instead of the dividend
+                w = _coprime_adjust(g, d_st, ring.modulus)
+                scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
+    parts = [(i, scale * cof) for i, cof in zip(hits, cofs)]
     return mu, [(i, factor) for i, factor in parts if not factor.is_zero]
 
 
-def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
+def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly], table: dict | None = None) -> Division:
     """Full gcd-division of f by the divisor list over a residue context.
 
-    The overall multiplier is always a unit: a reduction step either has a
-    unit interim multiplier outright, or is replaced by a combination scaled
-    through a coprime adjustment of the coefficient gcd.
+    The overall multiplier is always a unit: a reduction step has no
+    multiplier when the coefficient gcd divides the term, a unit interim
+    multiplier otherwise, or is replaced by a combination scaled through a
+    coprime adjustment of the coefficient gcd.  `table` is the step table of
+    this exact divisor list (see `Component.table`); without one, the call
+    builds its own.
     """
-    return divide(f, divisors, _gcd_step)
+    return divide(f, divisors, partial(_gcd_step, table={} if table is None else table))
 
 
 def gcd_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
-    return reduced(f, divisors, _gcd_step)
+    return reduced(f, divisors, partial(_gcd_step, table={}))
 
 
 # -- basis normalization ladder ---------------------------------------------------
@@ -135,7 +170,7 @@ def _basis_sorted(basis: list[MultiPoly]) -> list[MultiPoly]:
 
 
 def _lt_reducible(b: MultiPoly, others: list[MultiPoly]) -> bool:
-    return _gcd_step(others, b.lm, b.lc) is not None
+    return _gcd_step(others, b.lm, b.lc, {}) is not None
 
 
 def make_irredundant(basis: list[MultiPoly]) -> list[MultiPoly]:
@@ -167,9 +202,8 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     ring: PqrCtx = ctx.ring
     replaced = []
     for f in out:
-        cands = _eligible(out, f.lm)
-        g, cofs = poly_multi_ext_gcd([b.lc.lift() for _, b in cands])
-        d_st = poly_gcd(g, ring.modulus)
+        hits = _eligible(out, f.lm)
+        g, cofs, d_st = _lc_gcd(out, hits, ring)
         f_st = poly_gcd(f.lc.rep, ring.modulus)
         if f_st == d_st:
             replaced.append(f)
@@ -177,10 +211,11 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
         w = _coprime_adjust(g, d_st, ring.modulus)
         acc = MultiPoly.zero(ctx)
         scale = ring.elem(w).inverse()
-        for (_, b), cof in zip(cands, cofs):
-            factor = scale * ring.elem(cof)
+        for i, cof in zip(hits, cofs):
+            factor = scale * cof
             if factor.is_zero:
                 continue
+            b = out[i]
             acc = acc + b.mul_term(factor, mon_div(f.lm, b.lm))
         if acc.is_zero or acc.lm != f.lm:
             raise AssertionError("minimal-basis combination lost its leading term")
@@ -230,6 +265,9 @@ class Component:
     basis: list                    # reduced basis over var_ctx
     source_modulus: UniPoly | None = None   # composite divisor for modular parts
     eliminant_code: str = ""
+    # gcd-step table of `basis` for probes, filled by the first one; valid
+    # because the basis never changes once assembled
+    table: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def project(self, f: MultiPoly) -> MultiPoly:
         return project_multipoly(f, self.var_ctx)
@@ -327,16 +365,24 @@ def assemble(
 
 def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
     """Unit-free gcd-reduction remainder of f in the component's ring."""
-    division = gcd_reduce(comp.project(f), comp.basis)
-    inv = division.multiplier.inverse()
-    return division.remainder.scale(inv)
+    division = gcd_reduce(comp.project(f), comp.basis, comp.table)
+    if division.multiplier.is_one:
+        return division.remainder
+    return division.remainder.scale(division.multiplier.inverse())
 
 
 def is_member(f: MultiPoly, dec: Decomposition) -> bool:
-    """Membership in the original ideal, component by component."""
+    """Membership in the original ideal, component by component.
+
+    The multiplier of a gcd-division is a unit, so the remainder is zero
+    exactly when the unit-free remainder is.
+    """
     if dec.inconsistent:
         return True
-    return all(component_remainder(f, comp).is_zero for comp in dec.components)
+    return all(
+        gcd_reduce(comp.project(f), comp.basis, comp.table).remainder.is_zero
+        for comp in dec.components
+    )
 
 
 def _crt_data(dec: Decomposition):

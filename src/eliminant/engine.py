@@ -59,7 +59,7 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
             raise InvalidSPolyInput("divisors must have tail variables")
     ctx = f.ctx
     lam = ctx.ring_one()
-    quotients = [MultiPoly.zero(ctx)] * len(divisors)
+    quotients = [{} for _ in divisors]     # term maps, built into polynomials once
     h = f
     while True:
         for mon, c in h.terms:
@@ -67,17 +67,18 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
             if hit is not None:
                 break
         else:
-            return Division(lam, quotients, h)
+            return Division(lam, [MultiPoly(ctx, q) for q in quotients], h)
         mu, parts = hit
         if not mu.is_one:
             lam = lam * mu
             h = h.scale(mu)
-            quotients = [q.scale(mu) for q in quotients]
+            quotients = [{m: a * mu for m, a in q.items()} for q in quotients]
         for i, factor in parts:
             b = divisors[i]
             shift = mon_div(mon, b.lm)
-            h = h - b.mul_term(factor, shift)
-            quotients[i] = quotients[i] + MultiPoly.term(ctx, factor, shift)
+            h = h.sub_mul_term(b, factor, shift)
+            q = quotients[i]
+            q[shift] = q[shift] + factor if shift in q else factor
         if not h.coeff_at(mon).is_zero:
             raise AssertionError("division step failed to clear its term")
 

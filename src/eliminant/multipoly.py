@@ -263,7 +263,7 @@ class MultiPoly:
     # -- arithmetic --------------------------------------------------------
 
     def _check(self, other: "MultiPoly"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError("mixed variable contexts")
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
@@ -300,6 +300,21 @@ class MultiPoly:
 
     def mul_term(self, c, mon: Monomial) -> "MultiPoly":
         return MultiPoly(self.ctx, {mon_mul(m, mon): a * c for m, a in self.terms})
+
+    def sub_mul_term(self, other: "MultiPoly", c, mon: Monomial) -> "MultiPoly":
+        """self - other.mul_term(c, mon), built and sorted once.
+
+        A term of self that meets only zero products is kept as it is.
+        """
+        self._check(other)
+        out = dict(self.terms)
+        for m, a in other.terms:
+            p = a * c
+            if p.is_zero:
+                continue
+            m = mon_mul(m, mon)
+            out[m] = out[m] - p if m in out else -p
+        return MultiPoly(self.ctx, out)
 
     # -- comparisons -------------------------------------------------------
 

@@ -10,7 +10,8 @@ Expression grammar (no implicit multiplication):
 
 NUMBER is an integer or, over Q, a rational written NUM '/' NUM with no other
 use of '/'.  An exponent, and the degree a power reaches in any one
-variable, may not exceed MAX_EXPONENT.  Ideal files are line oriented:
+variable, may not exceed MAX_EXPONENT, and expanding an expression may build
+at most MAX_TERMS terms.  Ideal files are line oriented:
 
     field Q            (or: field GF <p>)
     vars z < y < x     (first name is the variable eliminated to)
@@ -69,6 +70,14 @@ def _tokenize(text: str, line_no: int | None = None):
 MAX_EXPONENT = 1000
 """Largest exponent after `^`, and largest degree in one variable a power may produce."""
 
+MAX_TERMS = 100_000
+"""Most terms one expression may build while it is expanded.
+
+A product of an m-term and an n-term factor builds m*n terms before like
+terms are collected, and a power counts every multiplication of its
+square-and-multiply; the count is checked before each multiplication.
+"""
+
 
 def _term_add(a: dict, b: dict, sign: int, p: int) -> dict:
     out = dict(a)
@@ -104,6 +113,7 @@ class _ExprParser:
     def __init__(self, tokens, ctx: VarContext, line_no: int | None):
         self.tokens = tokens
         self.pos = 0
+        self.built = 0
         self.ctx = ctx
         self.line = line_no
         self.p = ctx.field.char
@@ -147,6 +157,14 @@ class _ExprParser:
             term_map[mon] = wrap(coeff) if wrap is not None else coeff
         return MultiPoly(ctx, term_map)
 
+    def _mul(self, a: dict, b: dict, col: int) -> dict:
+        self.built += len(a) * len(b)
+        if self.built > MAX_TERMS:
+            raise ParseError(
+                f"expression expands to more than {MAX_TERMS} terms", self.line, col + 1
+            )
+        return _term_mul(a, b, self.p)
+
     def expr(self) -> dict:
         value = self.term()
         while self.peek()[0] in ("+", "-"):
@@ -158,8 +176,8 @@ class _ExprParser:
     def term(self) -> dict:
         value = self.unary()
         while self.peek()[0] == "*":
-            self.take()
-            value = _term_mul(value, self.unary(), self.p)
+            col = self.take()[2]
+            value = self._mul(value, self.unary(), col)
         return value
 
     def unary(self) -> dict:
@@ -189,10 +207,10 @@ class _ExprParser:
         value = {self.unit: 1}
         while n:
             if n & 1:
-                value = _term_mul(value, base, self.p)
+                value = self._mul(value, base, tok[2])
             n >>= 1
             if n:
-                base = _term_mul(base, base, self.p)
+                base = self._mul(base, base, tok[2])
         return value
 
     def atom(self) -> dict:

@@ -121,7 +121,7 @@ class PqrElem:
         return self.rep.is_one
 
     def _check(self, other: "PqrElem"):
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ValueError("mixed residue contexts")
 
     def __add__(self, other: "PqrElem") -> "PqrElem":
@@ -300,22 +300,31 @@ def coprime_skip_multiplier(f: MultiPoly, g: MultiPoly) -> PqrElem | None:
     return pqr_gcd(f.lc, g.lc)
 
 
-def triangular_multiplier_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> PqrElem | None:
-    gamma = mon_lcm(f.lm, g.lm)
-    if not mon_divides(h.lm, gamma):
-        return None
-    ring: PqrCtx = f.ctx.ring
+def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> UniPoly:
+    """lc(h) / gcd(lcm(lc f, lc g), lc h) on lifts, not yet reduced mod q."""
     lh = h.lc.lift()
-    d = poly_gcd(poly_lcm(f.lc.lift(), g.lc.lift()), lh)
-    return ring.elem(exact_div(lh, d))
+    return exact_div(lh, poly_gcd(poly_lcm(f.lc.lift(), g.lc.lift()), lh))
+
+
+def triangular_multiplier_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> PqrElem | None:
+    if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
+        return None
+    return f.ctx.ring.elem(_triangular_lift(f, g, h))
 
 
 def check_triangular_identity_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
-    """Expand the residue-ring triangular identity and verify it."""
-    lam = triangular_multiplier_q(f, g, h)
-    if lam is None:
+    """Expand the residue-ring triangular identity and verify it.
+
+    The coefficients c1 = lam*cf_g/cf_h and c2 = lam*cg_f/cg_h are exact
+    quotients of lifts only when lam is the unreduced lift lc(h)/gcd(...):
+    its residue mod q need not be divisible by cf_h.  The identity itself is
+    then compared in the residue ring.
+    """
+    if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
         return False
     ring: PqrCtx = f.ctx.ring
+    lam_lift = _triangular_lift(f, g, h)
+    lam = ring.elem(lam_lift)
 
     def cm(b, a):
         # lcm multiplier of the pair (a paired against b): coefficient part on
@@ -329,7 +338,6 @@ def check_triangular_identity_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> boo
     cf_h, mf_h = cm(h, f)   # multiplier on f inside S(f,h)
     cg_f, mg_f = cm(f, g)
     cg_h, mg_h = cm(h, g)
-    lam_lift = lam.lift()
     c1 = exact_div(lam_lift * cf_g, cf_h)
     c2 = exact_div(lam_lift * cg_f, cg_h)
     lhs = spoly_q(f, g).scale(lam)

@@ -1,3 +1,5 @@
+import gc
+import pathlib
 import random
 
 from eliminant.assembly import (
@@ -12,8 +14,10 @@ from eliminant.assembly import (
     make_reduced,
     normal_form,
 )
+from eliminant.cli import run_pipeline
 from eliminant.compat import compatible_split
-from eliminant.multipoly import MultiPoly
+from eliminant.fields import GF
+from eliminant.multipoly import MultiPoly, base_context
 from eliminant.parser import parse_ideal_file, parse_poly
 from eliminant.pqr import (
     project_multipoly,
@@ -23,7 +27,16 @@ from eliminant.pqr import (
 )
 from eliminant.pseudo import pseudo_eliminant, normalize_content
 from eliminant.unipoly import poly_gcd
-from util import P, U, random_member, random_zero_dim_ideal
+from util import (
+    P,
+    U,
+    random_member,
+    random_multipoly,
+    random_zero_dim_ideal,
+    reference_component_remainder,
+)
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 SIMPLE = """
@@ -265,3 +278,110 @@ def test_decomposition_soundness_random():
         gb = reduced_groebner(gens)
         assert is_member(probe, dec) == oracle_member(probe, gb)
         checked += 1
+
+
+# -- gcd-division with per-list step tables against the reference step -------------
+
+
+def _decompose(gens):
+    """The decomposition of a nontrivial ideal, None for the unit ideal."""
+    pseudo = pseudo_eliminant([normalize_content(g) for g in gens])
+    if pseudo.inconsistent:
+        return None
+    split = compatible_split(pseudo.eliminant, pseudo.screen_multipliers)
+    originals = [g for g in gens if not g.is_coeff]
+    propers = {
+        q: proper_eliminant(originals, residue_context(gens[0].ctx, q))
+        for q in split.composite_divisors()
+    }
+    return assemble(pseudo, split, propers, gens[0].ctx)
+
+
+def _probe_cases():
+    """(generators, decomposition) over Q and GF(5): fixtures and seeded random ideals."""
+    cases = []
+    for name in ("simple.ideal", "modular.ideal", "twovars.ideal", "triangular_gf5.ideal"):
+        text = (FIXTURES / name).read_text()
+        variants = [text] + ([text.replace("field Q", "field GF 5")] if name != "twovars.ideal" else [])
+        for variant in variants:
+            ideal = parse_ideal_file(variant)
+            cases.append((ideal.generators, run_pipeline(ideal).decomposition))
+    rng = random.Random(404)
+    while len(cases) < 20:
+        ctx, gens = random_zero_dim_ideal(rng)
+        if len(cases) % 2:
+            ctx = base_context(GF(5), ctx.x1, ctx.tilde)
+            gens = [parse_poly(g.fmt(), ctx) for g in gens]
+        dec = _decompose(gens)
+        if dec is not None:
+            cases.append((gens, dec))
+    return cases
+
+
+def _probes(rng, gens):
+    ctx = gens[0].ctx
+    probes = [random_multipoly(rng, ctx) for _ in range(4)]
+    for _ in range(2):
+        member = MultiPoly.zero(ctx)
+        for g in gens:
+            member = member + random_multipoly(rng, ctx, max_total=1, terms=2) * g
+        probes.append(member)
+    return [p for p in probes if not p.is_zero]
+
+
+def test_component_remainder_matches_reference_step():
+    rng = random.Random(405)
+    seen_members = seen_others = 0
+    for gens, dec in _probe_cases():
+        for probe in _probes(rng, gens):
+            expected = [reference_component_remainder(probe, comp) for comp in dec.components]
+            got = [component_remainder(probe, comp) for comp in dec.components]
+            assert got == expected
+            verdict = all(r.is_zero for r in expected)
+            assert is_member(probe, dec) == verdict
+            seen_members += verdict
+            seen_others += not verdict
+    assert seen_members and seen_others
+
+
+def test_gcd_reduce_division_identity_with_component_tables():
+    rng = random.Random(406)
+    for gens, dec in _probe_cases():
+        for probe in _probes(rng, gens):
+            for comp in dec.components:
+                f = comp.project(probe)
+                division = gcd_reduce(f, comp.basis, comp.table)
+                assert division.multiplier.is_unit()
+                rhs = division.remainder
+                for q, b in zip(division.quotients, comp.basis):
+                    rhs = rhs + q * b
+                assert f.scale(division.multiplier) == rhs
+                assert gcd_reduced(division.remainder, comp.basis)
+
+
+def test_step_tables_stay_with_their_decomposition():
+    ideal = parse_ideal_file(MODULAR)
+    first = run_pipeline(ideal).decomposition
+    assert not any(comp.table for comp in first.components)
+    for g in ideal.generators:
+        assert is_member(g, first)
+    assert all(comp.table for comp in first.components)
+    del first
+    gc.collect()
+
+    ideal = parse_ideal_file(MODULAR.replace("field Q", "field GF 5"))
+    second = run_pipeline(ideal).decomposition
+    # assembly builds no table; the first probe of each component does
+    assert not any(comp.table for comp in second.components)
+    rng = random.Random(407)
+    for probe in _probes(rng, ideal.generators):
+        for comp in second.components:
+            expected = reference_component_remainder(probe, comp)
+            assert component_remainder(probe, comp) == expected
+    for comp in second.components:
+        ring = comp.var_ctx.ring
+        for hits, (g, cofs, d_st) in comp.table.items():
+            assert max(hits) < len(comp.basis)
+            assert len(cofs) == len(hits)
+            assert all(cof.ctx == ring for cof in cofs)
+            assert d_st == poly_gcd(g, ring.modulus)

@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import subprocess
 import sys
@@ -21,11 +22,12 @@ from eliminant.pqr import NotAUnitError, ZeroElementError
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "eliminant.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -50,12 +52,45 @@ def test_exit_codes(tmp_path):
     assert code == EXIT_OK and "trivial" in out
 
 
+def test_positive_dimensional_with_univariate_member_is_answered(tmp_path):
+    # documented choice: exit 3 only when no univariate member exists
+    from eliminant.buchberger import oracle_member, reduced_groebner
+
+    path = tmp_path / "posdim.ideal"
+    path.write_text("field Q\nvars z < y\nideal:\nz^2\ny*z\n")
+    probes = tmp_path / "probes.txt"
+    probes.write_text("y\nz\nz*y\n1\n")
+    code, out, _ = run_cli(str(path), "--emit", "json", "--membership", str(probes))
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["eliminant"] == "z^2"
+    assert [comp["basis"] for comp in doc["components"]] == [["z*y"]]
+    ideal = parse_ideal_file(path.read_text())
+    gb = reduced_groebner(ideal.generators)
+    verdicts = [entry["member"] for entry in doc["membership"]]
+    assert verdicts == [False, False, True, False]
+    assert verdicts == [
+        oracle_member(parse_poly(entry["probe"], ideal.ctx), gb) for entry in doc["membership"]
+    ]
+
+
 def test_byte_identical_reports():
     args = (str(FIXTURES / "modular.ideal"), "--emit", "both")
     _, out1, _ = run_cli(*args)
     _, out2, _ = run_cli(*args)
     assert out1 == out2
     assert "timings" not in out1
+
+
+def test_debug_checks_verify_triangular_identity():
+    # the triangular check's exact quotients need the unreduced multiplier
+    # lift: on this valid input its residue mod q does not divide exactly
+    args = (str(FIXTURES / "triangular_gf5.ideal"), "--emit", "both")
+    code, plain, _ = run_cli(*args)
+    assert code == EXIT_OK
+    code, checked, err = run_cli(*args, env={**os.environ, "ELIMINANT_DEBUG_CHECKS": "1"})
+    assert code == EXIT_OK, err
+    assert checked == plain
 
 
 def test_json_round_trip():
@@ -145,8 +180,9 @@ def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
         "field Q\nvars z < y < x\nideal:\nx^100000000\n",
         "field Q\nvars z < y < x\nideal:\nz^100000000\n",
         "field GF 1000000000000000000000000000000000000003\nvars z < y\nideal:\ny - z\nz^2\n",
+        "field Q\nvars z < y < x\nideal:\n(x+y+z+1)^1000\n",
     ],
-    ids=["tail-exponent", "x1-exponent", "40-digit-prime"],
+    ids=["tail-exponent", "x1-exponent", "40-digit-prime", "term-count"],
 )
 def test_hostile_inputs_exit_2_quickly(body, tmp_path, capsys):
     path = tmp_path / "hostile.ideal"

@@ -5,7 +5,7 @@ import pytest
 
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
-from eliminant.parser import MAX_EXPONENT, ParseError, _tokenize, parse_poly
+from eliminant.parser import MAX_EXPONENT, MAX_TERMS, ParseError, _tokenize, parse_poly
 from eliminant.pqr import residue_context
 from eliminant.unipoly import UniPoly
 
@@ -137,3 +137,19 @@ def test_exponent_cap_admits_the_limit():
     ctx = base_context(QQ, "z", ("y", "x"))
     assert parse_poly(f"z^{MAX_EXPONENT}", ctx).as_coeff().degree == MAX_EXPONENT
     assert parse_poly("(z^100*y)^10", ctx).lm == (10, 0)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["(x+y+z+1)^1000", "(x+1)^1000", "(x+y+1)^40*(x+y+1)^40*(x+y+1)^40"],
+)
+def test_term_cap(text):
+    ctx = base_context(QQ, "z", ("y", "x"))
+    with pytest.raises(ParseError, match=f"more than {MAX_TERMS} terms"):
+        parse_poly(text, ctx)
+
+
+def test_term_cap_admits_moderate_expansions():
+    ctx = base_context(QQ, "z", ("y", "x"))
+    assert len(parse_poly("(x+1)^400", ctx).terms) == 401
+    assert len(parse_poly("(x+y+1)^40", ctx).terms) == 861

@@ -8,6 +8,7 @@ zero for that layer.  This test fails instead.
 import pathlib
 import sys
 
+import eliminant
 from eliminant.cli import run_pipeline
 from eliminant.parser import parse_ideal_file
 
@@ -18,6 +19,8 @@ TRACED = (
     "pseudo.pseudo_divide",
     "pqr.proper_divide",
     "assembly.gcd_reduce",
+    "assembly.make_reduced",
+    "assembly.is_member",
     "pseudo.pseudo_eliminant",
     "pqr.proper_eliminant",
 )
@@ -33,7 +36,10 @@ def test_tracer_binds_engine_targets(monkeypatch):
     try:
         for name in ("simple.ideal", "modular.ideal"):
             ideal = parse_ideal_file((FIXTURES / name).read_text())
-            run_pipeline(ideal).to_json()
+            report = run_pipeline(ideal)
+            report.to_json()
+            # one probe, looked up at call time as the benchmark does
+            assert eliminant.is_member(ideal.generators[0], report.decomposition)
     finally:
         trace.restore()
     totals = trace.totals()

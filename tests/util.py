@@ -123,3 +123,45 @@ def random_member(rng, ctx, gens) -> MultiPoly:
     if acc.is_zero:
         acc = gens[0]
     return acc
+
+
+# -- reference gcd-division -------------------------------------------------------
+
+
+def reference_gcd_step(divisors, mon, c):
+    """The gcd step rule before per-list step tables, kept as an oracle.
+
+    It recomputes the coefficient gcd, its cofactors and gcd(g, q) at every
+    step, and always scales the dividend by lcm(lift c, g) / lift c.
+    """
+    from eliminant.assembly import _coprime_adjust
+    from eliminant.multipoly import mon_divides
+    from eliminant.unipoly import exact_div, poly_gcd, poly_lcm, poly_multi_ext_gcd
+
+    hits = [(i, b) for i, b in enumerate(divisors) if mon_divides(b.lm, mon)]
+    if not hits:
+        return None
+    ring = c.ctx
+    g, cofs = poly_multi_ext_gcd([b.lc.lift() for _, b in hits])
+    d_st = poly_gcd(g, ring.modulus)
+    if not d_st.is_constant and not (c.rep % d_st).is_zero:
+        return None
+    lift = c.lift()
+    m = poly_lcm(lift, g)
+    mu = ring.elem(exact_div(m, lift))
+    if mu.is_unit():
+        scale = ring.elem(exact_div(m, g))
+    else:
+        mu = ring.one_elem()
+        w = _coprime_adjust(g, d_st, ring.modulus)
+        scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
+    parts = [(i, scale * ring.elem(cof)) for (i, _), cof in zip(hits, cofs)]
+    return mu, [(i, factor) for i, factor in parts if not factor.is_zero]
+
+
+def reference_component_remainder(f, comp):
+    """Unit-free remainder of f in the component's ring under the reference step."""
+    from eliminant.engine import divide
+
+    division = divide(comp.project(f), comp.basis, reference_gcd_step)
+    return division.remainder.scale(division.multiplier.inverse())
