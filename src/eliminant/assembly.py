@@ -21,12 +21,20 @@ component owns one for its basis, which never changes after assembly; the
 component's first probe fills it, so assembly itself never pays for it.
 When the gcd divides the term's coefficient the step needs no multiplier:
 the dividend is not rescaled and the verdict is read off the remainder.
+
+The basis ladder (irredundant, then minimal, then reduced) asks of most
+elements only whether a step exists.  That needs no cofactors: a term is
+reducible exactly when some divisor is eligible and gcd(g, q), the gcd of
+the modulus and the eligible leading coefficients, divides its
+coefficient.  The minimal pass computes cofactors only for the elements it
+replaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import partial
+from itertools import groupby
 
 from .compat import CompatSplit
 from .engine import Division, divide, reduced
@@ -46,7 +54,6 @@ from .unipoly import (
     exact_div,
     poly_ext_gcd,
     poly_gcd,
-    poly_lcm,
     poly_multi_ext_gcd,
 )
 
@@ -104,6 +111,20 @@ def _lc_gcd(divisors, hits, ring: PqrCtx):
     return g, [ring.elem(cof) for cof in cofs], poly_gcd(g, ring.modulus)
 
 
+def _lc_content(divisors, hits, d: UniPoly) -> UniPoly:
+    """Monic gcd of d and the leading coefficients of the divisors at `hits`.
+
+    With d the modulus this is the d_st of `_lc_gcd`, found without g's
+    cofactors: gcd(g, q) = gcd(q, lc_1, ..., lc_k), and each lift may be
+    replaced by its canonical representative.
+    """
+    for i in hits:
+        if d.is_one:
+            break
+        d = poly_gcd(divisors[i].lc.rep, d)
+    return d
+
+
 def _gcd_step(divisors, mon, c, table):
     # the term is reducible when c lies in the ideal of the gcd g of all
     # eligible leading coefficients; the step combines the eligible divisors
@@ -129,10 +150,13 @@ def _gcd_step(divisors, mon, c, table):
         if rem.is_zero:
             scale = ring.elem(quo)
         else:
-            m = poly_lcm(lift, g)
-            interim = ring.elem(exact_div(m, lift))
+            # lcm(lift, g) = lift * (g / d) with d = gcd(g, lift) = gcd(g, rem);
+            # both factors are scaled by 1/lc(lift), as the monic lcm would be
+            d = poly_gcd(g, rem)
+            k = lift._lc_inverse()
+            interim = ring.elem(exact_div(g, d).scale(k))
             if interim.is_unit():
-                mu, scale = interim, ring.elem(exact_div(m, g))
+                mu, scale = interim, ring.elem(exact_div(lift, d).scale(k))
             else:
                 # coefficient gcd has a non-unit cofactor against this term:
                 # rescale the combination instead of the dividend
@@ -162,15 +186,30 @@ def gcd_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
 # -- basis normalization ladder ---------------------------------------------------
 
 
+def _sort_key(b: MultiPoly):
+    return b.ctx.order.key(b.lm), b.lc.rep.degree
+
+
 def _basis_sorted(basis: list[MultiPoly]) -> list[MultiPoly]:
-    return sorted(
-        basis,
-        key=lambda b: (b.ctx.order.key(b.lm), b.lc.rep.degree, b.fmt()),
-    )
+    """Sorted by (leading monomial, lc degree); `fmt()` only breaks ties."""
+    out = []
+    for _, run in groupby(sorted(basis, key=_sort_key), key=_sort_key):
+        run = list(run)
+        out.extend(sorted(run, key=MultiPoly.fmt) if len(run) > 1 else run)
+    return out
 
 
 def _lt_reducible(b: MultiPoly, others: list[MultiPoly]) -> bool:
-    return _gcd_step(others, b.lm, b.lc, {}) is not None
+    """Whether `_gcd_step` has a step for b's leading term, without its cofactors.
+
+    It has one exactly when some divisor is eligible and d_st = gcd(g, q)
+    divides lc(b).
+    """
+    hits = _eligible(others, b.lm)
+    if not hits:
+        return False
+    d_st = _lc_content(others, hits, b.ctx.ring.modulus)
+    return d_st.is_constant or (b.lc.rep % d_st).is_zero
 
 
 def make_irredundant(basis: list[MultiPoly]) -> list[MultiPoly]:
@@ -179,17 +218,19 @@ def make_irredundant(basis: list[MultiPoly]) -> list[MultiPoly]:
     Candidates are tried most-complex-first so that of two elements with
     mutually reducible leading terms the simpler one survives.
     """
-    out = [_unit_normalize(b) for b in _basis_sorted(basis) if not b.is_zero]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out) - 1, -1, -1):
-            b = out[i]
-            rest = out[:i] + out[i + 1 :]
-            if rest and _lt_reducible(b, rest):
-                out.pop(i)
-                changed = True
-                break
+    return _drop_redundant([_unit_normalize(b) for b in _basis_sorted(basis) if not b.is_zero])
+
+
+def _drop_redundant(out: list[MultiPoly]) -> list[MultiPoly]:
+    """`make_irredundant` on a sorted, normalized basis, in place.
+
+    Dropping an element only shrinks the divisor sets of the others, which
+    never makes a kept element reducible, so one pass from the end suffices.
+    """
+    for i in range(len(out) - 1, -1, -1):
+        rest = out[:i] + out[i + 1 :]
+        if rest and _lt_reducible(out[i], rest):
+            del out[i]
     return out
 
 
@@ -203,11 +244,13 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     replaced = []
     for f in out:
         hits = _eligible(out, f.lm)
-        g, cofs, d_st = _lc_gcd(out, hits, ring)
+        # f is among the hits, so d_st divides f_st; cofactors only on a mismatch
         f_st = poly_gcd(f.lc.rep, ring.modulus)
+        d_st = _lc_content(out, hits, f_st)
         if f_st == d_st:
             replaced.append(f)
             continue
+        g, cofs, _ = _lc_gcd(out, hits, ring)
         w = _coprime_adjust(g, d_st, ring.modulus)
         acc = MultiPoly.zero(ctx)
         scale = ring.elem(w).inverse()
@@ -229,7 +272,8 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
             continue
         seen[key] = True
         out2.append(b)
-    return make_irredundant(out2)
+    # out2 is sorted and normalized already
+    return _drop_redundant(out2)
 
 
 def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:

@@ -10,8 +10,9 @@ Expression grammar (no implicit multiplication):
 
 NUMBER is an integer or, over Q, a rational written NUM '/' NUM with no other
 use of '/'.  An exponent, and the degree a power reaches in any one
-variable, may not exceed MAX_EXPONENT, and expanding an expression may build
-at most MAX_TERMS terms.  Ideal files are line oriented:
+variable, may not exceed MAX_EXPONENT, expanding an expression may build
+at most MAX_TERMS terms, and over Q no power may produce a coefficient
+above MAX_COEFF_BITS.  Ideal files are line oriented:
 
     field Q            (or: field GF <p>)
     vars z < y < x     (first name is the variable eliminated to)
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from math import lcm as int_lcm
 from operator import add
 
 from .fields import GF, QQ
@@ -77,6 +79,23 @@ A product of an m-term and an n-term factor builds m*n terms before like
 terms are collected, and a power counts every multiplication of its
 square-and-multiply; the count is checked before each multiplication.
 """
+
+
+MAX_COEFF_BITS = 10_000
+"""Largest bit length of a numerator or denominator a power over Q may produce.
+
+Judged before the power is expanded, by an upper bound: with base =
+(1/D) * sum(a_i * m_i) for integers a_i, every coefficient of base^n is an
+integer of size at most (sum |a_i|)^n over D^n.
+"""
+
+
+def _power_bits(base: dict, n: int) -> int:
+    """Upper bound on the bit lengths of the coefficients of base^n over Q."""
+    den = int_lcm(*(c.denominator for c in base.values()))
+    size = sum(abs(c.numerator) * (den // c.denominator) for c in base.values())
+    # k <= 2^(k-1).bit_length() for k >= 1, and a value <= 2^e has e + 1 bits
+    return n * max((size - 1).bit_length(), (den - 1).bit_length()) + 1
 
 
 def _term_add(a: dict, b: dict, sign: int, p: int) -> dict:
@@ -202,6 +221,12 @@ class _ExprParser:
         if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
             raise ParseError(
                 f"power exceeds the exponent limit {MAX_EXPONENT}", self.line, tok[2] + 1
+            )
+        if not self.p and base and _power_bits(base, n) > MAX_COEFF_BITS:
+            raise ParseError(
+                f"power may exceed the coefficient limit of {MAX_COEFF_BITS} bits",
+                self.line,
+                tok[2] + 1,
             )
         # square-and-multiply
         value = {self.unit: 1}

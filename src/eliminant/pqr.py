@@ -107,10 +107,12 @@ class PqrElem:
         return self.pref if self.pref is not None else self.rep
 
     def scale_scalar(self, k) -> "PqrElem":
-        """Multiply by a field constant, keeping the preferred lift aligned."""
-        c = UniPoly.constant(self.ctx.field, k)
-        pref = self.pref * c if self.pref is not None else None
-        return PqrElem(self.ctx, (self.rep * c) % self.ctx.modulus, pref)
+        """Multiply by a nonzero field constant, keeping the preferred lift aligned.
+
+        A constant times a reduced residue is already reduced.
+        """
+        pref = self.pref.scale(k) if self.pref is not None else None
+        return PqrElem(self.ctx, self.rep.scale(k), pref)
 
     @property
     def is_zero(self) -> bool:
@@ -404,6 +406,8 @@ def _unit_normalize(f: MultiPoly) -> MultiPoly:
     if f.is_zero:
         return f
     k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.lc)
+    if k == 1:
+        return f
     return MultiPoly(f.ctx, {m: c.scale_scalar(k) for m, c in f.terms})
 
 

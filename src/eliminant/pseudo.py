@@ -93,9 +93,10 @@ def normalize_content(f: MultiPoly) -> MultiPoly:
     """
     if f.is_zero:
         return f
-    field = f.ctx.field
-    scale = content_scale(field, (c for _, c in f.terms), f.lc.lc)
-    return f.scale(UniPoly.constant(field, scale))
+    scale = content_scale(f.ctx.field, (c for _, c in f.terms), f.lc.lc)
+    if scale == 1:
+        return f
+    return MultiPoly(f.ctx, {m: c.scale(scale) for m, c in f.terms})
 
 
 # -- S-polynomials over the PID ----------------------------------------------

@@ -454,8 +454,9 @@ def content_scale(field, polys, lead):
         # content(nums / den) = content(nums) / den, already in lowest terms
         num_gcd = int_gcd(num_gcd, *p.nums)
         den_lcm = int_lcm(den_lcm, p.den)
+    # the scale is positive, so only the sign of `lead` decides the sign
     scale = Fraction(den_lcm, num_gcd)
-    return -scale if lead * scale < 0 else scale
+    return -scale if lead < 0 else scale
 
 
 # -- gcd family ---------------------------------------------------------------

@@ -2,7 +2,11 @@ import gc
 import pathlib
 import random
 
+from eliminant import assembly
 from eliminant.assembly import (
+    _basis_sorted,
+    _gcd_step,
+    _lt_reducible,
     assemble,
     component_remainder,
     gcd_reduce,
@@ -16,7 +20,7 @@ from eliminant.assembly import (
 )
 from eliminant.cli import run_pipeline
 from eliminant.compat import compatible_split
-from eliminant.fields import GF
+from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
 from eliminant.parser import parse_ideal_file, parse_poly
 from eliminant.pqr import (
@@ -34,6 +38,9 @@ from util import (
     random_multipoly,
     random_zero_dim_ideal,
     reference_component_remainder,
+    reference_make_reduced,
+    reference_normalize_content,
+    reference_unit_normalize,
 )
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
@@ -385,3 +392,117 @@ def test_step_tables_stay_with_their_decomposition():
             assert len(cofs) == len(hits)
             assert all(cof.ctx == ring for cof in cofs)
             assert d_st == poly_gcd(g, ring.modulus)
+
+
+# -- the normalization ladder against the reference ladder ---------------------------
+
+
+def _ladder_inputs(monkeypatch):
+    """Every basis `assemble` hands to `make_reduced`: fixtures and seeded random ideals.
+
+    The fixtures run over Q and GF(5); 16 random ideals alternate between Q
+    and GF(5) and between lex and grevlex.
+    """
+    bases = []
+    real = assembly.make_reduced
+
+    def capture(basis):
+        bases.append(list(basis))
+        return real(basis)
+
+    monkeypatch.setattr(assembly, "make_reduced", capture)
+    for name in ("simple.ideal", "modular.ideal", "twovars.ideal", "triangular_gf5.ideal"):
+        text = (FIXTURES / name).read_text()
+        variants = [text]
+        if name != "twovars.ideal":    # not zero-dimensional over GF(5)
+            variants.append(text.replace("field Q", "field GF 5"))
+        for variant in variants:
+            run_pipeline(parse_ideal_file(variant))
+    rng = random.Random(501)
+    ideals = 0
+    while ideals < 16:
+        ctx, gens = random_zero_dim_ideal(rng)
+        field = GF(5) if ideals % 2 else ctx.field
+        ctx = base_context(field, ctx.x1, ctx.tilde, "grevlex" if ideals % 4 >= 2 else "lex")
+        gens = [parse_poly(g.fmt(), ctx) for g in gens]
+        if _decompose(gens) is not None:
+            ideals += 1
+    monkeypatch.undo()
+    assert len(bases) >= 20
+    return bases
+
+
+def _tied_bases():
+    """A basis whose elements tie on (lm, lc degree), in both input orders."""
+    base = base_context(QQ, "z", ("y", "x"))
+    ctx = residue_context(base, U("z^2*(z+1)"))
+    texts = ("y + 2*x", "y + x", "(z+1)*x^2 + y", "(z+2)*x^2 + 1")
+    elems = [project_multipoly(P(t, base), ctx) for t in texts]
+    return [elems, elems[::-1]]
+
+
+def test_make_reduced_matches_reference_ladder(monkeypatch):
+    bases = _ladder_inputs(monkeypatch) + _tied_bases()
+    for basis in bases:
+        got = make_reduced(basis)
+        expected = reference_make_reduced(basis)
+        assert [b.fmt() for b in got] == [b.fmt() for b in expected]
+        assert got == expected
+    tied_a, tied_b = (make_reduced(basis) for basis in _tied_bases())
+    assert tied_a == tied_b
+
+
+def test_basis_sorted_breaks_ties_by_format():
+    def old_order(elems):
+        return sorted(elems, key=lambda b: (b.ctx.order.key(b.lm), b.lc.rep.degree, b.fmt()))
+
+    rng = random.Random(502)
+    for elems in _tied_bases():
+        for _ in range(10):
+            rng.shuffle(elems)
+            got = _basis_sorted(elems)
+            assert all(a is b for a, b in zip(got, old_order(elems)))
+    # the tie-break ran: two elements share (lm, lc degree)
+    keys = [(b.lm, b.lc.rep.degree) for b in _tied_bases()[0]]
+    assert len(set(keys)) < len(keys)
+
+
+def test_lt_reducible_matches_full_step(monkeypatch):
+    reducible = irreducible = 0
+    for basis in _ladder_inputs(monkeypatch) + _tied_bases():
+        basis = [b for b in basis if not b.is_zero]
+        for i, b in enumerate(basis):
+            rest = basis[:i] + basis[i + 1 :]
+            if not rest:
+                continue
+            verdict = _lt_reducible(b, rest)
+            assert verdict == (_gcd_step(rest, b.lm, b.lc, {}) is not None)
+            reducible += verdict
+            irreducible += not verdict
+    assert reducible and irreducible
+
+
+def test_normalizers_return_normalized_input_unchanged():
+    rng = random.Random(503)
+    scaled = unchanged = 0
+    for field in (QQ, GF(5)):
+        ctx = base_context(field, "z", ("y", "x"))
+        ring_ctx = residue_context(ctx, parse_poly("z^3 + 2*z + 1", ctx).as_coeff())
+        for _ in range(40):
+            f = random_multipoly(rng, ctx)
+            if f.is_zero:
+                continue
+            g = normalize_content(f)
+            assert g == reference_normalize_content(f)
+            assert normalize_content(g) is g
+            r = project_multipoly(f, ring_ctx, keep_lifts=True)
+            if r.is_zero:
+                continue
+            s = _unit_normalize(r)
+            expected = reference_unit_normalize(r)
+            assert s == expected
+            assert [c.pref for _, c in s.terms] == [c.pref for _, c in expected.terms]
+            assert _unit_normalize(s) is s
+            scaled += s is not r
+            unchanged += s is r
+    assert scaled and unchanged

@@ -181,8 +181,17 @@ def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
         "field Q\nvars z < y < x\nideal:\nz^100000000\n",
         "field GF 1000000000000000000000000000000000000003\nvars z < y\nideal:\ny - z\nz^2\n",
         "field Q\nvars z < y < x\nideal:\n(x+y+z+1)^1000\n",
+        "field Q\nvars z < y < x\nideal:\n((2^1000)^1000)^8*x\n",
+        "field Q\nvars z < y < x\nideal:\n(2^1000*x)^1000\n",
     ],
-    ids=["tail-exponent", "x1-exponent", "40-digit-prime", "term-count"],
+    ids=[
+        "tail-exponent",
+        "x1-exponent",
+        "40-digit-prime",
+        "term-count",
+        "constant-power",
+        "term-power",
+    ],
 )
 def test_hostile_inputs_exit_2_quickly(body, tmp_path, capsys):
     path = tmp_path / "hostile.ideal"

@@ -5,7 +5,16 @@ import pytest
 
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
-from eliminant.parser import MAX_EXPONENT, MAX_TERMS, ParseError, _tokenize, parse_poly
+from eliminant.parser import (
+    MAX_COEFF_BITS,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    ParseError,
+    _ExprParser,
+    _power_bits,
+    _tokenize,
+    parse_poly,
+)
 from eliminant.pqr import residue_context
 from eliminant.unipoly import UniPoly
 
@@ -153,3 +162,46 @@ def test_term_cap_admits_moderate_expansions():
     ctx = base_context(QQ, "z", ("y", "x"))
     assert len(parse_poly("(x+1)^400", ctx).terms) == 401
     assert len(parse_poly("(x+y+1)^40", ctx).terms) == 861
+
+
+def _coeff_bits(f: MultiPoly) -> int:
+    return max(
+        (max(abs(c.numerator).bit_length(), c.denominator.bit_length())
+         for _, p in f.terms for c in p.coeffs),
+        default=0,
+    )
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["((2^1000)^1000)^8*x", "(2^1000*x)^1000", "(2^1000)^10", "(x + 2^1000)^10", "(1/2^1000*y)^10"],
+)
+def test_coefficient_cap(text):
+    ctx = base_context(QQ, "z", ("y", "x"))
+    with pytest.raises(ParseError, match=f"coefficient limit of {MAX_COEFF_BITS} bits"):
+        parse_poly(text, ctx)
+
+
+def test_coefficient_cap_admits_the_limit_and_prime_fields():
+    ctx = base_context(QQ, "z", ("y", "x"))
+    # 2^9000 has 9001 bits; (2^1000)^10 would have 10001
+    assert _coeff_bits(parse_poly("(2^1000)^9*x", ctx)) == 9001
+    assert _coeff_bits(parse_poly("3^1000", ctx)) == 1585
+    gf = base_context(GF(5), "z", ("y", "x"))
+    assert parse_poly("((2^1000)^1000)^8*x", gf) == parse_poly("x", gf)
+
+
+def test_power_bits_bounds_the_expansion():
+    ctx = base_context(QQ, "z", ("y", "x"))
+    rng = random.Random(504)
+    for _ in range(60):
+        terms = []
+        for _ in range(rng.randint(1, 3)):
+            c = rng.choice((str(rng.randint(1, 2**rng.randint(1, 40))),
+                            f"{rng.randint(1, 99)}/{rng.randint(1, 99)}"))
+            terms.append(f"{rng.choice('+-')}{c}*{rng.choice(('1', 'x', 'y', 'z', 'x*y'))}")
+        n = rng.randint(1, 12)
+        base = f"({' '.join(terms)})"
+        value = parse_poly(f"{base}^{n}", ctx)
+        parser = _ExprParser(_tokenize(base), ctx, None)
+        assert _coeff_bits(value) <= _power_bits(parser.expr(), n)

@@ -3,8 +3,9 @@
 Each snapshot is the full `--emit both` output (text, then JSON) of one
 fixture under one set of options, so eliminants, components, reduced bases,
 multipliers, membership verdicts and remainders are all pinned, under every
-strategy toggle.  The files are expected output: a change that alters any of
-them changes what the engine reports and must say why.
+strategy toggle, with and without debug checks.  The files are expected
+output: a change that alters any of them changes what the engine reports
+and must say why.
 """
 
 import pathlib
@@ -12,6 +13,7 @@ import pathlib
 import pytest
 
 from eliminant.cli import EXIT_OK, main
+from eliminant.pseudo import DEBUG_ENV
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 SNAPSHOTS = FIXTURES / "snapshots"
@@ -31,6 +33,17 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_snapshot(name, capsys):
+    _check_snapshot(name, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_matches_snapshot_with_debug_checks(name, capsys, monkeypatch):
+    """Debug mode reports exactly what the served path reports."""
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    _check_snapshot(name, capsys)
+
+
+def _check_snapshot(name, capsys):
     fixture, *options = CASES[name]
     assert main([str(FIXTURES / fixture), "--emit", "both", *options]) == EXIT_OK
     expected = (SNAPSHOTS / f"{name}.txt").read_text(encoding="utf-8")

@@ -165,3 +165,112 @@ def reference_component_remainder(f, comp):
 
     division = divide(comp.project(f), comp.basis, reference_gcd_step)
     return division.remainder.scale(division.multiplier.inverse())
+
+
+# -- reference normalization ladder ---------------------------------------------------
+
+
+def reference_normalize_content(f):
+    """normalize_content as a product with a constant polynomial, always rebuilt."""
+    from eliminant.unipoly import content_scale
+
+    if f.is_zero:
+        return f
+    field = f.ctx.field
+    scale = content_scale(field, (c for _, c in f.terms), f.lc.lc)
+    return f.scale(UniPoly.constant(field, scale))
+
+
+def reference_unit_normalize(f):
+    """The residue-ring normalization by products with a constant and `% q`, always rebuilt."""
+    from eliminant.pqr import PqrElem
+    from eliminant.unipoly import content_scale
+
+    if f.is_zero:
+        return f
+    ring, field = f.ctx.ring, f.ctx.field
+    k = UniPoly.constant(field, content_scale(field, (c.rep for _, c in f.terms), f.lc.rep.lc))
+    return MultiPoly(
+        f.ctx,
+        {
+            m: PqrElem(ring, (c.rep * k) % ring.modulus, c.pref * k if c.pref is not None else None)
+            for m, c in f.terms
+        },
+    )
+
+
+def reference_make_reduced(basis):
+    """The irredundant -> minimal -> reduced ladder before its shortcuts, kept as an oracle.
+
+    Reducibility runs the whole reference step, every element of the minimal
+    pass gets its gcd cofactors, the sort formats every element, and the
+    redundancy pass restarts after each drop.
+    """
+    from eliminant.assembly import _coprime_adjust
+    from eliminant.engine import divide
+    from eliminant.multipoly import mon_div, mon_divides
+    from eliminant.unipoly import poly_gcd, poly_multi_ext_gcd
+
+    def ordered(elems):
+        return sorted(elems, key=lambda b: (b.ctx.order.key(b.lm), b.lc.rep.degree, b.fmt()))
+
+    def irredundant(elems):
+        out = [reference_unit_normalize(b) for b in ordered(elems) if not b.is_zero]
+        changed = True
+        while changed:
+            changed = False
+            for i in range(len(out) - 1, -1, -1):
+                rest = out[:i] + out[i + 1 :]
+                if rest and reference_gcd_step(rest, out[i].lm, out[i].lc) is not None:
+                    out.pop(i)
+                    changed = True
+                    break
+        return out
+
+    def minimal(elems):
+        out = irredundant(elems)
+        if not out:
+            return out
+        ctx = out[0].ctx
+        ring = ctx.ring
+        replaced = []
+        for f in out:
+            hits = [i for i, b in enumerate(out) if mon_divides(b.lm, f.lm)]
+            g, cofs = poly_multi_ext_gcd([out[i].lc.lift() for i in hits])
+            d_st = poly_gcd(g, ring.modulus)
+            if poly_gcd(f.lc.rep, ring.modulus) == d_st:
+                replaced.append(f)
+                continue
+            scale = ring.elem(_coprime_adjust(g, d_st, ring.modulus)).inverse()
+            acc = MultiPoly.zero(ctx)
+            for i, cof in zip(hits, cofs):
+                factor = scale * ring.elem(cof)
+                if not factor.is_zero:
+                    acc = acc + out[i].mul_term(factor, mon_div(f.lm, out[i].lm))
+            assert not acc.is_zero and acc.lm == f.lm
+            replaced.append(reference_unit_normalize(acc))
+        seen = set()
+        kept = []
+        for b in ordered(replaced):
+            key = (b.lm, poly_gcd(b.lc.rep, ring.modulus).coeffs)
+            if key not in seen:
+                seen.add(key)
+                kept.append(b)
+        return irredundant(kept)
+
+    out = minimal(basis)
+    if len(out) <= 1:
+        return out
+    for _ in range(64):
+        changed = False
+        for i in range(len(out)):
+            rest = out[:i] + out[i + 1 :]
+            r = reference_unit_normalize(divide(out[i], rest, reference_gcd_step).remainder)
+            assert not r.is_zero
+            if r != out[i]:
+                changed = True
+                out[i] = r
+        out = ordered(out)
+        if not changed:
+            return out
+    raise AssertionError("tail reduction failed to stabilize")
