@@ -18,6 +18,7 @@ from .buchberger import (
     reduced_groebner,
 )
 from .compat import compatible_split, lc_compatibility_check
+from .engine import spoly
 from .fields import GF, QQ
 from .multipoly import ElimOrder, MultiPoly, VarContext, base_context
 from .parser import IdealFile, ParseError, parse_ideal_file, parse_poly
@@ -35,7 +36,6 @@ from .pseudo import (
     StrategyConfig,
     pseudo_divide,
     pseudo_eliminant,
-    spoly,
 )
 from .unipoly import UniPoly, squarefree_decomposition
 

@@ -37,7 +37,7 @@ from functools import partial
 from itertools import groupby
 
 from .compat import CompatSplit
-from .engine import Division, divide, reduced
+from .engine import Division, divide
 from .multipoly import MultiPoly, VarContext, mon_div, mon_divides
 from .pqr import (
     PqrCtx,
@@ -179,10 +179,6 @@ def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly], table: dict | None = Non
     return divide(f, divisors, partial(_gcd_step, table={} if table is None else table))
 
 
-def gcd_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
-    return reduced(f, divisors, partial(_gcd_step, table={}))
-
-
 # -- basis normalization ladder ---------------------------------------------------
 
 
@@ -218,15 +214,9 @@ def make_irredundant(basis: list[MultiPoly]) -> list[MultiPoly]:
     Candidates are tried most-complex-first so that of two elements with
     mutually reducible leading terms the simpler one survives.
     """
-    return _drop_redundant([_unit_normalize(b) for b in _basis_sorted(basis) if not b.is_zero])
-
-
-def _drop_redundant(out: list[MultiPoly]) -> list[MultiPoly]:
-    """`make_irredundant` on a sorted, normalized basis, in place.
-
-    Dropping an element only shrinks the divisor sets of the others, which
-    never makes a kept element reducible, so one pass from the end suffices.
-    """
+    out = [_unit_normalize(b) for b in _basis_sorted(basis) if not b.is_zero]
+    # dropping an element only shrinks the divisor sets of the others, which
+    # never makes a kept element reducible, so one pass from the end suffices
     for i in range(len(out) - 1, -1, -1):
         rest = out[:i] + out[i + 1 :]
         if rest and _lt_reducible(out[i], rest):
@@ -235,7 +225,21 @@ def _drop_redundant(out: list[MultiPoly]) -> list[MultiPoly]:
 
 
 def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Irredundant basis whose leading coefficients attain the local gcds."""
+    """Irredundant basis whose leading coefficients attain the local gcds.
+
+    The result is irredundant, so no redundancy pass follows.  Let B be the
+    irredundant basis and s_M = gcd(q, lc c : c in B, lm c | M) for a
+    monomial M.  Every f in B is replaced by an element with leading
+    monomial lm f whose leading coefficient has standard factor s_(lm f),
+    and one replacement is kept per leading monomial.  Take the kept b with
+    leading monomial M.  The other kept elements whose leading monomials
+    divide M stand for the elements of B whose monomials strictly divide M
+    (with none, b has no divisor), so b is reducible exactly when
+    d = gcd(q, lc c : c in B, lm c strictly divides M) divides s_M, that is,
+    when d divides the leading coefficient of every f in B with lm f = M.
+    Then the rest of B has gcd d at M for any such f, and f was reducible
+    in B, which is irredundant.
+    """
     out = make_irredundant(basis)
     if not out:
         return out
@@ -272,8 +276,7 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
             continue
         seen[key] = True
         out2.append(b)
-    # out2 is sorted and normalized already
-    return _drop_redundant(out2)
+    return out2
 
 
 def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:

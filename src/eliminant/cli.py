@@ -279,12 +279,6 @@ def attach_membership(report: PipelineReport, probes: list) -> None:
         )
 
 
-def run_membership(ideal: IdealFile, probe_text: str, strategy=None) -> PipelineReport:
-    report = run_pipeline(ideal, strategy)
-    attach_membership(report, parse_probe_file(probe_text, ideal.ctx))
-    return report
-
-
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(
         prog="eliminant",

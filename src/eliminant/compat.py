@@ -19,6 +19,11 @@ from .unipoly import (
 )
 
 
+def poly_sort_key(p: UniPoly):
+    """The order of every printed list of univariate polynomials: degree, then coefficients."""
+    return (p.degree, tuple(str(c) for c in p.coeffs))
+
+
 @dataclass
 class CompatSplit:
     compatible_part: UniPoly                 # monic
@@ -30,15 +35,12 @@ class CompatSplit:
         for i in sorted(self.omega_sets):
             for w in self.omega_sets[i]:
                 out.append(w**i)
-        out.sort(key=lambda p: (p.degree, tuple(str(c) for c in p.coeffs)))
+        out.sort(key=poly_sort_key)
         return out
 
 
 def _sorted_multipliers(multipliers) -> list[UniPoly]:
-    return sorted(
-        {m.monic() for m in multipliers if not m.is_constant},
-        key=lambda p: (p.degree, tuple(str(c) for c in p.coeffs)),
-    )
+    return sorted({m.monic() for m in multipliers if not m.is_constant}, key=poly_sort_key)
 
 
 def _refine_into(bucket: list[UniPoly], d: UniPoly) -> None:
@@ -85,9 +87,7 @@ def compatible_split(chi_eps: UniPoly, multipliers) -> CompatSplit:
             if not d.is_constant:
                 _refine_into(bucket, d)
         if bucket:
-            omega[i] = sorted(
-                bucket, key=lambda p: (p.degree, tuple(str(c) for c in p.coeffs))
-            )
+            omega[i] = sorted(bucket, key=poly_sort_key)
     cp = chi_eps
     for i, ws in omega.items():
         for w in ws:

@@ -1,24 +1,30 @@
-"""The eliminant search and the division loop shared by both coefficient rings.
+"""The eliminant search, its pair formulas and the division loop, for both coefficient rings.
 
 The method runs one Buchberger-style search twice: over K[x1] with
 pseudo-division (pseudo.py) and over residue rings K[x1]/(q), which have zero
-divisors, with proper division (pqr.py).  `Elimination` holds what the two
-runs share: the basis kept in order, the pair queue, the pair order, the
-coprime and triangular pair criteria and the drain loop.  A ring adapter
-supplies only what differs:
+divisors, with proper division (pqr.py).  In both runs every multiplier is an
+lcm of leading-coefficient lifts divided by one of them, so the pair formulas
+(`spoly`, `coprime_multiplier`, `triangular_multiplier`,
+`check_triangular_identity`) and the division step (`lcm_step`) are written
+once here: each computes on lifts in K[x1] (`lift()`) and projects the result
+with `f.ctx.ring.elem`, which is the identity over K[x1].
 
-- `spoly`, `reduce` (one division of an S-polynomial, returning the
-  remainder), `reduced` and `normalize`;
+`Elimination` holds what the two runs share: the basis kept in order, the
+pair queue, the pair order, the coprime and triangular pair criteria and the
+drain loop.  A ring adapter supplies only what differs:
+
+- `reduce` (one division of an S-polynomial, returning the remainder),
+  `reduced` and `normalize`;
 - `sort_key`, the (leading monomial key, lc degree) of a basis element;
-- `coprime_multiplier`, `triangular_multiplier`, `rank` (which triangular
-  candidate is tried first) and `check_triangle` (the debug check);
+- `rank` (which triangular candidate is tried first);
 - `excuse`: whether a pair with a given skip multiplier may be skipped, and
   what that entails;
 - `fold_univariate(run, r)` for a univariate member (False once the ideal is
   trivial) and `finish(run)`, which turns the drained run into an outcome.
 
-`divide` is the one division loop; each ring's division is a step rule
-plugged into it.
+`divide` is the one division loop.  Both searches divide with `lcm_step`,
+which differs between the rings only in the multipliers it admits;
+assembly's gcd-division plugs its own step into the same loop.
 """
 
 from __future__ import annotations
@@ -28,10 +34,97 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .multipoly import MultiPoly, mon_coprime, mon_div, mon_divides, mon_lcm
+from .unipoly import exact_div, poly_gcd, poly_lcm
 
 
 class InvalidSPolyInput(ValueError):
     pass
+
+
+# -- the pair formulas ------------------------------------------------------------
+
+
+def spoly(f: MultiPoly, g) -> MultiPoly:
+    """S-polynomial of f and g, where g has tail variables or is a coefficient.
+
+    Both leading terms are lifted to their least common multiple.  The
+    multipliers lcm(lift lc f, lift lc g) / lift are computed on lifts in
+    K[x1] and then projected into the coefficient ring; in a residue ring
+    they are never zero, even when the lcm of the leading coefficients
+    vanishes there.  Against a coefficient g the S-polynomial is f's tail
+    times f's multiplier.
+    """
+    if f.is_zero or f.is_coeff:
+        raise InvalidSPolyInput("first operand must have tail variables")
+    if isinstance(g, MultiPoly) and g.is_coeff:
+        g = g.as_coeff()
+    elem = f.ctx.ring.elem
+    lf = f.lc.lift()
+    if not isinstance(g, MultiPoly):
+        if g.is_zero:
+            raise InvalidSPolyInput("zero operand")
+        return f.tail().scale(elem(exact_div(poly_lcm(lf, g.lift()), lf)))
+    lg = g.lc.lift()
+    m = poly_lcm(lf, lg)
+    gamma = mon_lcm(f.lm, g.lm)
+    left = f.mul_term(elem(exact_div(m, lf)), mon_div(gamma, f.lm))
+    right = g.mul_term(elem(exact_div(m, lg)), mon_div(gamma, g.lm))
+    return left - right
+
+
+def coprime_multiplier(f: MultiPoly, g: MultiPoly):
+    """gcd(lc f, lc g) when the leading monomials are coprime, else None.
+
+    When defined, d*S(f,g) = (f - lt f)*g - (g - lt g)*f, so S(f,g) reduces
+    to zero by {f, g} with multiplier d and can be skipped when the ring
+    excuses d.  In a residue ring the gcd of the lifts is a unit exactly when
+    the gcd of the residues is.
+    """
+    if f.is_coeff or g.is_coeff:
+        raise InvalidSPolyInput("operands must have tail variables")
+    if not mon_coprime(f.lm, g.lm):
+        return None
+    return f.ctx.ring.elem(poly_gcd(f.lc.lift(), g.lc.lift()))
+
+
+def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly):
+    """(lam, lcm(lc f, lc g)) on lifts, lam = lc h / gcd(lcm(lc f, lc g), lc h)."""
+    lh = h.lc.lift()
+    m = poly_lcm(f.lc.lift(), g.lc.lift())
+    return exact_div(lh, poly_gcd(m, lh)), m
+
+
+def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
+    """Multiplier of the triangular identity rewriting S(f,g) through h.
+
+    None when lm h does not divide lcm(lm f, lm g).
+    """
+    if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
+        return None
+    return f.ctx.ring.elem(_triangular_lift(f, g, h)[0])
+
+
+def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
+    """Expand the triangular identity for S(f,g) through h and verify it.
+
+    lam*S(f,g) = c1*S(f,h) - c2*S(g,h) with c1 = lam*lcm(f,g)/lcm(f,h) and
+    c2 = lam*lcm(f,g)/lcm(g,h), on leading coefficients and monomials alike.
+    The coefficient quotients are exact only on lifts, where lam*lcm(f,g) is
+    lcm(lc f, lc g, lc h); the identity itself is compared in the ring.
+    """
+    gamma = mon_lcm(f.lm, g.lm)
+    if not mon_divides(h.lm, gamma):
+        return False
+    elem = f.ctx.ring.elem
+    lam, m = _triangular_lift(f, g, h)
+    top = lam * m
+    lh = h.lc.lift()
+    c1 = elem(exact_div(top, poly_lcm(f.lc.lift(), lh)))
+    c2 = elem(exact_div(top, poly_lcm(g.lc.lift(), lh)))
+    rhs = spoly(f, h).mul_term(c1, mon_div(gamma, mon_lcm(f.lm, h.lm))) - spoly(
+        g, h
+    ).mul_term(c2, mon_div(gamma, mon_lcm(g.lm, h.lm)))
+    return spoly(f, g).scale(elem(lam)) == rhs
 
 
 # -- the division loop ------------------------------------------------------------
@@ -42,6 +135,25 @@ class Division:
     multiplier: object             # in K[x1], or a unit of the residue ring
     quotients: list
     remainder: MultiPoly
+
+
+def lcm_step(divisors, mon, c, admits=None):
+    """The lcm division step, a step rule for `divide`.
+
+    The term c*mon is cleared against the first divisor b whose leading
+    monomial divides mon and whose interim multiplier
+    lcm(lift c, lift lc b) / lift c the ring admits: `admits` is None when
+    every multiplier is admitted, as over K[x1].
+    """
+    for i, b in enumerate(divisors):
+        if mon_divides(b.lm, mon):
+            elem = b.ctx.ring.elem
+            lift, lb = c.lift(), b.lc.lift()
+            m = poly_lcm(lift, lb)
+            mu = elem(exact_div(m, lift))
+            if admits is None or admits(mu):
+                return mu, [(i, elem(exact_div(m, lb)))]
+    return None
 
 
 def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
@@ -139,17 +251,35 @@ class Elimination:
 
         Polynomials that become univariate leave the run and are returned
         for folding; the basis is re-sorted, since leading data may change.
+
+        `move` is a ring homomorphism, such as the projection onto a smaller
+        modulus, so each kept leading coefficient either stays congruent to
+        its old one or vanishes.  A vanished one gives its element a new
+        leading monomial: the pair decisions and triplets that read the old
+        one are forgotten and those pairs are decided again.  Every other
+        decision stays valid.  Deciding a pair (i, j), by forming its
+        S-polynomial or by excusing it, leaves a representation of that
+        S-polynomial (made on lifts of the leading coefficients) with terms
+        below lcm(lm i, lm j) and a unit multiplier.  Its image under `move`
+        is such a representation in the new ring: the old lifts are lifts of
+        the new leading coefficients, and a unit mod q stays a unit mod every
+        divisor of q.  This holds also when the excuse went through an
+        element whose leading monomial moved, since its S-polynomials with i
+        and j were bounded by lcms that divide lcm(lm i, lm j).
         """
         univariates = []
         basis = []
+        moved = set()
         for _, slot, f in self.basis:
-            f = move(f)
-            if f.is_coeff:
+            g = move(f)
+            if g.is_coeff:
                 self.arena[slot] = None
-                univariates.append(f.as_coeff())
+                univariates.append(g.as_coeff())
             else:
-                self.arena[slot] = f
-                basis.append((self.ring.sort_key(f), slot, f))
+                self.arena[slot] = g
+                basis.append((self.ring.sort_key(g), slot, g))
+                if g.lm != f.lm:
+                    moved.add(slot)
         queue = []
         for key, seq, s in self.queue:
             s = move(s)
@@ -160,6 +290,13 @@ class Elimination:
         basis.sort()
         heapify(queue)
         self.basis, self.queue = basis, queue
+        if moved:
+            self.decided_pairs = {p for p in self.decided_pairs if not p & moved}
+            self.used_triplets = {t for t in self.used_triplets if not t & moved}
+            ids = self.slots()
+            self.decide_batch(
+                [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :] if i in moved or j in moved]
+            )
         return univariates
 
     # -- pair decisions
@@ -174,16 +311,15 @@ class Elimination:
 
     def decide_pair(self, i: int, j: int):
         f, g = self.arena[i], self.arena[j]
-        ring = self.ring
         if (
             self.strategy.coprime_skip
             and mon_coprime(f.lm, g.lm)
-            and ring.excuse(ring.coprime_multiplier(f, g))
+            and self.ring.excuse(coprime_multiplier(f, g))
         ):
             return
         if self.strategy.triangular_skip and self._try_triangular(i, j):
             return
-        s = ring.spoly(f, g)
+        s = spoly(f, g)
         if not s.is_zero:
             self.push(self.pair_key(i, j), s)
 
@@ -192,7 +328,6 @@ class Elimination:
         # pairs were already decided: the rewrite chain then points strictly
         # backwards and can never lose an S-polynomial in a cycle
         f, g = self.arena[i], self.arena[j]
-        gamma = mon_lcm(f.lm, g.lm)
         candidates = []
         for pos, (_, k, h) in enumerate(self.basis):
             if k in (i, j) or frozenset((i, j, k)) in self.used_triplets:
@@ -202,16 +337,15 @@ class Elimination:
                 or frozenset((j, k)) not in self.decided_pairs
             ):
                 continue
-            if not mon_divides(h.lm, gamma):
-                continue
-            lam = self.ring.triangular_multiplier(f, g, h)
-            candidates.append((self.ring.rank(lam), pos, k, lam))
+            lam = triangular_multiplier(f, g, h)
+            if lam is not None:
+                candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])
         for _, _, k, lam in candidates:
             if not self.ring.excuse(lam):
                 continue
             self.used_triplets.add(frozenset((i, j, k)))
-            if self.strategy.debug_checks and not self.ring.check_triangle(f, g, self.arena[k]):
+            if self.strategy.debug_checks and not check_triangular_identity(f, g, self.arena[k]):
                 raise AssertionError("triangular identity failed to verify")
             return True
         return False

@@ -164,6 +164,11 @@ class _PolyRingTag:
     def __init__(self, field):
         self.field = field
 
+    @staticmethod
+    def elem(p: UniPoly) -> UniPoly:
+        """The coefficient p of K[x1] itself, as a residue ring projects its lifts."""
+        return p
+
     def __eq__(self, other) -> bool:
         return isinstance(other, _PolyRingTag) and other.field == self.field
 
@@ -211,10 +216,7 @@ class MultiPoly:
     @classmethod
     def var(cls, ctx: VarContext, name: str) -> "MultiPoly":
         if name == ctx.x1:
-            gen = UniPoly.gen(ctx.field)
-            if isinstance(ctx.ring, _PolyRingTag):
-                return cls.from_coeff(ctx, gen)
-            return cls.from_coeff(ctx, ctx.ring.elem(gen))
+            return cls.from_coeff(ctx, ctx.ring.elem(UniPoly.gen(ctx.field)))
         if name not in ctx.tilde:
             raise ValueError(f"unknown variable {name!r}")
         mon = tuple(1 if v == name else 0 for v in ctx.tilde)

@@ -166,14 +166,13 @@ class _ExprParser:
         for (e1, *tail), c in value.items():
             row = by_tail.setdefault(tuple(tail), {})
             row[e1] = c
-        wrap = getattr(ctx.ring, "elem", None)
+        elem = ctx.ring.elem
         term_map = {}
         for mon, row in by_tail.items():
             dense = [0] * (max(row) + 1)
             for e1, c in row.items():
                 dense[e1] = c
-            coeff = UniPoly(ctx.field, dense)
-            term_map[mon] = wrap(coeff) if wrap is not None else coeff
+            term_map[mon] = elem(UniPoly(ctx.field, dense))
         return MultiPoly(ctx, term_map)
 
     def _mul(self, a: dict, b: dict, col: int) -> dict:

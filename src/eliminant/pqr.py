@@ -5,14 +5,16 @@ reduced mod q.  Units are exactly the residues coprime to q; every nonzero
 residue factors as unit * standard factor, where the standard factor is the
 monic gcd of its lift with q.  Division in the tail variables is restricted
 to steps whose interim multiplier is a unit (term divisibility by the whole
-leading term), so remainders stay meaningful despite zero divisors; it is a
-step rule for the shared loop `engine.divide`.
+leading term), so remainders stay meaningful despite zero divisors; it is
+the shared lcm step `engine.lcm_step`, admitting unit multipliers only, in
+the loop `engine.divide`.
 
 The eliminant search is `engine.Elimination`, the same one that runs over
-K[x1]; `_ResidueRing` adapts it.  The adapter forms S-polynomials with
-multipliers computed on lifts (never zero), skips a pair only when the skip
-multiplier is a unit, ranks triangular candidates by the standard factor of
-their multiplier, and folds univariate remainders into a shrinking modulus.
+K[x1]; `_ResidueRing` adapts it.  S-polynomials and skip multipliers are
+the engine's, computed on lifts (never zero).  The adapter skips a pair
+only when the skip multiplier is a unit, ranks triangular candidates by the
+standard factor of their multiplier, and folds univariate remainders into a
+shrinking modulus.
 By default the ring itself is rebased to the shrunken modulus (all carried
 data re-projected), which both matches the mathematics and keeps
 coefficients small; its finish step adds the S-polynomials against the
@@ -22,25 +24,20 @@ modulus, and the final answer is read back in the ring we started from.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .engine import Division, Elimination, InvalidSPolyInput, divide, reduced
-from .multipoly import (
-    MultiPoly,
-    VarContext,
-    mon_coprime,
-    mon_div,
-    mon_divides,
-    mon_lcm,
+from .engine import (
+    Division,
+    Elimination,
+    InvalidSPolyInput,
+    divide,
+    lcm_step,
+    reduced,
+    spoly,
 )
+from .multipoly import MultiPoly, VarContext
 from .pseudo import StrategyConfig
-from .unipoly import (
-    UniPoly,
-    content_scale,
-    exact_div,
-    poly_gcd,
-    poly_lcm,
-    poly_multi_ext_gcd,
-)
+from .unipoly import UniPoly, content_scale, exact_div, poly_gcd
 
 
 class NotAUnitError(ValueError):
@@ -179,7 +176,7 @@ class PqrElem:
         return f"PqrElem({self.rep.fmt()} mod {self.ctx.modulus.fmt()})"
 
 
-# -- gcd / lcm in the residue ring ---------------------------------------------
+# -- gcd in the residue ring ---------------------------------------------------
 
 
 def pqr_gcd(a: PqrElem, b: PqrElem) -> PqrElem:
@@ -190,21 +187,6 @@ def pqr_gcd(a: PqrElem, b: PqrElem) -> PqrElem:
     if b.is_zero:
         return a.standard_factor()
     return a.ctx.elem(poly_gcd(a.rep, b.rep))
-
-
-def pqr_lcm(a: PqrElem, b: PqrElem) -> PqrElem:
-    if a.is_zero or b.is_zero:
-        raise ZeroElementError("lcm with zero in residue ring")
-    return a.ctx.elem(poly_lcm(a.rep, b.rep))
-
-
-def pqr_multi_ext_gcd(elems: list[PqrElem]) -> tuple[PqrElem, list[PqrElem]]:
-    """gcd d of the family with cofactors: sum(c_i * elems[i]) == d."""
-    if not elems or all(e.is_zero for e in elems):
-        raise ZeroElementError("gcd of an all-zero family")
-    ctx = elems[0].ctx
-    d, coeffs = poly_multi_ext_gcd([e.rep for e in elems])
-    return ctx.elem(d), [ctx.elem(c) for c in coeffs]
 
 
 # -- projections ----------------------------------------------------------------
@@ -256,114 +238,29 @@ MODULUS = ModulusOperand()
 def spoly_q(f: MultiPoly, g) -> MultiPoly:
     """S-polynomial over the residue ring.
 
-    g may be another polynomial with tail variables, a residue (univariate
-    member), or MODULUS for the special pairs against the modulus; in the
-    latter case the leading coefficient of f must be a non-unit.  Multipliers
-    are computed on lifts, so they are nonzero even when the lcm of the
-    leading coefficients vanishes in the ring.
+    g may be another polynomial with tail variables, a non-unit residue
+    (univariate member), or MODULUS for the special pairs against the
+    modulus; in the latter case the leading coefficient of f must be a
+    non-unit.  Everything but MODULUS is the shared `engine.spoly`, whose
+    multipliers are computed on lifts.
     """
     if f.is_zero or f.is_coeff:
         raise InvalidSPolyInput("first operand must have tail variables")
-    ctx = f.ctx
-    ring: PqrCtx = ctx.ring
-    lf = f.lc.lift()
-    if isinstance(g, ModulusOperand):
-        lc = f.lc
-        if lc.is_unit():
-            raise InvalidSPolyInput("leading coefficient is a unit")
-        n = ring.elem(exact_div(ring.modulus, poly_gcd(lf, ring.modulus)))
-        return f.tail().scale(n)
-    if isinstance(g, PqrElem):
-        if g.is_zero:
-            raise InvalidSPolyInput("zero operand")
-        if g.is_unit():
-            raise InvalidSPolyInput("unit operand")
-        lg = g.lift()
-        m_f = ring.elem(exact_div(poly_lcm(lf, lg), lf))
-        return f.tail().scale(m_f)
-    if g.is_zero:
-        raise InvalidSPolyInput("zero operand")
-    if g.is_coeff:
-        return spoly_q(f, g.as_coeff())
-    lg = g.lc.lift()
-    m = poly_lcm(lf, lg)
-    m_f = ring.elem(exact_div(m, lf))
-    m_g = ring.elem(exact_div(m, lg))
-    gamma = mon_lcm(f.lm, g.lm)
-    left = f.mul_term(m_f, mon_div(gamma, f.lm))
-    right = g.mul_term(m_g, mon_div(gamma, g.lm))
-    return left - right
-
-
-def coprime_skip_multiplier(f: MultiPoly, g: MultiPoly) -> PqrElem | None:
-    """gcd of the leading coefficients when leading monomials are coprime."""
-    if not mon_coprime(f.lm, g.lm):
-        return None
-    return pqr_gcd(f.lc, g.lc)
-
-
-def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> UniPoly:
-    """lc(h) / gcd(lcm(lc f, lc g), lc h) on lifts, not yet reduced mod q."""
-    lh = h.lc.lift()
-    return exact_div(lh, poly_gcd(poly_lcm(f.lc.lift(), g.lc.lift()), lh))
-
-
-def triangular_multiplier_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> PqrElem | None:
-    if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
-        return None
-    return f.ctx.ring.elem(_triangular_lift(f, g, h))
-
-
-def check_triangular_identity_q(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
-    """Expand the residue-ring triangular identity and verify it.
-
-    The coefficients c1 = lam*cf_g/cf_h and c2 = lam*cg_f/cg_h are exact
-    quotients of lifts only when lam is the unreduced lift lc(h)/gcd(...):
-    its residue mod q need not be divisible by cf_h.  The identity itself is
-    then compared in the residue ring.
-    """
-    if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
-        return False
     ring: PqrCtx = f.ctx.ring
-    lam_lift = _triangular_lift(f, g, h)
-    lam = ring.elem(lam_lift)
-
-    def cm(b, a):
-        # lcm multiplier of the pair (a paired against b): coefficient part on
-        # lifts, monomial part exact
-        la, lb = a.lc.lift(), b.lc.lift()
-        coeff = exact_div(poly_lcm(la, lb), la)
-        mono = mon_div(mon_lcm(a.lm, b.lm), a.lm)
-        return coeff, mono
-
-    cf_g, mf_g = cm(g, f)   # multiplier on f inside S(f,g)
-    cf_h, mf_h = cm(h, f)   # multiplier on f inside S(f,h)
-    cg_f, mg_f = cm(f, g)
-    cg_h, mg_h = cm(h, g)
-    c1 = exact_div(lam_lift * cf_g, cf_h)
-    c2 = exact_div(lam_lift * cg_f, cg_h)
-    lhs = spoly_q(f, g).scale(lam)
-    rhs = spoly_q(f, h).mul_term(ring.elem(c1), mon_div(mf_g, mf_h)) - spoly_q(
-        g, h
-    ).mul_term(ring.elem(c2), mon_div(mg_f, mg_h))
-    return lhs == rhs
+    if isinstance(g, ModulusOperand):
+        if f.lc.is_unit():
+            raise InvalidSPolyInput("leading coefficient is a unit")
+        lf = f.lc.lift()
+        return f.tail().scale(ring.elem(exact_div(ring.modulus, poly_gcd(lf, ring.modulus))))
+    if isinstance(g, PqrElem) and g.is_unit():
+        raise InvalidSPolyInput("unit operand")
+    return spoly(f, g)
 
 
 # -- proper division --------------------------------------------------------------
 
 
-def _proper_step(divisors, mon, c):
-    ring = c.ctx
-    lift = c.lift()
-    for i, b in enumerate(divisors):
-        if not mon_divides(b.lm, mon):
-            continue
-        lb = b.lc.lift()
-        m = poly_lcm(lift, lb)
-        mu = ring.elem(exact_div(m, lift))
-        if mu.is_unit():
-            return mu, [(i, ring.elem(exact_div(m, lb)))]
-    return None
+_proper_step = partial(lcm_step, admits=PqrElem.is_unit)
 
 
 def proper_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
@@ -424,12 +321,8 @@ class _ResidueRing:
     wrapper.
     """
 
-    spoly = staticmethod(spoly_q)
     reduced = staticmethod(properly_reduced)
     normalize = staticmethod(_unit_normalize)
-    coprime_multiplier = staticmethod(coprime_skip_multiplier)
-    triangular_multiplier = staticmethod(triangular_multiplier_q)
-    check_triangle = staticmethod(check_triangular_identity_q)
 
     def __init__(self, var_ctx: VarContext, strategy: StrategyConfig):
         self.var_ctx = var_ctx

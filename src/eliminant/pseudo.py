@@ -4,8 +4,9 @@ Division here never inverts leading coefficients: a term with coefficient c
 is cleared against a divisor with leading coefficient l by scaling the whole
 dividend with the interim multiplier lcm(c, l)/c.  The accumulated multiplier
 stays a univariate polynomial, so no rational-function coefficients (and none
-of their size explosion) ever appear.  The division is a step rule for the
-shared loop `engine.divide`.
+of their size explosion) ever appear.  The division is the shared lcm step
+`engine.lcm_step`, which admits every multiplier here, in the loop
+`engine.divide`.
 
 The eliminant search is `engine.Elimination`, shared with the residue rings
 of pqr.py; `_PseudoRing` adapts it to K[x1].  S-polynomials are processed
@@ -20,23 +21,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-from .engine import Division, Elimination, InvalidSPolyInput, divide, reduced
-from .multipoly import (
-    MultiPoly,
-    VarContext,
-    mon_coprime,
-    mon_div,
-    mon_divides,
-    mon_lcm,
-)
-from .unipoly import (
-    UniPoly,
-    content_scale,
-    exact_div,
-    poly_gcd,
-    poly_lcm,
-    squarefree_part,
-)
+from .compat import poly_sort_key
+from .engine import Division, Elimination, divide, lcm_step, reduced
+from .multipoly import MultiPoly, VarContext
+from .unipoly import UniPoly, content_scale, poly_gcd, squarefree_part
 
 
 class NotZeroDimensionalError(ValueError):
@@ -99,85 +87,7 @@ def normalize_content(f: MultiPoly) -> MultiPoly:
     return MultiPoly(f.ctx, {m: c.scale(scale) for m, c in f.terms})
 
 
-# -- S-polynomials over the PID ----------------------------------------------
-
-
-def spoly(f: MultiPoly, g) -> MultiPoly:
-    """S-polynomial of f and g, where g is a MultiPoly or a UniPoly.
-
-    Both leading terms are lifted to their least common multiple using
-    univariate lcms, so the multipliers stay in K[x1].
-    """
-    if f.is_zero or f.is_coeff:
-        raise InvalidSPolyInput("first operand must have tail variables")
-    if isinstance(g, UniPoly):
-        if g.is_zero:
-            raise InvalidSPolyInput("zero operand")
-        m = poly_lcm(f.lc, g)
-        return f.scale(exact_div(m, f.lc)) - MultiPoly.term(f.ctx, m, f.lm)
-    if g.is_zero:
-        raise InvalidSPolyInput("zero operand")
-    if g.is_coeff:
-        return spoly(f, g.as_coeff())
-    m = poly_lcm(f.lc, g.lc)
-    gamma = mon_lcm(f.lm, g.lm)
-    left = f.mul_term(exact_div(m, f.lc), mon_div(gamma, f.lm))
-    right = g.mul_term(exact_div(m, g.lc), mon_div(gamma, g.lm))
-    return left - right
-
-
-def coprime_multiplier(f: MultiPoly, g: MultiPoly) -> UniPoly | None:
-    """gcd(lc f, lc g) when the leading monomials are coprime, else None.
-
-    When defined, d*S(f,g) = (f - lt f)*g - (g - lt g)*f, so S(f,g) reduces
-    to zero by {f, g} with multiplier d and can be skipped.
-    """
-    if f.is_coeff or g.is_coeff:
-        raise InvalidSPolyInput("operands must have tail variables")
-    if not mon_coprime(f.lm, g.lm):
-        return None
-    return poly_gcd(f.lc, g.lc)
-
-
-def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> UniPoly | None:
-    """Multiplier of the triangular identity rewriting S(f,g) through h."""
-    gamma = mon_lcm(f.lm, g.lm)
-    if not mon_divides(h.lm, gamma):
-        return None
-    d = poly_gcd(poly_lcm(f.lc, g.lc), h.lc)
-    return exact_div(h.lc, d)
-
-
-def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
-    """Expand the triangular identity for S(f,g) through h and verify it."""
-    lam = triangular_multiplier(f, g, h)
-    if lam is None:
-        return False
-
-    def lcm_term(a, b):
-        return poly_lcm(a.lc, b.lc), mon_lcm(a.lm, b.lm)
-
-    m_fg, g_fg = lcm_term(f, g)
-    m_fh, g_fh = lcm_term(f, h)
-    m_hg, g_hg = lcm_term(h, g)
-    lhs = spoly(f, g).scale(lam)
-    c1 = exact_div(lam * m_fg, m_fh)
-    c2 = exact_div(lam * m_fg, m_hg)
-    rhs = spoly(f, h).mul_term(c1, mon_div(g_fg, g_fh)) - spoly(g, h).mul_term(
-        c2, mon_div(g_fg, g_hg)
-    )
-    return lhs == rhs
-
-
 # -- pseudo-division -----------------------------------------------------------
-
-
-def _pseudo_step(divisors, mon, c):
-    for i, b in enumerate(divisors):
-        if mon_divides(b.lm, mon):
-            m = poly_lcm(c, b.lc)
-            return exact_div(m, c), [(i, exact_div(m, b.lc))]
-    return None
 
 
 def pseudo_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
@@ -191,11 +101,11 @@ def pseudo_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
     with the remainder's support disjoint from the leading-monomial ideal of
     the divisors.
     """
-    return divide(f, divisors, _pseudo_step)
+    return divide(f, divisors, lcm_step)
 
 
 def pseudo_reduced(f: MultiPoly, divisors: list[MultiPoly]) -> bool:
-    return reduced(f, divisors, _pseudo_step)
+    return reduced(f, divisors, lcm_step)
 
 
 # -- the eliminant search over K[x1] ---------------------------------------------
@@ -214,11 +124,7 @@ class PseudoOutcome:
         """Multipliers used to screen eliminant factors for authenticity."""
         merged = {p for p in self.multipliers}
         merged.update(self.lc_gcds)
-        return sorted(merged, key=_poly_sort_key)
-
-
-def _poly_sort_key(p: UniPoly):
-    return (p.degree, tuple(str(c) for c in p.coeffs))
+        return sorted(merged, key=poly_sort_key)
 
 
 class _PseudoRing:
@@ -228,11 +134,7 @@ class _PseudoRing:
     this module's globals, where perfbench's tracer binds its wrappers.
     """
 
-    spoly = staticmethod(spoly)
     reduced = staticmethod(pseudo_reduced)
-    coprime_multiplier = staticmethod(coprime_multiplier)
-    triangular_multiplier = staticmethod(triangular_multiplier)
-    check_triangle = staticmethod(check_triangular_identity)
 
     def __init__(self, ctx: VarContext, strategy: StrategyConfig):
         self.ctx = ctx
@@ -273,7 +175,7 @@ class _PseudoRing:
         return not self.f0.is_constant
 
     def finish(self, run: Elimination) -> PseudoOutcome:
-        multipliers = sorted(self.multipliers, key=_poly_sort_key)
+        multipliers = sorted(self.multipliers, key=poly_sort_key)
         if run.inconsistent:
             one = UniPoly.one(self.ctx.field)
             return PseudoOutcome(one, [], multipliers, [], inconsistent=True)
@@ -293,7 +195,7 @@ class _PseudoRing:
             eliminant=chi,
             basis=basis,
             multipliers=multipliers,
-            lc_gcds=sorted(lc_gcds, key=_poly_sort_key),
+            lc_gcds=sorted(lc_gcds, key=poly_sort_key),
         )
 
 

@@ -154,6 +154,10 @@ class UniPoly:
         n = self.nums[k] if 0 <= k < len(self.nums) else 0
         return n if self.field.char else Fraction(n, self.den)
 
+    def lift(self) -> "UniPoly":
+        """This polynomial, as a coefficient of K[x1]; a residue lifts to K[x1] the same way."""
+        return self
+
     def _lc_inverse(self):
         """The field element that makes this polynomial monic."""
         if self.field.char:

@@ -9,7 +9,6 @@ import time
 from eliminant.assembly import (
     assemble,
     gcd_reduce,
-    gcd_reduced,
     is_member,
     make_reduced,
 )
@@ -302,7 +301,7 @@ def test_criterion_5_division_contracts():
         for q, b in zip(division.quotients, divisors):
             rhs = rhs + q * b
         ok &= lhs == rhs
-        ok &= gcd_reduced(division.remainder, divisors)
+        ok &= gcd_reduce(division.remainder, divisors).remainder == division.remainder
         ok &= _check_lm_condition(
             f, division.quotients, divisors, division.remainder, order, residue=True
         )

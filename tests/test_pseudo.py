@@ -5,15 +5,18 @@ import pytest
 from eliminant.fields import QQ
 from eliminant.multipoly import mon_lcm, mon_mul
 from eliminant.parser import parse_ideal_file
+from eliminant.engine import (
+    check_triangular_identity,
+    coprime_multiplier,
+    spoly,
+    triangular_multiplier,
+)
 from eliminant.pseudo import (
     NotZeroDimensionalError,
     StrategyConfig,
-    coprime_multiplier,
     pseudo_divide,
     pseudo_eliminant,
     pseudo_reduced,
-    spoly,
-    triangular_multiplier,
 )
 from eliminant.unipoly import UniPoly, poly_gcd
 from eliminant.buchberger import oracle_eliminant, reduced_groebner
@@ -191,8 +194,6 @@ def test_triangular_multiplier_examples():
 
 
 def test_triangular_identity_expansion_random():
-    from eliminant.pseudo import check_triangular_identity
-
     rng = random.Random(24)
     ctx = ctx3()
     hits = 0
