@@ -224,7 +224,7 @@ def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> Pi
         )
     t0 = time.perf_counter()
     split = compatible_split(pseudo.eliminant, pseudo.screen_multipliers)
-    verdicts = lc_compatibility_check(pseudo.eliminant, pseudo.basis)
+    verdicts = lc_compatibility_check(pseudo.eliminant, pseudo.basis, split.squarefree_parts)
     times["split"] = time.perf_counter() - t0
     t0 = time.perf_counter()
     originals = [g for g in gens if not g.is_coeff]

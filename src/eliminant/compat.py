@@ -28,6 +28,8 @@ def poly_sort_key(p: UniPoly):
 class CompatSplit:
     compatible_part: UniPoly                 # monic
     omega_sets: dict = dc_field(default_factory=dict)   # exponent -> [UniPoly]
+    # the squarefree decomposition of chi_eps, for lc_compatibility_check to reuse
+    squarefree_parts: list | None = dc_field(default=None, compare=False, repr=False)
 
     def composite_divisors(self) -> list[UniPoly]:
         """The pairwise coprime moduli omega^i, sorted deterministically."""
@@ -92,7 +94,7 @@ def compatible_split(chi_eps: UniPoly, multipliers) -> CompatSplit:
     for i, ws in omega.items():
         for w in ws:
             cp = exact_div(cp, w**i)
-    return CompatSplit(compatible_part=cp.monic(), omega_sets=omega)
+    return CompatSplit(compatible_part=cp.monic(), omega_sets=omega, squarefree_parts=parts)
 
 
 @dataclass
@@ -102,13 +104,14 @@ class LcVerdict:
     coprime_to_lcs: bool
 
 
-def lc_compatibility_check(chi_eps: UniPoly, basis) -> list[LcVerdict]:
+def lc_compatibility_check(chi_eps: UniPoly, basis, parts=None) -> list[LcVerdict]:
     """Fast sufficient check against the basis leading coefficients.
 
     Refines each squarefree-power factor of chi_eps by its gcds with the
     leading coefficients; pieces that share a factor with some leading
     coefficient fail the check (they may still be vindicated by the
-    multiplier criterion, which is the authoritative one).
+    multiplier criterion, which is the authoritative one).  `parts` is the
+    squarefree decomposition of chi_eps if known (`CompatSplit.squarefree_parts`).
     """
     if chi_eps.is_constant:
         raise ConstantInputError("cannot check a constant")
@@ -118,7 +121,9 @@ def lc_compatibility_check(chi_eps: UniPoly, basis) -> list[LcVerdict]:
         if not c.is_constant:
             lcs.append(c)
     verdicts: list[LcVerdict] = []
-    for qi, i in squarefree_decomposition(chi_eps.monic()):
+    if parts is None:
+        parts = squarefree_decomposition(chi_eps.monic())
+    for qi, i in parts:
         bucket: list[UniPoly] = []
         for c in lcs:
             d = poly_gcd(c, qi)

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .multipoly import MultiPoly, mon_coprime, mon_div, mon_divides, mon_lcm
@@ -133,8 +134,22 @@ def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
 @dataclass
 class Division:
     multiplier: object             # in K[x1], or a unit of the residue ring
-    quotients: list
     remainder: MultiPoly
+    divisors: list
+    steps: list                    # (mu, mon, parts) per step, as the step rule gave them
+
+    @cached_property
+    def quotients(self) -> list[MultiPoly]:
+        """The quotients, replayed from the step log: no served path reads them."""
+        quotients = [{} for _ in self.divisors]
+        for mu, mon, parts in self.steps:
+            if not mu.is_one:
+                quotients = [{m: a * mu for m, a in q.items()} for q in quotients]
+            for i, factor in parts:
+                shift = mon_div(mon, self.divisors[i].lm)
+                q = quotients[i]
+                q[shift] = q[shift] + factor if shift in q else factor
+        return [MultiPoly(self.remainder.ctx, q) for q in quotients]
 
 
 def lcm_step(divisors, mon, c, admits=None):
@@ -169,9 +184,8 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
     for b in divisors:
         if b.is_zero or b.is_coeff:
             raise InvalidSPolyInput("divisors must have tail variables")
-    ctx = f.ctx
-    lam = ctx.ring_one()
-    quotients = [{} for _ in divisors]     # term maps, built into polynomials once
+    lam = f.ctx.ring_one()
+    steps = []
     h = f
     while True:
         for mon, c in h.terms:
@@ -179,18 +193,14 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
             if hit is not None:
                 break
         else:
-            return Division(lam, [MultiPoly(ctx, q) for q in quotients], h)
+            return Division(lam, h, divisors, steps)
         mu, parts = hit
+        steps.append((mu, mon, parts))
         if not mu.is_one:
             lam = lam * mu
             h = h.scale(mu)
-            quotients = [{m: a * mu for m, a in q.items()} for q in quotients]
         for i, factor in parts:
-            b = divisors[i]
-            shift = mon_div(mon, b.lm)
-            h = h.sub_mul_term(b, factor, shift)
-            q = quotients[i]
-            q[shift] = q[shift] + factor if shift in q else factor
+            h = h.sub_mul_term(divisors[i], factor, mon_div(mon, divisors[i].lm))
         if not h.coeff_at(mon).is_zero:
             raise AssertionError("division step failed to clear its term")
 

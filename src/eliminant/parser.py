@@ -4,7 +4,7 @@ Expression grammar (no implicit multiplication):
 
     expr   := term (('+' | '-') term)*
     term   := unary ('*' unary)*
-    unary  := '-' unary | power
+    unary  := ('-' | '+') unary | power
     power  := atom ('^' INT)?
     atom   := NUMBER | NAME | '(' expr ')'
 
@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field as dc_field
+from fractions import Fraction
 from math import lcm as int_lcm
 from operator import add
 
@@ -75,9 +76,11 @@ MAX_EXPONENT = 1000
 MAX_TERMS = 100_000
 """Most terms one expression may build while it is expanded.
 
-A product of an m-term and an n-term factor builds m*n terms before like
-terms are collected, and a power counts every multiplication of its
-square-and-multiply; the count is checked before each multiplication.
+A product of an m-term and an n-term factor is charged m*n, the terms it
+builds before like terms are collected, and a power is charged each
+multiplication of its square-and-multiply, also when a single-term base is
+raised directly.  The count is checked as each charge is made, and a
+product or power of several terms is expanded only after its charge passes.
 """
 
 
@@ -98,19 +101,6 @@ def _power_bits(base: dict, n: int) -> int:
     return n * max((size - 1).bit_length(), (den - 1).bit_length()) + 1
 
 
-def _term_add(a: dict, b: dict, sign: int, p: int) -> dict:
-    out = dict(a)
-    for m, c in b.items():
-        v = out.get(m, 0) + sign * c
-        if p:
-            v %= p
-        if v:
-            out[m] = v
-        else:
-            out.pop(m, None)
-    return out
-
-
 def _term_mul(a: dict, b: dict, p: int) -> dict:
     out: dict = {}
     for ma, ca in a.items():
@@ -122,11 +112,18 @@ def _term_mul(a: dict, b: dict, p: int) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-class _ExprParser:
-    """Evaluates an expression into one term dict {(e_x1, e_tail...): scalar}.
+def _square_and_multiply_count(n: int) -> int:
+    """Multiplications square-and-multiply makes for base^n: one per set bit, one per squaring."""
+    return n and n.bit_count() + n.bit_length() - 1
 
-    Scalars are ints or Fractions over Q and residues over GF(p).  The
-    MultiPoly is built once from the final dict, so its terms are sorted once.
+
+class _ExprParser:
+    """Evaluates an expression into one term dict {(e_x1, e_tail...): scalar} in one pass.
+
+    Scalars are ints or Fractions over Q and residues over GF(p).  Each term
+    is added into the sum's one dict, and the MultiPoly is built once from
+    the final dict.  `built` is what MAX_TERMS caps: the terms the products
+    would build if every factor were expanded into a dict.
     """
 
     def __init__(self, tokens, ctx: VarContext, line_no: int | None):
@@ -136,130 +133,176 @@ class _ExprParser:
         self.ctx = ctx
         self.line = line_no
         self.p = ctx.field.char
-        names = (ctx.x1, *ctx.tilde)
-        self.unit = (0,) * len(names)
-        self.var_keys = {
-            name: tuple(1 if j == i else 0 for j in range(len(names)))
-            for i, name in enumerate(names)
-        }
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self, kind=None):
-        tok = self.tokens[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise ParseError(f"expected {kind}, found {tok[1]!r}", self.line, tok[2] + 1)
-        self.pos += 1
-        return tok
+        self.var_index = {name: i for i, name in enumerate((ctx.x1, *ctx.tilde))}
+        self.unit = (0,) * len(self.var_index)
 
     def parse(self) -> MultiPoly:
         value = self.expr()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise ParseError(f"trailing input {tok[1]!r}", self.line, tok[2] + 1)
+        kind, text, col = self.tokens[self.pos]
+        if kind != "end":
+            raise ParseError(f"trailing input {text!r}", self.line, col + 1)
         return self._build(value)
 
     def _build(self, value: dict) -> MultiPoly:
         ctx = self.ctx
         by_tail: dict = {}
-        for (e1, *tail), c in value.items():
-            row = by_tail.setdefault(tuple(tail), {})
-            row[e1] = c
-        elem = ctx.ring.elem
+        for mon, c in value.items():
+            by_tail.setdefault(mon[1:], {})[mon[0]] = c
         term_map = {}
         for mon, row in by_tail.items():
             dense = [0] * (max(row) + 1)
             for e1, c in row.items():
                 dense[e1] = c
-            term_map[mon] = elem(UniPoly(ctx.field, dense))
+            term_map[mon] = ctx.ring.elem(UniPoly(ctx.field, dense))
         return MultiPoly(ctx, term_map)
 
-    def _mul(self, a: dict, b: dict, col: int) -> dict:
-        self.built += len(a) * len(b)
+    def _charge(self, terms: int, col: int) -> None:
+        self.built += terms
         if self.built > MAX_TERMS:
-            raise ParseError(
-                f"expression expands to more than {MAX_TERMS} terms", self.line, col + 1
-            )
-        return _term_mul(a, b, self.p)
+            raise ParseError(f"expression expands to more than {MAX_TERMS} terms", self.line, col + 1)
 
     def expr(self) -> dict:
-        value = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.take()[0]
-            rhs = self.term()
-            value = _term_add(value, rhs, 1 if op == "+" else -1, self.p)
-        return value
+        """A sum of terms, each added into one dict."""
+        tokens, p = self.tokens, self.p
+        out: dict = {}
+        sign = "+"
+        while True:
+            value = self.term()
+            if value is not None:
+                for m, c in (value,) if type(value) is tuple else value.items():
+                    c = out.get(m, 0) + c if sign == "+" else out.get(m, 0) - c
+                    if p:
+                        c %= p
+                    if c:
+                        out[m] = c
+                    else:
+                        del out[m]
+            sign = tokens[self.pos][0]
+            if sign != "+" and sign != "-":
+                return out
+            self.pos += 1
 
-    def term(self) -> dict:
-        value = self.unary()
-        while self.peek()[0] == "*":
-            col = self.take()[2]
-            value = self._mul(value, self.unary(), col)
-        return value
+    def term(self):
+        """A product: None when it is zero, (monomial, scalar) when it is one term, else a dict.
 
-    def unary(self) -> dict:
-        if self.peek()[0] == "-":
-            self.take()
-            return _term_add({}, self.unary(), -1, self.p)
-        if self.peek()[0] == "+":
-            self.take()
-            return self.unary()
-        return self.power()
-
-    def power(self) -> dict:
-        base = self.atom()
-        if self.peek()[0] != "^":
-            return base
-        self.take()
-        tok = self.take("num")
-        if "/" in tok[1]:
-            raise ParseError("exponent must be an integer", self.line, tok[2] + 1)
-        n = int(tok[1])
-        top = max((max(m) for m in base), default=0)
-        if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
-            raise ParseError(
-                f"power exceeds the exponent limit {MAX_EXPONENT}", self.line, tok[2] + 1
-            )
-        if not self.p and base and _power_bits(base, n) > MAX_COEFF_BITS:
-            raise ParseError(
-                f"power may exceed the coefficient limit of {MAX_COEFF_BITS} bits",
-                self.line,
-                tok[2] + 1,
-            )
-        # square-and-multiply
-        value = {self.unit: 1}
-        while n:
-            if n & 1:
-                value = self._mul(value, base, tok[2])
-            n >>= 1
-            if n:
-                base = self._mul(base, base, tok[2])
-        return value
-
-    def atom(self) -> dict:
-        kind, text, col = self.peek()
-        if kind == "num":
-            self.take()
-            if "/" in text:
-                if self.p:
+        Factors of one term fold into `exps` and `c`; `poly` is the product
+        of the factors of two or more terms.  `size` is the number of terms
+        of the product so far, and a '*' is charged it times the factor's.
+        """
+        tokens, p, pos = self.tokens, self.p, self.pos
+        exps = list(self.unit)
+        c, poly, size, negative, star = 1, None, 1, False, None
+        while True:
+            kind, text, col = tokens[pos]
+            while kind == "-" or kind == "+":
+                negative ^= kind == "-"
+                pos += 1
+                kind, text, col = tokens[pos]
+            pos += 1
+            width = 1
+            if kind == "name":
+                i = self.var_index.get(text)
+                if i is None:
+                    raise ParseError(f"unknown variable {text!r}", self.line, col + 1)
+                n = 1
+                if tokens[pos][0] == "^":
+                    n, col = self._exponent(pos + 1, 1)
+                    pos += 2
+                    self._charge(_square_and_multiply_count(n), col)
+                exps[i] += n
+            elif kind == "num":
+                if "/" not in text:
+                    f = int(text) % p if p else int(text)
+                elif p:
                     raise ParseError("rational literal in a prime field", self.line, col + 1)
-                scalar = self.ctx.field.parse(text)
+                else:
+                    f = self.ctx.field.parse(text)
+                if tokens[pos][0] == "^":
+                    f = self._power({self.unit: f} if f else {}, pos + 1).get(self.unit, 0)
+                    pos += 2
+                c = c * f % p if p else c * f
+                width = 1 if f else 0
+            elif kind == "(":
+                self.pos = pos
+                value = self.expr()
+                kind, text, col = tokens[self.pos]
+                if kind != ")":
+                    raise ParseError(f"expected ), found {text!r}", self.line, col + 1)
+                pos = self.pos + 1
+                if tokens[pos][0] == "^":
+                    value = self._power(value, pos + 1)
+                    pos += 2
+                width = len(value)
+                if width == 1:
+                    ((mon, f),) = value.items()
+                    exps = list(map(add, exps, mon))
+                    c = c * f % p if p else c * f
             else:
-                scalar = int(text) % self.p if self.p else int(text)
-            return {self.unit: scalar} if scalar else {}
-        if kind == "name":
-            self.take()
-            key = self.var_keys.get(text)
-            if key is None:
-                raise ParseError(f"unknown variable {text!r}", self.line, col + 1)
-            return {key: 1}
-        if kind == "(":
-            self.take()
-            value = self.expr()
-            self.take(")")
+                raise ParseError(f"unexpected token {text!r}", self.line, col + 1)
+            if star is not None:
+                self._charge(size * width, star)
+            if width > 1 and size:
+                poly = value if poly is None else _term_mul(poly, value, p)
+                size = len(poly)
+            elif not width:
+                size = 0
+            kind, _, star = tokens[pos]
+            if kind != "*":
+                break
+            pos += 1
+        self.pos = pos
+        if not size:
+            return None
+        if negative:
+            c = -c % p if p else -c
+        mon = tuple(exps)
+        if poly is None:
+            return mon, c
+        return {tuple(map(add, m, mon)): v * c % p if p else v * c for m, v in poly.items()}
+
+    def _exponent(self, pos: int, top: int) -> tuple[int, int]:
+        """The exponent n at pos and its column, checked for a base of degree `top`."""
+        kind, text, col = self.tokens[pos]
+        if kind != "num":
+            raise ParseError(f"expected num, found {text!r}", self.line, col + 1)
+        if "/" in text:
+            raise ParseError("exponent must be an integer", self.line, col + 1)
+        n = int(text)
+        if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
+            raise ParseError(f"power exceeds the exponent limit {MAX_EXPONENT}", self.line, col + 1)
+        return n, col
+
+    def _power(self, base: dict, pos: int) -> dict:
+        """base^n for the exponent n at pos.
+
+        The checks and the MAX_TERMS charge are those of square-and-multiply,
+        however the power is built.  A single-term base is raised directly.
+        Over Q the other bases are raised as integer numerators over their
+        common denominator D, and the result is divided by D^n once.
+        """
+        p = self.p
+        n, col = self._exponent(pos, max((max(m) for m in base), default=0))
+        if not p and base and _power_bits(base, n) > MAX_COEFF_BITS:
+            bound = f"power may exceed the coefficient limit of {MAX_COEFF_BITS} bits"
+            raise ParseError(bound, self.line, col + 1)
+        if len(base) == 1 and n:
+            ((mon, c),) = base.items()
+            self._charge(_square_and_multiply_count(n), col)
+            return {tuple(e * n for e in mon): pow(c, n, p) if p else c**n}
+        den = int_lcm(*(c.denominator for c in base.values()))
+        base = {m: c.numerator * (den // c.denominator) for m, c in base.items()}
+        value = {self.unit: 1}
+        for bit in range(n.bit_length()):    # square-and-multiply, low bits first
+            if bit:
+                self._charge(len(base) ** 2, col)
+                base = _term_mul(base, base, p)
+            if n >> bit & 1:
+                self._charge(len(value) * len(base), col)
+                value = _term_mul(value, base, p)
+        if den == 1:
             return value
-        raise ParseError(f"unexpected token {text!r}", self.line, col + 1)
+        den **= n
+        return {m: Fraction(c, den) for m, c in value.items()}
 
 
 def parse_poly(text: str, ctx: VarContext, line_no: int | None = None) -> MultiPoly:
@@ -335,10 +378,5 @@ def parse_ideal_file(text: str) -> IdealFile:
 
 
 def parse_probe_file(text: str, ctx: VarContext) -> list[tuple[str, MultiPoly]]:
-    probes = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        probes.append((line, parse_poly(line, ctx, line_no)))
-    return probes
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), start=1))
+    return [(line, parse_poly(line, ctx, n)) for n, line in lines if line]

@@ -183,6 +183,7 @@ def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
         "field Q\nvars z < y < x\nideal:\n(x+y+z+1)^1000\n",
         "field Q\nvars z < y < x\nideal:\n((2^1000)^1000)^8*x\n",
         "field Q\nvars z < y < x\nideal:\n(2^1000*x)^1000\n",
+        "field Q\nvars z < y < x\nideal:\n(1/3*x+1/2)^1000\n",
     ],
     ids=[
         "tail-exponent",
@@ -191,6 +192,7 @@ def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
         "term-count",
         "constant-power",
         "term-power",
+        "rational-power",
     ],
 )
 def test_hostile_inputs_exit_2_quickly(body, tmp_path, capsys):

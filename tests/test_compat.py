@@ -1,13 +1,18 @@
+import pathlib
 import random
 
 import pytest
 
+from eliminant import compat
+from eliminant.cli import run_pipeline
 from eliminant.compat import compatible_split, lc_compatibility_check
 from eliminant.parser import parse_ideal_file
 from eliminant.pseudo import pseudo_eliminant
 from eliminant.unipoly import ConstantInputError, UniPoly, poly_gcd
 from eliminant.fields import QQ
 from util import P, U, random_unipoly
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 def test_fully_compatible():
@@ -123,3 +128,18 @@ def test_invariants_random():
             for w in ws:
                 assert w.lc == QQ.one
                 assert poly_gcd(w, w.derivative()).is_constant
+
+
+def test_pipeline_decomposes_the_pseudo_eliminant_once(monkeypatch):
+    calls = []
+    decompose = compat.squarefree_decomposition
+    monkeypatch.setattr(compat, "squarefree_decomposition", lambda f: calls.append(f) or decompose(f))
+    for name in ("simple.ideal", "modular.ideal"):
+        ideal = parse_ideal_file((FIXTURES / name).read_text())
+        calls.clear()
+        report = run_pipeline(ideal)
+        assert len(calls) == 1
+        # the check gives the same verdicts alone as with the split's decomposition
+        chi = report.pseudo.eliminant
+        assert lc_compatibility_check(chi, report.pseudo.basis) == report.lc_verdicts
+        assert report.split.squarefree_parts == decompose(chi.monic())

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from eliminant import parser as parser_module
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
 from eliminant.parser import (
@@ -17,6 +18,9 @@ from eliminant.parser import (
 )
 from eliminant.pqr import residue_context
 from eliminant.unipoly import UniPoly
+
+import util
+from util import ReferenceExprParser
 
 
 class _MultiPolyEvaluator:
@@ -205,3 +209,123 @@ def test_power_bits_bounds_the_expansion():
         value = parse_poly(f"{base}^{n}", ctx)
         parser = _ExprParser(_tokenize(base), ctx, None)
         assert _coeff_bits(value) <= _power_bits(parser.expr(), n)
+
+
+# -- against the evaluator the one-pass parser replaced ---------------------------------
+
+
+def _random_factor(rng, rational, depth):
+    roll = rng.random()
+    if depth < 2 and roll < 0.2:
+        body = f"({_random_sum(rng, rational, depth + 1)})"
+    elif roll < 0.55:
+        body = rng.choice(("z", "y", "x"))
+    elif rational and roll < 0.7:
+        body = f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"
+    else:
+        body = str(rng.choice((0, 1, 2, 3, 4, 5, 7, 10, 12)))
+    if rng.random() < 0.4:
+        body += f"^{rng.randint(0, 3 if body[0] == '(' else 12)}"
+    return rng.choice(("", "", "", "-", "--", "-+-", "+")) + body
+
+
+def _random_sum(rng, rational, depth=0):
+    """Sums of plain products, with unary-minus chains, powers and parenthesised sums."""
+    out = ""
+    for k in range(rng.randint(1, 4)):
+        product = "*".join(_random_factor(rng, rational, depth) for _ in range(rng.randint(1, 4)))
+        out = product if not k else out + rng.choice((" + ", " - ")) + product
+    return out
+
+
+def _outcome(parser_class, text, ctx):
+    """The polynomial and the term charge, or the error with its line and column."""
+    try:
+        parser = parser_class(_tokenize(text, 7), ctx, 7)
+        return "ok", parser.parse(), parser.built
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+    except ValueError as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("ctx", list(_contexts()), ids=repr)
+def test_parser_matches_reference_parser(ctx):
+    rng = random.Random("reference:" + repr(ctx))
+    alphabet = "xyzw0123456789+-*^()/ $"
+    for _ in range(300):
+        text = _random_sum(rng, ctx.field.char == 0)
+        ok = _outcome(ReferenceExprParser, text, ctx)
+        assert ok[0] == "ok" and _outcome(_ExprParser, text, ctx) == ok, text
+        # one edit away from a valid expression, most texts are malformed
+        i = rng.randrange(len(text) + 1)
+        text = text[:i] + rng.choice(alphabet) + text[i + rng.randint(0, 1):]
+        assert _outcome(_ExprParser, text, ctx) == _outcome(ReferenceExprParser, text, ctx), text
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "", "x +", "x*", "*x", "-", "x^", "x^y", "x^-1", "x^1/2", "x^(2)", "(x", "x)",
+        "(x))", "()", "x y", "2x", "x^2^3", "x**2", "w", "w^1001", "(w)^x", "2/0*x",
+        "3/", "x $ y", "x^1001", "(x+1)^1001", "(z^500)^3", "x + (y*(z -", "x - -(y + w)",
+        "(x+y+z+1)^1000 + w", "0*(x+1)^1000*w", "(2^1000)^11*w",
+        "x*(y+1)^1000", "-(x + 1)^1000", f"(x+y+1)^40*(x+y+1)^40*(x+y+1)^{MAX_EXPONENT + 1}",
+        "1/2*x - y^1000*(z^400)^3",
+    ],
+)
+def test_malformed_inputs_fail_as_the_reference_parser_does(text):
+    ctx = base_context(QQ, "z", ("y", "x"))
+    outcome = _outcome(_ExprParser, text, ctx)
+    assert outcome[0] != "ok"
+    assert outcome == _outcome(ReferenceExprParser, text, ctx)
+    gf = base_context(GF(5), "z", ("y", "x"))
+    assert _outcome(_ExprParser, text, gf) == _outcome(ReferenceExprParser, text, gf)
+
+
+def test_limits_refuse_alike_at_the_boundary(monkeypatch):
+    ctx = base_context(QQ, "z", ("y", "x"))
+    head = "(x+y+1)^8 + (1/3*x+1/2)^30"
+    spare = 40
+    # a cap just above the head's charge keeps the boundary cheap to reach
+    limit = _outcome(ReferenceExprParser, head, ctx)[2] + spare
+    for module in (parser_module, util):
+        monkeypatch.setattr(module, "MAX_TERMS", limit)
+
+    def product(n_names, last=""):
+        return head + " - " + "*".join(["y"] * n_names) + last
+
+    # each '*' between single terms is charged 1, and a single-term ^9 is
+    # charged 5, the multiplications its square-and-multiply makes
+    accepted = [
+        product(spare + 1),
+        product(spare - 6, "*(2*y)^9"),
+        product(spare - 5, "*x^9"),
+        product(spare - 5, "*(1/2)^9"),
+    ]
+    # the last '*', the power, the power, the last '*', the power
+    refused = [
+        product(spare + 2),
+        product(spare - 4, "*(2*y)^9"),
+        product(spare - 3, "*x^9"),
+        product(spare - 4, "*x^9"),
+        head + " - (1/3*x+1/2)^1000",
+    ]
+    for text in accepted:
+        outcome = _outcome(ReferenceExprParser, text, ctx)
+        assert outcome[0] == "ok" and outcome[2] == limit
+        assert _outcome(_ExprParser, text, ctx) == outcome
+    for text in refused:
+        outcome = _outcome(ReferenceExprParser, text, ctx)
+        assert outcome[0] == "error" and f"more than {limit} terms" in outcome[1]
+        assert _outcome(_ExprParser, text, ctx) == outcome
+    monkeypatch.undo()
+    # _power_bits is 9 * 1111 + 1 = MAX_COEFF_BITS, then 9 * 1112 + 1
+    assert MAX_COEFF_BITS == 10_000
+    big, half = "2^1000*2^110", "1/2^1000*1/2^111"
+    accepted = [f"({big}*2)^9", f"({big}*x + {big})^9", f"({half}*x + {half})^9"]
+    refused = [f"({big}*4)^9", f"({big}*x + {big} + 1)^9", f"({half}*1/2*x + {half})^9"]
+    for text in accepted + refused:
+        outcome = _outcome(_ExprParser, text, ctx)
+        assert outcome == _outcome(ReferenceExprParser, text, ctx)
+        assert (outcome[0] == "ok") == (text in accepted), text

@@ -4,10 +4,19 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import add
 
 from eliminant.fields import QQ
 from eliminant.multipoly import MultiPoly, base_context
-from eliminant.parser import parse_poly
+from eliminant.parser import (
+    MAX_COEFF_BITS,
+    MAX_EXPONENT,
+    MAX_TERMS,
+    ParseError,
+    _power_bits,
+    _tokenize,
+    parse_poly,
+)
 from eliminant.unipoly import UniPoly
 
 
@@ -274,3 +283,178 @@ def reference_make_reduced(basis):
         if not changed:
             return out
     raise AssertionError("tail reduction failed to stabilize")
+
+
+# -- reference expression parser --------------------------------------------------
+
+
+def _reference_term_add(a: dict, b: dict, sign: int, p: int) -> dict:
+    out = dict(a)
+    for m, c in b.items():
+        v = out.get(m, 0) + sign * c
+        if p:
+            v %= p
+        if v:
+            out[m] = v
+        else:
+            out.pop(m, None)
+    return out
+
+
+def _reference_term_mul(a: dict, b: dict, p: int) -> dict:
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = tuple(map(add, ma, mb))
+            out[m] = out.get(m, 0) + ca * cb
+    if p:
+        return {m: v for m, c in out.items() if (v := c % p)}
+    return {m: c for m, c in out.items() if c}
+
+
+class ReferenceExprParser:
+    """The expression evaluator before the one-pass parser, kept as an oracle.
+
+    Every number and name becomes a one-term dict, each '*' multiplies two
+    dicts, every power runs square-and-multiply, and each '+' copies the sum.
+    Evaluates an expression into one term dict {(e_x1, e_tail...): scalar}.
+
+    Scalars are ints or Fractions over Q and residues over GF(p).  The
+    MultiPoly is built once from the final dict, so its terms are sorted once.
+    """
+
+    def __init__(self, tokens, ctx, line_no: int | None):
+        self.tokens = tokens
+        self.pos = 0
+        self.built = 0
+        self.ctx = ctx
+        self.line = line_no
+        self.p = ctx.field.char
+        names = (ctx.x1, *ctx.tilde)
+        self.unit = (0,) * len(names)
+        self.var_keys = {
+            name: tuple(1 if j == i else 0 for j in range(len(names)))
+            for i, name in enumerate(names)
+        }
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def take(self, kind=None):
+        tok = self.tokens[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise ParseError(f"expected {kind}, found {tok[1]!r}", self.line, tok[2] + 1)
+        self.pos += 1
+        return tok
+
+    def parse(self) -> MultiPoly:
+        value = self.expr()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise ParseError(f"trailing input {tok[1]!r}", self.line, tok[2] + 1)
+        return self._build(value)
+
+    def _build(self, value: dict) -> MultiPoly:
+        ctx = self.ctx
+        by_tail: dict = {}
+        for (e1, *tail), c in value.items():
+            row = by_tail.setdefault(tuple(tail), {})
+            row[e1] = c
+        elem = ctx.ring.elem
+        term_map = {}
+        for mon, row in by_tail.items():
+            dense = [0] * (max(row) + 1)
+            for e1, c in row.items():
+                dense[e1] = c
+            term_map[mon] = elem(UniPoly(ctx.field, dense))
+        return MultiPoly(ctx, term_map)
+
+    def _mul(self, a: dict, b: dict, col: int) -> dict:
+        self.built += len(a) * len(b)
+        if self.built > MAX_TERMS:
+            raise ParseError(
+                f"expression expands to more than {MAX_TERMS} terms", self.line, col + 1
+            )
+        return _reference_term_mul(a, b, self.p)
+
+    def expr(self) -> dict:
+        value = self.term()
+        while self.peek()[0] in ("+", "-"):
+            op = self.take()[0]
+            rhs = self.term()
+            value = _reference_term_add(value, rhs, 1 if op == "+" else -1, self.p)
+        return value
+
+    def term(self) -> dict:
+        value = self.unary()
+        while self.peek()[0] == "*":
+            col = self.take()[2]
+            value = self._mul(value, self.unary(), col)
+        return value
+
+    def unary(self) -> dict:
+        if self.peek()[0] == "-":
+            self.take()
+            return _reference_term_add({}, self.unary(), -1, self.p)
+        if self.peek()[0] == "+":
+            self.take()
+            return self.unary()
+        return self.power()
+
+    def power(self) -> dict:
+        base = self.atom()
+        if self.peek()[0] != "^":
+            return base
+        self.take()
+        tok = self.take("num")
+        if "/" in tok[1]:
+            raise ParseError("exponent must be an integer", self.line, tok[2] + 1)
+        n = int(tok[1])
+        top = max((max(m) for m in base), default=0)
+        if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
+            raise ParseError(
+                f"power exceeds the exponent limit {MAX_EXPONENT}", self.line, tok[2] + 1
+            )
+        if not self.p and base and _power_bits(base, n) > MAX_COEFF_BITS:
+            raise ParseError(
+                f"power may exceed the coefficient limit of {MAX_COEFF_BITS} bits",
+                self.line,
+                tok[2] + 1,
+            )
+        # square-and-multiply
+        value = {self.unit: 1}
+        while n:
+            if n & 1:
+                value = self._mul(value, base, tok[2])
+            n >>= 1
+            if n:
+                base = self._mul(base, base, tok[2])
+        return value
+
+    def atom(self) -> dict:
+        kind, text, col = self.peek()
+        if kind == "num":
+            self.take()
+            if "/" in text:
+                if self.p:
+                    raise ParseError("rational literal in a prime field", self.line, col + 1)
+                scalar = self.ctx.field.parse(text)
+            else:
+                scalar = int(text) % self.p if self.p else int(text)
+            return {self.unit: scalar} if scalar else {}
+        if kind == "name":
+            self.take()
+            key = self.var_keys.get(text)
+            if key is None:
+                raise ParseError(f"unknown variable {text!r}", self.line, col + 1)
+            return {key: 1}
+        if kind == "(":
+            self.take()
+            value = self.expr()
+            self.take(")")
+            return value
+        raise ParseError(f"unexpected token {text!r}", self.line, col + 1)
+
+
+def reference_parse_poly(text: str, ctx, line_no=None) -> MultiPoly:
+    return ReferenceExprParser(_tokenize(text, line_no), ctx, line_no).parse()
