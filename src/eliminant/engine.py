@@ -35,7 +35,7 @@ from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .multipoly import MultiPoly, mon_coprime, mon_div, mon_divides, mon_lcm
-from .unipoly import exact_div, poly_gcd, poly_lcm
+from .unipoly import exact_div, lcm_cofactors, poly_gcd, poly_lcm
 
 
 class InvalidSPolyInput(ValueError):
@@ -45,7 +45,7 @@ class InvalidSPolyInput(ValueError):
 # -- the pair formulas ------------------------------------------------------------
 
 
-def spoly(f: MultiPoly, g) -> MultiPoly:
+def spoly(f: MultiPoly, g, check: bool = False) -> MultiPoly:
     """S-polynomial of f and g, where g has tail variables or is a coefficient.
 
     Both leading terms are lifted to their least common multiple.  The
@@ -54,23 +54,27 @@ def spoly(f: MultiPoly, g) -> MultiPoly:
     they are never zero, even when the lcm of the leading coefficients
     vanishes there.  Against a coefficient g the S-polynomial is f's tail
     times f's multiplier.
+
+    The leading terms cancel, on lifts and therefore in the ring, so they are
+    never formed; `check` (the debug checks) verifies that they would.
     """
     if f.is_zero or f.is_coeff:
         raise InvalidSPolyInput("first operand must have tail variables")
     if isinstance(g, MultiPoly) and g.is_coeff:
         g = g.as_coeff()
     elem = f.ctx.ring.elem
-    lf = f.lc.lift()
-    if not isinstance(g, MultiPoly):
-        if g.is_zero:
-            raise InvalidSPolyInput("zero operand")
-        return f.tail().scale(elem(exact_div(poly_lcm(lf, g.lift()), lf)))
-    lg = g.lc.lift()
-    m = poly_lcm(lf, lg)
+    coeff = not isinstance(g, MultiPoly)
+    if coeff and g.is_zero:
+        raise InvalidSPolyInput("zero operand")
+    lg = g if coeff else g.lc
+    cf, cg = lcm_cofactors(f.lc.lift(), lg.lift())
+    cf = elem(cf)
+    if check and f.lc * cf != lg * elem(cg):
+        raise AssertionError("S-polynomial leading terms do not cancel")
+    if coeff:
+        return f.tail().scale(cf)
     gamma = mon_lcm(f.lm, g.lm)
-    left = f.mul_term(elem(exact_div(m, lf)), mon_div(gamma, f.lm))
-    right = g.mul_term(elem(exact_div(m, lg)), mon_div(gamma, g.lm))
-    return left - right
+    return f.tail_difference(cf, mon_div(gamma, f.lm), g, elem(cg), mon_div(gamma, g.lm))
 
 
 def coprime_multiplier(f: MultiPoly, g: MultiPoly):
@@ -163,11 +167,10 @@ def lcm_step(divisors, mon, c, admits=None):
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
             elem = b.ctx.ring.elem
-            lift, lb = c.lift(), b.lc.lift()
-            m = poly_lcm(lift, lb)
-            mu = elem(exact_div(m, lift))
+            cu, cb = lcm_cofactors(c.lift(), b.lc.lift())
+            mu = elem(cu)
             if admits is None or admits(mu):
-                return mu, [(i, elem(exact_div(m, lb)))]
+                return mu, [(i, elem(cb))]
     return None
 
 
@@ -329,7 +332,7 @@ class Elimination:
             return
         if self.strategy.triangular_skip and self._try_triangular(i, j):
             return
-        s = spoly(f, g)
+        s = spoly(f, g, self.strategy.debug_checks)
         if not s.is_zero:
             self.push(self.pair_key(i, j), s)
 

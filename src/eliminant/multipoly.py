@@ -318,6 +318,22 @@ class MultiPoly:
             out[m] = out[m] - p if m in out else -p
         return MultiPoly(self.ctx, out)
 
+    def tail_difference(
+        self, c, mon: Monomial, other: "MultiPoly", d, other_mon: Monomial
+    ) -> "MultiPoly":
+        """(self - lt self)*c*mon - (other - lt other)*d*other_mon, built and sorted once.
+
+        This is the S-polynomial when lc self*c == lc other*d and lm self*mon ==
+        lm other*other_mon: the two leading terms cancel, so neither is formed.
+        """
+        self._check(other)
+        out = {mon_mul(m, mon): a * c for m, a in self.terms[1:]}
+        for m, a in other.terms[1:]:
+            p = a * d
+            m = mon_mul(m, other_mon)
+            out[m] = out[m] - p if m in out else -p
+        return MultiPoly(self.ctx, out)
+
     # -- comparisons -------------------------------------------------------
 
     def __eq__(self, other) -> bool:

@@ -235,14 +235,14 @@ class ModulusOperand:
 MODULUS = ModulusOperand()
 
 
-def spoly_q(f: MultiPoly, g) -> MultiPoly:
+def spoly_q(f: MultiPoly, g, check: bool = False) -> MultiPoly:
     """S-polynomial over the residue ring.
 
     g may be another polynomial with tail variables, a non-unit residue
     (univariate member), or MODULUS for the special pairs against the
     modulus; in the latter case the leading coefficient of f must be a
     non-unit.  Everything but MODULUS is the shared `engine.spoly`, whose
-    multipliers are computed on lifts.
+    multipliers are computed on lifts; `check` is its debug check.
     """
     if f.is_zero or f.is_coeff:
         raise InvalidSPolyInput("first operand must have tail variables")
@@ -254,7 +254,7 @@ def spoly_q(f: MultiPoly, g) -> MultiPoly:
         return f.tail().scale(ring.elem(exact_div(ring.modulus, poly_gcd(lf, ring.modulus))))
     if isinstance(g, PqrElem) and g.is_unit():
         raise InvalidSPolyInput("unit operand")
-    return spoly(f, g)
+    return spoly(f, g, check)
 
 
 # -- proper division --------------------------------------------------------------
@@ -429,7 +429,7 @@ class _ResidueRing:
             if (slot, marker) in self.behead_done:
                 continue
             self.behead_done.add((slot, marker))
-            s = spoly_q(f, against)
+            s = spoly_q(f, against, self.strategy.debug_checks)
             if not s.is_zero:
                 run.push(run.order.key(f.lm), s)
 

@@ -277,7 +277,19 @@ class UniPoly:
         return divrem(self, other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
-        return divrem(self, other)[1]
+        """The remainder of divrem, built without the quotient; f itself when deg f < deg g."""
+        a, b = self.nums, other.nums
+        if not b:
+            raise ZeroDivisionError("polynomial division by zero")
+        self._check(other)
+        if len(a) < len(b):
+            return self
+        F = self.field
+        p = F.char
+        if p:
+            return _raw(F, _gf_rem(a, b, p))
+        r, s = _q_rem(a, b)
+        return _q_make(F, r, s * self.den)
 
     def monic(self) -> "UniPoly":
         nums = self.nums
@@ -351,12 +363,14 @@ class UniPoly:
 
 # -- division ---------------------------------------------------------------
 #
-# Both loops work on numerator lists.  Over GF(p) the dividend's entries are
+# The loops work on numerator lists.  Over GF(p) the dividend's entries are
 # reduced lazily: the leading entry when it is read, the remainder at the
 # end.  Over Q the loop is fraction-free: when the divisor's leading integer
 # does not divide the current leading entry, the remainder (and the quotient
 # built so far) is scaled by the smallest factor that makes it divide, so
-# s * a == quot * b + rem with one accumulated scale s > 0.
+# s * a == quot * b + rem with one accumulated scale s > 0.  The `_rem`
+# kernels run the same loops without building the quotient; `%` and the gcd
+# loop use them.
 
 
 def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
@@ -382,6 +396,55 @@ def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
     while rem and not rem[-1]:
         rem.pop()
     return q, rem
+
+
+def _gf_rem(a: list, b: list, p: int) -> list:
+    """The remainder of `_gf_divmod`, b nonzero."""
+    db = len(b) - 1
+    r = list(a)
+    lb = b[-1]
+    inv = 1 if lb == 1 else pow(lb, -1, p)
+    low = b[:-1]
+    for k in range(len(r) - db - 1, -1, -1):
+        c = r[k + db] % p
+        if c:
+            if inv != 1:
+                c = c * inv % p
+            for j, y in enumerate(low, k):
+                r[j] -= c * y
+    rem = [c % p for c in r[:db]]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem
+
+
+def _q_rem(a: list, b: list) -> tuple[list, int]:
+    """(rem, s) of `_q_divmod`: s * a == quot * b + rem for a quotient never built."""
+    db = len(b) - 1
+    r = list(a)
+    lb = b[-1]
+    low = b[:-1]
+    s = 1
+    for k in range(len(r) - db - 1, -1, -1):
+        top = k + db
+        c = r[top]
+        if not c:
+            continue
+        if c % lb:
+            g = int_gcd(c, lb)
+            m = abs(lb) // g
+            c = c // g if lb > 0 else -c // g
+            for i in range(top):
+                r[i] *= m
+            s *= m
+        else:
+            c //= lb
+        for j, y in enumerate(low, k):
+            r[j] -= c * y
+    rem = r[:db]
+    while rem and not rem[-1]:
+        rem.pop()
+    return rem, s
 
 
 def _q_divmod(a: list, b: list) -> tuple[list, list, int]:
@@ -492,23 +555,40 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     if p:
         a, b = f.nums, g.nums
         while b:
-            a, b = b, _gf_divmod(a, b, p)[1]
+            a, b = b, _gf_rem(a, b, p)
         return _raw(F, a).monic()
     a = _int_primitive(list(f.nums))
     b = _int_primitive(list(g.nums))
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _q_divmod(a, b)[1]
+        r = _q_rem(a, b)[0]
         a, b = b, _int_primitive(r) if r else []
     # a is primitive with a positive leading entry: a / a[-1] is canonical
     return _raw(F, a, a[-1])
 
 
-def poly_lcm(f: UniPoly, g: UniPoly) -> UniPoly:
+def lcm_cofactors(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(m / f, m / g) for the monic lcm m of f and g.
+
+    With d the monic gcd, m = f * g / (d * lc f * lc g), so the cofactors
+    are g / d and f / d scaled by 1 / (lc f * lc g): the product f * g and
+    m itself are never formed.
+    """
     if f.is_zero or g.is_zero:
         raise BothZeroError("lcm with zero")
-    return exact_div(f * g, poly_gcd(f, g)).monic()
+    d = poly_gcd(f, g)
+    cf, cg = (g, f) if d.is_one else (exact_div(g, d), exact_div(f, d))
+    p = f.field.char
+    if p:
+        c = pow(f.nums[-1] * g.nums[-1], -1, p)
+    else:
+        c = Fraction(f.den * g.den, f.nums[-1] * g.nums[-1])
+    return cf.scale(c), cg.scale(c)
+
+
+def poly_lcm(f: UniPoly, g: UniPoly) -> UniPoly:
+    return f * lcm_cofactors(f, g)[0]
 
 
 def poly_ext_gcd(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:

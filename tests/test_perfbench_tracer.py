@@ -2,9 +2,10 @@
 
 `perfbench/tracer.py` binds its wrappers by module and function name, so a
 rename or a move of a traced target would make traced benchmark runs read
-zero for that layer.  This test fails instead.
+zero for that layer, or fail to install.  These tests fail instead.
 """
 
+import importlib
 import pathlib
 import sys
 
@@ -28,10 +29,33 @@ TRACED = (
 )
 
 
-def test_tracer_binds_engine_targets(monkeypatch):
+def _tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     sys.modules.pop("tracer", None)
-    import tracer
+    return importlib.import_module("tracer")
+
+
+def _src_module(name):
+    mod = importlib.import_module(name)
+    assert (ROOT / "src") in pathlib.Path(mod.__file__).resolve().parents, mod.__file__
+    return mod
+
+
+def test_every_tracer_target_resolves_in_src(monkeypatch):
+    tracer = _tracer(monkeypatch)
+    for modname, fname in tracer.SPAN_FUNCTIONS:
+        fn = vars(_src_module(modname)).get(fname)
+        assert callable(fn) and fn.__module__ == modname, f"{modname}.{fname}"
+    methods = list(tracer.SPAN_METHODS)
+    for targets in tracer.COUNTED_METHODS.values():
+        methods.extend(targets)
+    for modname, cname, meth in methods:
+        cls = vars(_src_module(modname)).get(cname)
+        assert isinstance(cls, type) and callable(vars(cls).get(meth)), f"{modname}.{cname}.{meth}"
+
+
+def test_tracer_binds_engine_targets(monkeypatch):
+    tracer = _tracer(monkeypatch)
 
     trace = tracer.Tracer()
     trace.install()

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from eliminant.engine import check_triangular_identity, triangular_multiplier
-from eliminant.fields import QQ
-from eliminant.multipoly import mon_lcm, mon_mul
+from eliminant.engine import check_triangular_identity, spoly, triangular_multiplier
+from eliminant.fields import GF, QQ
+from eliminant.multipoly import MultiPoly, base_context, mon_lcm, mon_mul
 from eliminant.parser import parse_ideal_file, parse_poly
 from eliminant.pqr import (
     MODULUS,
@@ -20,7 +20,15 @@ from eliminant.pqr import (
     spoly_q,
 )
 from eliminant.pseudo import StrategyConfig
-from util import P, U, ctx3, random_multipoly
+from util import (
+    P,
+    U,
+    ctx3,
+    random_multipoly,
+    random_unipoly,
+    reference_poly_lcm,
+    reference_spoly,
+)
 
 
 MODULAR_SRC = """
@@ -144,6 +152,53 @@ def test_spoly_q_multipliers_nonzero():
         s = spoly_q(f, g)
         if not s.is_zero:
             assert ctx.order.compare(s.lm, mon_lcm(f.lm, g.lm)) < 0
+
+
+def _lifted(rng, base, ctx, heads):
+    """A residue-context polynomial whose lifts differ from its representatives.
+
+    Its leading coefficient lifts to a product with a factor from `heads`
+    (divisors of the modulus), so lcm(lc f, lc g) often vanishes mod q.
+    """
+    q, F = ctx.ring.modulus, base.field
+    while True:
+        f = random_multipoly(rng, base)
+        if f.is_zero or f.is_coeff:
+            continue
+        head = rng.choice(heads) * random_unipoly(rng, F, max_deg=1, bound=2, nonzero=True)
+        terms = dict(f.terms)
+        terms[f.lm] = head
+        lifted = {m: c + q * random_unipoly(rng, F, max_deg=1, bound=2) for m, c in terms.items()}
+        p = project_multipoly(MultiPoly(base, lifted), ctx, keep_lifts=True)
+        if not p.is_coeff:
+            return p
+
+
+@pytest.mark.parametrize(
+    "field, modulus, heads",
+    [
+        (QQ, "z^4*(z+1)^2", ("z^4", "(z+1)^2", "z^4*(z+1)", "z^3*(z+1)^2", "-3*z^2*(z+1)")),
+        (GF(5), "z^3*(z+2)^2", ("z^3", "(z+2)^2", "z^3*(z+2)", "3*z*(z+2)^2", "z^2")),
+    ],
+    ids=["Q", "GF5"],
+)
+def test_spoly_matches_reference_in_residue_rings(field, modulus, heads):
+    """The one-pass S-polynomial equals the lcm-and-subtract form on lifts mod q."""
+    rng = random.Random(43)
+    base = base_context(field, "z", ("y", "x"))
+    ctx = residue_context(base, U(modulus, field=field))
+    ring = ctx.ring
+    heads = [U(h, field=field) for h in heads]
+    vanishing = lifted = 0
+    for _ in range(200):
+        f, g = _lifted(rng, base, ctx, heads), _lifted(rng, base, ctx, heads)
+        assert spoly(f, g, check=True) == reference_spoly(f, g)
+        for c in (g.lc, ring.elem(g.lc.lift()), ring.elem(rng.choice(heads))):
+            if not c.is_zero:
+                assert spoly(f, c, check=True) == reference_spoly(f, c)
+        vanishing += ring.elem(reference_poly_lcm(f.lc.lift(), g.lc.lift())).is_zero
+        lifted += f.lc.pref is not None and g.lc.pref is not None
+    assert vanishing >= 30 and lifted >= 100, (vanishing, lifted)
 
 
 def test_proper_divide_examples():

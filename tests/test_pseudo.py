@@ -1,9 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from eliminant.fields import QQ
-from eliminant.multipoly import mon_lcm, mon_mul
+import eliminant.engine as engine
+from eliminant.cli import run_pipeline
+from eliminant.fields import GF, QQ
+from eliminant.multipoly import MultiPoly, base_context, mon_lcm, mon_mul
 from eliminant.parser import parse_ideal_file
 from eliminant.engine import (
     check_triangular_identity,
@@ -12,6 +15,7 @@ from eliminant.engine import (
     triangular_multiplier,
 )
 from eliminant.pseudo import (
+    DEBUG_ENV,
     NotZeroDimensionalError,
     StrategyConfig,
     pseudo_divide,
@@ -20,7 +24,15 @@ from eliminant.pseudo import (
 )
 from eliminant.unipoly import UniPoly, poly_gcd
 from eliminant.buchberger import oracle_eliminant, reduced_groebner
-from util import P, U, ctx3, random_multipoly, random_zero_dim_ideal
+from util import (
+    P,
+    U,
+    ctx3,
+    random_multipoly,
+    random_unipoly,
+    random_zero_dim_ideal,
+    reference_spoly,
+)
 
 
 def up_to_unit(f, g):
@@ -87,6 +99,47 @@ def test_spoly_leading_monomial_decreases():
         gamma = mon_lcm(f.lm, g.lm)
         if not s.is_zero:
             assert order.compare(s.lm, gamma) < 0
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+@pytest.mark.parametrize("order", ["lex", "grevlex"])
+def test_spoly_matches_reference(field, order):
+    """The one-pass S-polynomial equals the lcm-and-subtract form over K[x1]."""
+    rng = random.Random(27)
+    ctx = base_context(field, "z", ("y", "x"), order)
+    checked = 0
+    while checked < 150:
+        f = random_multipoly(rng, ctx, unideg=3)
+        g = random_multipoly(rng, ctx, unideg=3)
+        if f.is_zero or f.is_coeff or g.is_zero:
+            continue
+        if not field.char:
+            # non-monic leading coefficients with denominators, of either sign
+            k = Fraction(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 5))
+            f = f.scale(UniPoly.constant(field, k))
+        assert spoly(f, g, check=True) == reference_spoly(f, g)
+        c = random_unipoly(rng, field, max_deg=3, nonzero=True)
+        assert spoly(f, c, check=True) == reference_spoly(f, c)
+        checked += 1
+
+
+def test_debug_checks_catch_spoly_leading_terms_that_do_not_cancel(monkeypatch):
+    right = engine.lcm_cofactors
+
+    def wrong(f, g):
+        cf, cg = right(f, g)
+        return cf + UniPoly.one(cf.field), cg
+
+    monkeypatch.setattr(engine, "lcm_cofactors", wrong)
+    f, g, _ = parse_ideal_file(MODULAR).generators
+    spoly(f, g)
+    spoly(f, g.lc)
+    for other in (g, g.lc, MultiPoly.from_coeff(f.ctx, g.lc)):
+        with pytest.raises(AssertionError, match="leading terms do not cancel"):
+            spoly(f, other, check=True)
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    with pytest.raises(AssertionError, match="leading terms do not cancel"):
+        run_pipeline(parse_ideal_file(MODULAR))
 
 
 def test_pseudo_divide_examples():

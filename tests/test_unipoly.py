@@ -10,6 +10,8 @@ from eliminant.unipoly import (
     ConstantInputError,
     UniPoly,
     divrem,
+    exact_div,
+    lcm_cofactors,
     multiplicity,
     poly_ext_gcd,
     poly_gcd,
@@ -17,7 +19,7 @@ from eliminant.unipoly import (
     poly_multi_ext_gcd,
     squarefree_decomposition,
 )
-from util import U, random_unipoly
+from util import U, random_unipoly, reference_poly_gcd
 
 
 def test_divrem_examples():
@@ -422,3 +424,62 @@ def test_canonical_form_equality_and_hash():
         b = b.scale(Fraction(rng.randint(1, 5), rng.randint(1, 5)))
         for r in (a + b, a - b, a * b, a % b, a // b, a.monic(), a.derivative(), b.monic()):
             assert _canonical(r)
+
+
+def _kernel_poly(rng, F, max_deg, nonzero=False):
+    while True:
+        n = rng.randint(0, max_deg + 1)
+        if F.char:
+            cs = [rng.randrange(F.char) for _ in range(n)]
+        else:
+            # non-monic, with denominators and leading coefficients of either sign
+            cs = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(n)]
+        f = UniPoly(F, cs)
+        if not nonzero or not f.is_zero:
+            return f
+
+
+def _kernel_pair(rng, F):
+    """A pair of polynomials, often with a common factor, equal, dividing or constant."""
+    f, g = _kernel_poly(rng, F, 5), _kernel_poly(rng, F, 5)
+    shape = rng.randrange(6)
+    if shape == 1:
+        h = _kernel_poly(rng, F, 3, nonzero=True)
+        f, g = f * h, g * h
+    elif shape == 2:
+        f = g * _kernel_poly(rng, F, 3)
+    elif shape == 3:
+        f = g
+    elif shape == 4:
+        f = _kernel_poly(rng, F, 0)
+    elif shape == 5:
+        f, g = g, _kernel_poly(rng, F, 0)
+    return f, g
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_lcm_cofactors_remainder_and_gcd_match_references(p):
+    F = GF(p) if p else QQ
+    rng = random.Random(800 + p)
+    shapes = {"smaller": 0, "equal": 0, "divides": 0, "constant": 0, "common": 0}
+    for _ in range(400):
+        f, g = _kernel_pair(rng, F)
+        if not f.is_zero or not g.is_zero:
+            assert poly_gcd(f, g) == reference_poly_gcd(f, g)
+        if not g.is_zero:
+            r = f % g
+            assert r == divrem(f, g)[1]
+            if f.degree < g.degree:
+                assert r is f
+                shapes["smaller"] += 1
+        if f.is_zero or g.is_zero:
+            continue
+        d = reference_poly_gcd(f, g)
+        m = exact_div(f * g, d).monic()
+        assert lcm_cofactors(f, g) == (exact_div(m, f), exact_div(m, g))
+        assert poly_lcm(f, g) == m
+        shapes["equal"] += f == g
+        shapes["divides"] += (f % g).is_zero
+        shapes["constant"] += f.is_constant or g.is_constant
+        shapes["common"] += not d.is_constant
+    assert min(shapes.values()) >= 20, shapes

@@ -134,6 +134,71 @@ def random_member(rng, ctx, gens) -> MultiPoly:
     return acc
 
 
+# -- reference gcd, lcm and S-polynomial --------------------------------------------
+
+
+def reference_poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
+    """poly_gcd before the remainder-only kernels, kept as an oracle.
+
+    Each remainder of the Euclidean loop comes from the quotient-building
+    kernels; over Q the loop runs on primitive integer lists.
+    """
+    from eliminant.unipoly import BothZeroError, _gf_divmod, _int_primitive, _q_divmod
+
+    if f.is_zero and g.is_zero:
+        raise BothZeroError("gcd(0, 0)")
+    if f.is_zero:
+        return g.monic()
+    if g.is_zero:
+        return f.monic()
+    F = f.field
+    p = F.char
+    if p:
+        a, b = f.nums, g.nums
+        while b:
+            a, b = b, _gf_divmod(a, b, p)[1]
+        return UniPoly(F, a).monic()
+    a = _int_primitive(list(f.nums))
+    b = _int_primitive(list(g.nums))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        r = _q_divmod(a, b)[1]
+        a, b = b, _int_primitive(r) if r else []
+    return UniPoly(F, [Fraction(c, a[-1]) for c in a])
+
+
+def reference_poly_lcm(f: UniPoly, g: UniPoly) -> UniPoly:
+    """The monic lcm as the product over the gcd, kept as an oracle."""
+    from eliminant.unipoly import exact_div
+
+    return exact_div(f * g, reference_poly_gcd(f, g)).monic()
+
+
+def reference_spoly(f: MultiPoly, g) -> MultiPoly:
+    """engine.spoly before the one-pass tail difference, kept as an oracle.
+
+    Both multipliers are the lcm of the leading-coefficient lifts divided
+    by each lift, and the S-polynomial is formed as left - right, leading
+    terms included: they cancel in the subtraction.
+    """
+    from eliminant.multipoly import mon_div, mon_lcm
+    from eliminant.unipoly import exact_div
+
+    if isinstance(g, MultiPoly) and g.is_coeff:
+        g = g.as_coeff()
+    elem = f.ctx.ring.elem
+    lf = f.lc.lift()
+    if not isinstance(g, MultiPoly):
+        return f.tail().scale(elem(exact_div(reference_poly_lcm(lf, g.lift()), lf)))
+    lg = g.lc.lift()
+    m = reference_poly_lcm(lf, lg)
+    gamma = mon_lcm(f.lm, g.lm)
+    left = f.mul_term(elem(exact_div(m, lf)), mon_div(gamma, f.lm))
+    right = g.mul_term(elem(exact_div(m, lg)), mon_div(gamma, g.lm))
+    return left - right
+
+
 # -- reference gcd-division -------------------------------------------------------
 
 
