@@ -47,7 +47,7 @@ from .pqr import (
     project_multipoly,
     residue_context,
 )
-from .pseudo import PseudoOutcome
+from .pseudo import PseudoOutcome, debug_checks_enabled
 from .unipoly import (
     UniPoly,
     divrem,
@@ -280,25 +280,29 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
 
 
 def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Fully tail-reduced minimal basis; canonical up to the constant scale."""
+    """Fully tail-reduced minimal basis; canonical up to the constant scale.
+
+    One tail-reduction pass suffices.  The basis is minimal, so a pass keeps
+    every leading monomial and multiplies each leading coefficient only by a
+    unit.  So gcd(q, eligible leading coefficients), and with it whether a
+    term is reducible, stays fixed while later elements are replaced, and a
+    second pass would change nothing.  Debug checks run it to confirm.
+    """
     out = make_minimal(basis)
     if len(out) <= 1:
         return out
-    for _ in range(64):
-        changed = False
+    for n in range(2 if debug_checks_enabled() else 1):
         for i in range(len(out)):
             rest = out[:i] + out[i + 1 :]
-            division = gcd_reduce(out[i], rest)
-            r = _unit_normalize(division.remainder)
+            r = _unit_normalize(gcd_reduce(out[i], rest).remainder)
             if r.is_zero:
                 raise AssertionError("reduced-basis element vanished")
             if r != out[i]:
-                changed = True
+                if n:
+                    raise AssertionError("a second tail-reduction pass changed the basis")
                 out[i] = r
         out = _basis_sorted(out)
-        if not changed:
-            return out
-    raise AssertionError("tail reduction failed to stabilize")
+    return out
 
 
 # -- decomposition -----------------------------------------------------------------

@@ -92,10 +92,11 @@ def coprime_multiplier(f: MultiPoly, g: MultiPoly):
     return f.ctx.ring.elem(poly_gcd(f.lc.lift(), g.lc.lift()))
 
 
-def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly):
-    """(lam, lcm(lc f, lc g)) on lifts, lam = lc h / gcd(lcm(lc f, lc g), lc h)."""
+def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly, m=None):
+    """(lam, m) on lifts, m = lcm(lc f, lc g) unless given and lam = lc h / gcd(m, lc h)."""
+    if m is None:
+        m = poly_lcm(f.lc.lift(), g.lc.lift())
     lh = h.lc.lift()
-    m = poly_lcm(f.lc.lift(), g.lc.lift())
     return exact_div(lh, poly_gcd(m, lh)), m
 
 
@@ -339,20 +340,26 @@ class Elimination:
     def _try_triangular(self, i: int, j: int) -> bool:
         # a pair may be excused through h only when both of its companion
         # pairs were already decided: the rewrite chain then points strictly
-        # backwards and can never lose an S-polynomial in a cycle
+        # backwards and can never lose an S-polynomial in a cycle.  The
+        # candidates are those `triangular_multiplier` admits, with the cheap
+        # monomial test first and lcm(lc f, lc g) made at most once per pair.
         f, g = self.arena[i], self.arena[j]
+        gamma = mon_lcm(f.lm, g.lm)
+        elem = f.ctx.ring.elem
+        m = None
         candidates = []
         for pos, (_, k, h) in enumerate(self.basis):
-            if k in (i, j) or frozenset((i, j, k)) in self.used_triplets:
-                continue
             if (
-                frozenset((i, k)) not in self.decided_pairs
+                k in (i, j)
+                or not mon_divides(h.lm, gamma)
+                or frozenset((i, j, k)) in self.used_triplets
+                or frozenset((i, k)) not in self.decided_pairs
                 or frozenset((j, k)) not in self.decided_pairs
             ):
                 continue
-            lam = triangular_multiplier(f, g, h)
-            if lam is not None:
-                candidates.append((self.ring.rank(lam), pos, k, lam))
+            lam, m = _triangular_lift(f, g, h, m)
+            lam = elem(lam)
+            candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])
         for _, _, k, lam in candidates:
             if not self.ring.excuse(lam):

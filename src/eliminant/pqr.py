@@ -139,8 +139,10 @@ class PqrElem:
         return PqrElem(self.ctx, -self.rep)
 
     def is_unit(self) -> bool:
-        if self.rep.is_zero:
-            return False
+        nums = self.rep.nums
+        if len(nums) <= 1:
+            # zero is no unit and a nonzero constant always is
+            return bool(nums)
         return poly_gcd(self.rep, self.ctx.modulus).is_constant
 
     def inverse(self) -> "PqrElem":
@@ -302,7 +304,7 @@ def _unit_normalize(f: MultiPoly) -> MultiPoly:
     """Constant-scale normalization; preferred lifts follow the scaling."""
     if f.is_zero:
         return f
-    k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.lc)
+    k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.nums[-1])
     if k == 1:
         return f
     return MultiPoly(f.ctx, {m: c.scale_scalar(k) for m, c in f.terms})

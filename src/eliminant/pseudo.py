@@ -81,7 +81,7 @@ def normalize_content(f: MultiPoly) -> MultiPoly:
     """
     if f.is_zero:
         return f
-    scale = content_scale(f.ctx.field, (c for _, c in f.terms), f.lc.lc)
+    scale = content_scale(f.ctx.field, (c for _, c in f.terms), f.lc.nums[-1])
     if scale == 1:
         return f
     return MultiPoly(f.ctx, {m: c.scale(scale) for m, c in f.terms})

@@ -17,6 +17,12 @@ skip that pass.  Division over Q is fraction-free on the numerators
 constructor, `constant`, `scale`, and the `coeffs`, `coeff` and `lc`
 accessors.
 
+Constant operands, as most leading coefficients are after normalisation,
+skip the loops: a product with a constant is one scaling pass, `poly_gcd`
+with a nonzero constant is one and of equal operands their monic form, and
+`content_scale` returns the int 1 or -1, not a `Fraction`, for a trivial
+content.
+
 The zero polynomial has degree -1, which compares below every natural
 number, so the usual `deg r < deg g` division guard admits the zero
 remainder without a special case.
@@ -225,12 +231,20 @@ class UniPoly:
         a, b = self.nums, other.nums
         if not a or not b:
             return _raw(F, [])
+        p = F.char
+        if len(a) == 1:
+            a, b = b, a
+        if len(b) == 1:
+            # a constant factor scales the other one in one pass
+            k = b[0]
+            if p:
+                return _raw(F, [c * k % p for c in a])
+            return _q_make(F, [c * k for c in a], self.den * other.den)
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
                 for j, y in enumerate(b, i):
                     out[j] += x * y
-        p = F.char
         if p:
             # a product of nonzero polynomials over a field keeps a nonzero top
             return _raw(F, [c % p for c in out])
@@ -511,8 +525,10 @@ def content_scale(field, polys, lead):
     """The constant that puts a polynomial with coefficients `polys` in printable form.
 
     Over Q the scaled coefficients are integers with trivial common content
-    and `lead`, the polynomial's leading field coefficient, turns positive.
-    Over GF(p) `lead` turns into 1.
+    and the leading field coefficient turns positive.  Over GF(p) it turns
+    into 1.  `lead` is that coefficient or, since only its sign is read over
+    Q and `den` is 1 over GF(p), the leading integer `nums[-1]` of its
+    polynomial.  A scale of one or minus one comes back as the int 1 or -1.
     """
     if field.char:
         return pow(lead, -1, field.char)
@@ -522,7 +538,7 @@ def content_scale(field, polys, lead):
         num_gcd = int_gcd(num_gcd, *p.nums)
         den_lcm = int_lcm(den_lcm, p.den)
     # the scale is positive, so only the sign of `lead` decides the sign
-    scale = Fraction(den_lcm, num_gcd)
+    scale = 1 if den_lcm == num_gcd else Fraction(den_lcm, num_gcd)
     return -scale if lead < 0 else scale
 
 
@@ -551,14 +567,18 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return f.monic()
     f._check(g)
     F = f.field
+    a, b = f.nums, g.nums
+    if len(a) == 1 or len(b) == 1:
+        return _raw(F, [1])
+    if a == b and f.den == g.den:
+        return f.monic()
     p = F.char
     if p:
-        a, b = f.nums, g.nums
         while b:
             a, b = b, _gf_rem(a, b, p)
         return _raw(F, a).monic()
-    a = _int_primitive(list(f.nums))
-    b = _int_primitive(list(g.nums))
+    a = _int_primitive(list(a))
+    b = _int_primitive(list(b))
     if len(a) < len(b):
         a, b = b, a
     while b:

@@ -2,6 +2,8 @@ import gc
 import pathlib
 import random
 
+import pytest
+
 from eliminant import assembly
 from eliminant.assembly import (
     _basis_sorted,
@@ -28,7 +30,7 @@ from eliminant.pqr import (
     residue_context,
     _unit_normalize,
 )
-from eliminant.pseudo import pseudo_eliminant, normalize_content
+from eliminant.pseudo import DEBUG_ENV, pseudo_eliminant, normalize_content
 from eliminant.unipoly import poly_gcd
 from util import (
     P,
@@ -451,6 +453,43 @@ def test_make_reduced_matches_reference_ladder(monkeypatch):
         assert got == expected
     tied_a, tied_b = (make_reduced(basis) for basis in _tied_bases())
     assert tied_a == tied_b
+
+
+
+def test_make_reduced_confirms_its_one_pass_under_debug_checks(monkeypatch):
+    bases = [b for b in _ladder_inputs(monkeypatch) if len(make_minimal(b)) > 1]
+    assert len(bases) >= 10
+    reduced = []
+    real = assembly.gcd_reduce
+
+    def gcd_reduce(f, divisors, table=None):
+        reduced.append(f)
+        return real(f, divisors, table)
+
+    monkeypatch.setattr(assembly, "gcd_reduce", gcd_reduce)
+    for basis in bases:
+        n = len(make_minimal(basis))
+        monkeypatch.delenv(DEBUG_ENV, raising=False)
+        reduced.clear()
+        plain = make_reduced(basis)
+        assert len(reduced) == n
+        monkeypatch.setenv(DEBUG_ENV, "1")
+        reduced.clear()
+        assert make_reduced(basis) == plain
+        assert len(reduced) == 2 * n
+
+    # a second pass that changes an element fails the check
+    def drifting(f, divisors, table=None):
+        division = gcd_reduce(f, divisors, table)
+        if len(reduced) > len(divisors) + 1:
+            shift = tuple(1 for _ in f.lm)
+            division.remainder = division.remainder.mul_term(f.ctx.ring_one(), shift)
+        return division
+
+    monkeypatch.setattr(assembly, "gcd_reduce", drifting)
+    reduced.clear()
+    with pytest.raises(AssertionError, match="second tail-reduction pass"):
+        make_reduced(bases[0])
 
 
 def test_basis_sorted_breaks_ties_by_format():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -20,6 +21,7 @@ from eliminant.pqr import (
     spoly_q,
 )
 from eliminant.pseudo import StrategyConfig
+from eliminant.unipoly import UniPoly, poly_gcd
 from util import (
     P,
     U,
@@ -82,6 +84,29 @@ def test_units_and_inverse():
     assert not ring.elem(U("z")).is_unit()
     with pytest.raises(NotAUnitError):
         ring.elem(U("z")).inverse()
+
+
+@pytest.mark.parametrize(
+    "field, modulus",
+    [(QQ, "z^4*(z+1)^2"), (GF(2), "z^3*(z+1)^2"), (GF(5), "z^3*(z+2)^2")],
+    ids=["Q", "GF2", "GF5"],
+)
+def test_is_unit_agrees_with_gcd_against_modulus(field, modulus):
+    ring = PqrCtx(U(modulus, field=field))
+    rng = random.Random(77)
+    constants = 0
+    for _ in range(200):
+        if rng.random() < 0.5:
+            n = rng.randint(-4, 4)
+            c = Fraction(n, rng.randint(1, 4)) if not field.char else n % field.char
+            e = ring.elem(UniPoly.constant(field, c))
+            constants += 1
+        else:
+            e = ring.elem(random_unipoly(rng, field, max_deg=6, bound=4))
+        expected = not e.is_zero and poly_gcd(e.rep, ring.modulus).is_constant
+        assert e.is_unit() == expected
+    assert constants >= 50
+    assert not ring.zero_elem().is_unit() and ring.one_elem().is_unit()
 
 
 def test_standard_factor():

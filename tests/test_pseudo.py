@@ -1,3 +1,4 @@
+import pathlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context, mon_lcm, mon_mul
 from eliminant.parser import parse_ideal_file
 from eliminant.engine import (
+    Elimination,
     check_triangular_identity,
     coprime_multiplier,
     spoly,
@@ -32,6 +34,7 @@ from util import (
     random_unipoly,
     random_zero_dim_ideal,
     reference_spoly,
+    reference_try_triangular,
 )
 
 
@@ -362,3 +365,46 @@ def test_strategy_toggles_same_eliminant():
         # pseudo-eliminants may differ between strategies, but both must be
         # multiples of the same true eliminant; check via mutual gcd degree
         assert poly_gcd(out.eliminant, base.eliminant).degree >= 24
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _triangular_decisions(try_triangular):
+    """Each triangular decision, and the triplets and queue after each batch of pairs.
+
+    The runs cover every fixture ideal, with and without base change, and
+    seeded random ideals over Q, so both rings decide pairs.
+    """
+    log = []
+    decide_batch = Elimination.decide_batch
+
+    def logged_try(run, i, j):
+        hit = try_triangular(run, i, j)
+        log.append(("try", i, j, hit))
+        return hit
+
+    def logged_batch(run, pairs):
+        decide_batch(run, pairs)
+        queue = sorted((key, seq, s.fmt()) for key, seq, s in run.queue)
+        log.append(("batch", sorted(map(sorted, run.used_triplets)), queue))
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(Elimination, "_try_triangular", logged_try)
+        m.setattr(Elimination, "decide_batch", logged_batch)
+        for path in sorted(FIXTURES.glob("**/*.ideal")):
+            for toggles in ("", "no-base-change"):
+                ideal = parse_ideal_file(path.read_text())
+                run_pipeline(ideal, StrategyConfig.from_toggles(toggles))
+        rng = random.Random(909)
+        for _ in range(20):
+            _, gens = random_zero_dim_ideal(rng)
+            pseudo_eliminant(gens)
+    return log
+
+
+def test_try_triangular_matches_per_candidate_loop():
+    got = _triangular_decisions(Elimination._try_triangular)
+    assert got == _triangular_decisions(reference_try_triangular)
+    # the runs do excuse pairs through a third element
+    assert sum(entry[0] == "try" and entry[3] for entry in got) >= 20

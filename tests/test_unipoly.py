@@ -9,6 +9,7 @@ from eliminant.unipoly import (
     BothZeroError,
     ConstantInputError,
     UniPoly,
+    content_scale,
     divrem,
     exact_div,
     lcm_cofactors,
@@ -483,3 +484,55 @@ def test_lcm_cofactors_remainder_and_gcd_match_references(p):
         shapes["constant"] += f.is_constant or g.is_constant
         shapes["common"] += not d.is_constant
     assert min(shapes.values()) >= 20, shapes
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_constant_and_equal_operands_match_references(p):
+    # the early returns of poly_gcd and __mul__ against the Euclidean loop
+    # and a plain convolution; over Q the constants carry denominators and signs
+    F = GF(p) if p else QQ
+    R = _RefField(p)
+    rng = random.Random(900 + p)
+    negative = 0
+    for _ in range(300):
+        f = _kernel_poly(rng, F, 5, nonzero=True)
+        c = _kernel_poly(rng, F, 0, nonzero=True)
+        negative += c.nums[0] < 0
+        twin = UniPoly(F, f.coeffs)
+        assert poly_gcd(c, f) == poly_gcd(f, c) == reference_poly_gcd(f, c)
+        assert poly_gcd(c, c) == reference_poly_gcd(c, c)
+        assert poly_gcd(f, twin) == reference_poly_gcd(f, twin)
+        for a, b in ((c, f), (f, c), (c, c), (f, UniPoly.zero(F))):
+            got = a * b
+            assert list(got.coeffs) == _ref_mul(R, list(a.coeffs), list(b.coeffs))
+            assert _canonical(got)
+    if not p:
+        assert negative >= 50
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_content_scale_reads_the_leading_integer(p):
+    F = GF(p) if p else QQ
+    rng = random.Random(950 + p)
+    unit_scales = 0
+    for _ in range(300):
+        polys = [_kernel_poly(rng, F, 3, nonzero=True) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.5:
+            # already in printable form up to sign: the scale is 1 or -1
+            k = content_scale(F, polys, polys[-1].lc)
+            polys = [q.scale(k * rng.choice((1, -1))) for q in polys]
+        lead = polys[-1]
+        k = content_scale(F, polys, lead.nums[-1])
+        assert k == content_scale(F, polys, lead.lc)
+        scaled = [q.scale(k) for q in polys]
+        if p:
+            assert scaled[-1].lc == 1
+        else:
+            assert all(q.den == 1 for q in scaled)
+            assert math.gcd(*(c for q in scaled for c in q.nums)) == 1
+            assert scaled[-1].nums[-1] > 0
+            if abs(k) == 1:
+                assert type(k) is int
+                unit_scales += 1
+    if not p:
+        assert unit_scales >= 100

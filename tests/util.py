@@ -199,6 +199,38 @@ def reference_spoly(f: MultiPoly, g) -> MultiPoly:
     return left - right
 
 
+def reference_try_triangular(run, i, j):
+    """Elimination._try_triangular before the per-pair lcm, kept as an oracle.
+
+    Each candidate h gets its own `triangular_multiplier`, which tests the
+    monomials and computes lcm(lc f, lc g) afresh.
+    """
+    from eliminant.engine import check_triangular_identity, triangular_multiplier
+
+    f, g = run.arena[i], run.arena[j]
+    candidates = []
+    for pos, (_, k, h) in enumerate(run.basis):
+        if k in (i, j) or frozenset((i, j, k)) in run.used_triplets:
+            continue
+        if (
+            frozenset((i, k)) not in run.decided_pairs
+            or frozenset((j, k)) not in run.decided_pairs
+        ):
+            continue
+        lam = triangular_multiplier(f, g, h)
+        if lam is not None:
+            candidates.append((run.ring.rank(lam), pos, k, lam))
+    candidates.sort(key=lambda t: t[:2])
+    for _, _, k, lam in candidates:
+        if not run.ring.excuse(lam):
+            continue
+        run.used_triplets.add(frozenset((i, j, k)))
+        if run.strategy.debug_checks and not check_triangular_identity(f, g, run.arena[k]):
+            raise AssertionError("triangular identity failed to verify")
+        return True
+    return False
+
+
 # -- reference gcd-division -------------------------------------------------------
 
 
