@@ -51,7 +51,7 @@ def _mpoly_str(f: MultiPoly) -> str:
 
 def _pretty_multiplier(p: UniPoly, x1: str) -> str:
     """Print monic-normalized multipliers with primitive integer coefficients."""
-    return p.scale(content_scale(p.field, [p], p.lc)).fmt(x1)
+    return p.scale(content_scale(p.field, [p], p.nums[-1])).fmt(x1)
 
 
 @dataclass

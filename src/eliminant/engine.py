@@ -100,14 +100,15 @@ def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly, m=None):
     return exact_div(lh, poly_gcd(m, lh)), m
 
 
-def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
+def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly, m=None):
     """Multiplier of the triangular identity rewriting S(f,g) through h.
 
-    None when lm h does not divide lcm(lm f, lm g).
+    None when lm h does not divide lcm(lm f, lm g).  `m`, lcm(lc f, lc g) on
+    lifts, is computed unless the caller has it for the pair already.
     """
     if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
         return None
-    return f.ctx.ring.elem(_triangular_lift(f, g, h)[0])
+    return f.ctx.ring.elem(_triangular_lift(f, g, h, m)[0])
 
 
 def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
@@ -340,26 +341,24 @@ class Elimination:
     def _try_triangular(self, i: int, j: int) -> bool:
         # a pair may be excused through h only when both of its companion
         # pairs were already decided: the rewrite chain then points strictly
-        # backwards and can never lose an S-polynomial in a cycle.  The
-        # candidates are those `triangular_multiplier` admits, with the cheap
-        # monomial test first and lcm(lc f, lc g) made at most once per pair.
+        # backwards and can never lose an S-polynomial in a cycle.  The pair's
+        # lcm(lc f, lc g) is made once, for the first such h.
         f, g = self.arena[i], self.arena[j]
-        gamma = mon_lcm(f.lm, g.lm)
-        elem = f.ctx.ring.elem
         m = None
         candidates = []
         for pos, (_, k, h) in enumerate(self.basis):
             if (
                 k in (i, j)
-                or not mon_divides(h.lm, gamma)
                 or frozenset((i, j, k)) in self.used_triplets
                 or frozenset((i, k)) not in self.decided_pairs
                 or frozenset((j, k)) not in self.decided_pairs
             ):
                 continue
-            lam, m = _triangular_lift(f, g, h, m)
-            lam = elem(lam)
-            candidates.append((self.ring.rank(lam), pos, k, lam))
+            if m is None:
+                m = poly_lcm(f.lc.lift(), g.lc.lift())
+            lam = triangular_multiplier(f, g, h, m)
+            if lam is not None:
+                candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])
         for _, _, k, lam in candidates:
             if not self.ring.excuse(lam):

@@ -19,9 +19,8 @@ accessors.
 
 Constant operands, as most leading coefficients are after normalisation,
 skip the loops: a product with a constant is one scaling pass, `poly_gcd`
-with a nonzero constant is one and of equal operands their monic form, and
-`content_scale` returns the int 1 or -1, not a `Fraction`, for a trivial
-content.
+with a nonzero constant is one, and `content_scale` returns the int 1 or -1,
+not a `Fraction`, for a trivial content.
 
 The zero polynomial has degree -1, which compares below every natural
 number, so the usual `deg r < deg g` division guard admits the zero
@@ -524,11 +523,11 @@ def exact_div(f: UniPoly, g: UniPoly) -> UniPoly:
 def content_scale(field, polys, lead):
     """The constant that puts a polynomial with coefficients `polys` in printable form.
 
-    Over Q the scaled coefficients are integers with trivial common content
-    and the leading field coefficient turns positive.  Over GF(p) it turns
-    into 1.  `lead` is that coefficient or, since only its sign is read over
-    Q and `den` is 1 over GF(p), the leading integer `nums[-1]` of its
-    polynomial.  A scale of one or minus one comes back as the int 1 or -1.
+    `lead` is the leading integer `nums[-1]` of the polynomial.  Over Q the
+    scaled coefficients are integers with trivial common content and a
+    positive leading one; only the sign of `lead` is read.  Over GF(p), where
+    `den` is 1, the leading coefficient turns into 1.  A scale of one or
+    minus one comes back as the int 1 or -1.
     """
     if field.char:
         return pow(lead, -1, field.char)
@@ -570,8 +569,6 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     a, b = f.nums, g.nums
     if len(a) == 1 or len(b) == 1:
         return _raw(F, [1])
-    if a == b and f.den == g.den:
-        return f.monic()
     p = F.char
     if p:
         while b:

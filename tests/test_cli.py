@@ -74,6 +74,18 @@ def test_positive_dimensional_with_univariate_member_is_answered(tmp_path):
     ]
 
 
+def test_pretty_multiplier_is_primitive_with_positive_lead():
+    from fractions import Fraction
+
+    from eliminant.fields import GF, QQ
+    from eliminant.unipoly import UniPoly
+
+    q = UniPoly(QQ, [Fraction(4, 3), Fraction(-2, 3)])
+    assert cli._pretty_multiplier(q, "z") == "z - 2"
+    assert cli._pretty_multiplier(-q, "z") == "z - 2"
+    assert cli._pretty_multiplier(UniPoly(GF(5), [1, 3]), "z") == "z + 2"
+
+
 def test_byte_identical_reports():
     args = (str(FIXTURES / "modular.ideal"), "--emit", "both")
     _, out1, _ = run_cli(*args)

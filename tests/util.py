@@ -202,10 +202,19 @@ def reference_spoly(f: MultiPoly, g) -> MultiPoly:
 def reference_try_triangular(run, i, j):
     """Elimination._try_triangular before the per-pair lcm, kept as an oracle.
 
-    Each candidate h gets its own `triangular_multiplier`, which tests the
-    monomials and computes lcm(lc f, lc g) afresh.
+    Each candidate h tests the monomials and computes its multiplier
+    lc h / gcd(lcm(lc f, lc g), lc h) afresh, with the reference gcd and lcm.
     """
-    from eliminant.engine import check_triangular_identity, triangular_multiplier
+    from eliminant.engine import check_triangular_identity
+    from eliminant.multipoly import mon_divides, mon_lcm
+    from eliminant.unipoly import exact_div
+
+    def triangular_multiplier(f, g, h):
+        if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
+            return None
+        m = reference_poly_lcm(f.lc.lift(), g.lc.lift())
+        lh = h.lc.lift()
+        return f.ctx.ring.elem(exact_div(lh, reference_poly_gcd(m, lh)))
 
     f, g = run.arena[i], run.arena[j]
     candidates = []
