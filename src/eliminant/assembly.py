@@ -415,11 +415,17 @@ def assemble(
 
 
 def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
-    """Unit-free gcd-reduction remainder of f in the component's ring."""
+    """Unit-free gcd-reduction remainder of f in the component's ring.
+
+    Each step's unit multiplier is inverted by itself, never their product,
+    whose lifts grow large over Q and are costly to invert.
+    """
     division = gcd_reduce(comp.project(f), comp.basis, comp.table)
-    if division.multiplier.is_one:
-        return division.remainder
-    return division.remainder.scale(division.multiplier.inverse())
+    r = division.remainder
+    for mu, _, _ in division.steps:
+        if not mu.is_one:
+            r = r.scale(mu.inverse())
+    return r
 
 
 def is_member(f: MultiPoly, dec: Decomposition) -> bool:

@@ -22,7 +22,6 @@ from .assembly import (
 )
 from .buchberger import groebner_self_check, oracle_eliminant, reduced_groebner
 from .compat import compatible_split, lc_compatibility_check
-from .multipoly import MultiPoly
 from .parser import IdealFile, ParseError, parse_ideal_file, parse_probe_file
 from .pqr import NotAUnitError, ZeroElementError, proper_eliminant, residue_context
 from .pseudo import (
@@ -39,14 +38,6 @@ EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NOT_ZERO_DIM = 3
 EXIT_INTERNAL = 4
-
-
-def _upoly_str(p: UniPoly, x1: str) -> str:
-    return p.fmt(x1)
-
-
-def _mpoly_str(f: MultiPoly) -> str:
-    return f.fmt()
 
 
 def _pretty_multiplier(p: UniPoly, x1: str) -> str:
@@ -84,21 +75,21 @@ class PipelineReport:
                 "base_change": self.strategy.base_change,
             },
             "inconsistent": dec.inconsistent,
-            "pseudo_eliminant": _upoly_str(self.pseudo.eliminant, x1),
+            "pseudo_eliminant": self.pseudo.eliminant.fmt(x1),
             "multipliers": [_pretty_multiplier(m, x1) for m in self.pseudo.multipliers],
             "leading_coefficient_gcds": [
                 _pretty_multiplier(m, x1) for m in self.pseudo.lc_gcds
             ],
-            "eliminant": _upoly_str(dec.eliminant, x1),
+            "eliminant": dec.eliminant.fmt(x1),
         }
         if not dec.inconsistent:
-            out["compatible_part"] = _upoly_str(self.split.compatible_part, x1)
+            out["compatible_part"] = self.split.compatible_part.fmt(x1)
             out["composite_divisors"] = [
-                _upoly_str(q, x1) for q in self.split.composite_divisors()
+                q.fmt(x1) for q in self.split.composite_divisors()
             ]
             out["coefficient_criterion"] = [
                 {
-                    "factor": _upoly_str(v.factor, x1),
+                    "factor": v.factor.fmt(x1),
                     "exponent": v.exponent,
                     "coprime_to_leading_coefficients": v.coprime_to_lcs,
                 }
@@ -110,18 +101,18 @@ class PipelineReport:
                 lifted = lift_component_basis(comp, dec.base_ctx, pseudo_basis)
                 entry = {
                     "kind": comp.kind,
-                    "modulus": _upoly_str(comp.modulus, x1),
-                    "basis": [_mpoly_str(b) for b in comp.basis],
-                    "lifted_basis": [_mpoly_str(b) for b in lifted],
+                    "modulus": comp.modulus.fmt(x1),
+                    "basis": [b.fmt() for b in comp.basis],
+                    "lifted_basis": [b.fmt() for b in lifted],
                 }
                 if comp.kind == "modular":
-                    entry["composite_divisor"] = _upoly_str(comp.source_modulus, x1)
+                    entry["composite_divisor"] = comp.source_modulus.fmt(x1)
                     entry["proper_eliminant"] = comp.eliminant_code
                 comps.append(entry)
             out["components"] = comps
             out["trivial_components"] = [
                 {
-                    "composite_divisor": _upoly_str(t.source_modulus, x1),
+                    "composite_divisor": t.source_modulus.fmt(x1),
                     "proper_eliminant": t.eliminant_code,
                 }
                 for t in dec.trivial
@@ -149,43 +140,43 @@ class PipelineReport:
         if dec.inconsistent:
             lines.append("ideal      : trivial (contains a nonzero constant)")
             lines.append("reduced basis: { 1 }")
-            return "\n".join(lines) + "\n"
-        lines.append(f"pseudo-eliminant : {_upoly_str(self.pseudo.eliminant, x1)}")
-        if self.pseudo.multipliers:
-            lines.append("multipliers      :")
-            for m in self.pseudo.multipliers:
-                lines.append(f"    {_pretty_multiplier(m, x1)}")
         else:
-            lines.append("multipliers      : (none)")
-        if self.pseudo.lc_gcds:
-            lines.append("lc gcd sweep     :")
-            for m in self.pseudo.lc_gcds:
-                lines.append(f"    {_pretty_multiplier(m, x1)}")
-        lines.append(f"compatible part  : {_upoly_str(self.split.compatible_part, x1)}")
-        comps = self.split.composite_divisors()
-        if comps:
-            lines.append("composite divisors:")
-            for q in comps:
-                lines.append(f"    {_upoly_str(q, x1)}")
-        else:
-            lines.append("composite divisors: (none)")
-        lines.append(f"eliminant        : {_upoly_str(dec.eliminant, x1)}")
-        for comp in dec.components:
-            if comp.kind == "compatible":
-                lines.append(f"component (compatible part, modulus {_upoly_str(comp.modulus, x1)})")
+            lines.append(f"pseudo-eliminant : {self.pseudo.eliminant.fmt(x1)}")
+            if self.pseudo.multipliers:
+                lines.append("multipliers      :")
+                for m in self.pseudo.multipliers:
+                    lines.append(f"    {_pretty_multiplier(m, x1)}")
             else:
+                lines.append("multipliers      : (none)")
+            if self.pseudo.lc_gcds:
+                lines.append("lc gcd sweep     :")
+                for m in self.pseudo.lc_gcds:
+                    lines.append(f"    {_pretty_multiplier(m, x1)}")
+            lines.append(f"compatible part  : {self.split.compatible_part.fmt(x1)}")
+            comps = self.split.composite_divisors()
+            if comps:
+                lines.append("composite divisors:")
+                for q in comps:
+                    lines.append(f"    {q.fmt(x1)}")
+            else:
+                lines.append("composite divisors: (none)")
+            lines.append(f"eliminant        : {dec.eliminant.fmt(x1)}")
+            for comp in dec.components:
+                if comp.kind == "compatible":
+                    lines.append(f"component (compatible part, modulus {comp.modulus.fmt(x1)})")
+                else:
+                    lines.append(
+                        f"component (composite divisor {comp.source_modulus.fmt(x1)}, "
+                        f"proper eliminant {comp.eliminant_code})"
+                    )
+                lines.append("  reduced basis:")
+                for b in comp.basis:
+                    lines.append(f"    {b.fmt()}")
+            for t in dec.trivial:
                 lines.append(
-                    f"component (composite divisor {_upoly_str(comp.source_modulus, x1)}, "
-                    f"proper eliminant {comp.eliminant_code})"
+                    f"component (composite divisor {t.source_modulus.fmt(x1)}): "
+                    "trivial, proper eliminant 1"
                 )
-            lines.append("  reduced basis:")
-            for b in comp.basis:
-                lines.append(f"    {_mpoly_str(b)}")
-        for t in dec.trivial:
-            lines.append(
-                f"component (composite divisor {_upoly_str(t.source_modulus, x1)}): "
-                "trivial, proper eliminant 1"
-            )
         if self.oracle is not None:
             lines.append("oracle comparison:")
             lines.append(f"    eliminants agree : {self.oracle['eliminants_agree']}")
@@ -207,34 +198,27 @@ def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> Pi
     pseudo = pseudo_eliminant(gens, strategy)
     times["pseudo"] = time.perf_counter() - t0
     if pseudo.inconsistent:
+        split, verdicts = None, []
         dec = Decomposition(
             eliminant=UniPoly.one(ideal.field),
             inconsistent=True,
             base_ctx=ideal.ctx,
             pseudo=pseudo,
         )
-        return PipelineReport(
-            ideal=ideal,
-            strategy=strategy,
-            pseudo=pseudo,
-            split=None,
-            lc_verdicts=[],
-            decomposition=dec,
-            timings=None,
-        )
-    t0 = time.perf_counter()
-    split = compatible_split(pseudo.eliminant, pseudo.screen_multipliers)
-    verdicts = lc_compatibility_check(pseudo.eliminant, pseudo.basis, split.squarefree_parts)
-    times["split"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    originals = [g for g in gens if not g.is_coeff]
-    propers = {}
-    for q in split.composite_divisors():
-        propers[q] = proper_eliminant(originals, residue_context(ideal.ctx, q), strategy)
-    times["modular"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    dec = assemble(pseudo, split, propers, ideal.ctx)
-    times["assembly"] = time.perf_counter() - t0
+    else:
+        t0 = time.perf_counter()
+        split = compatible_split(pseudo.eliminant, pseudo.screen_multipliers)
+        verdicts = lc_compatibility_check(pseudo.eliminant, pseudo.basis, split.squarefree_parts)
+        times["split"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        originals = [g for g in gens if not g.is_coeff]
+        propers = {}
+        for q in split.composite_divisors():
+            propers[q] = proper_eliminant(originals, residue_context(ideal.ctx, q), strategy)
+        times["modular"] = time.perf_counter() - t0
+        t0 = time.perf_counter()
+        dec = assemble(pseudo, split, propers, ideal.ctx)
+        times["assembly"] = time.perf_counter() - t0
     report = PipelineReport(
         ideal=ideal,
         strategy=strategy,
@@ -251,7 +235,7 @@ def attach_oracle(report: PipelineReport) -> None:
     gb = reduced_groebner(report.ideal.generators)
     chi = oracle_eliminant(gb, report.ideal.field)
     report.oracle = {
-        "eliminant": _upoly_str(chi, report.ideal.x1),
+        "eliminant": chi.fmt(report.ideal.x1),
         "eliminants_agree": chi == report.decomposition.eliminant,
         "self_check": groebner_self_check(gb, report.ideal.field),
         "basis_size": len(gb),
@@ -274,7 +258,7 @@ def attach_membership(report: PipelineReport, probes: list) -> None:
             {
                 "probe": text,
                 "member": all(r.is_zero for r in remainders),
-                "remainders": [_mpoly_str(r) for r in remainders],
+                "remainders": [r.fmt() for r in remainders],
             }
         )
 

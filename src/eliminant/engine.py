@@ -92,23 +92,21 @@ def coprime_multiplier(f: MultiPoly, g: MultiPoly):
     return f.ctx.ring.elem(poly_gcd(f.lc.lift(), g.lc.lift()))
 
 
-def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly, m=None):
-    """(lam, m) on lifts, m = lcm(lc f, lc g) unless given and lam = lc h / gcd(m, lc h)."""
-    if m is None:
-        m = poly_lcm(f.lc.lift(), g.lc.lift())
+def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly):
+    """(lam, m) on lifts: m = lcm(lc f, lc g) and lam = lc h / gcd(m, lc h)."""
+    m = poly_lcm(f.lc.lift(), g.lc.lift())
     lh = h.lc.lift()
     return exact_div(lh, poly_gcd(m, lh)), m
 
 
-def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly, m=None):
+def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
     """Multiplier of the triangular identity rewriting S(f,g) through h.
 
-    None when lm h does not divide lcm(lm f, lm g).  `m`, lcm(lc f, lc g) on
-    lifts, is computed unless the caller has it for the pair already.
+    None when lm h does not divide lcm(lm f, lm g).
     """
     if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
         return None
-    return f.ctx.ring.elem(_triangular_lift(f, g, h, m)[0])
+    return f.ctx.ring.elem(_triangular_lift(f, g, h)[0])
 
 
 def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
@@ -341,10 +339,8 @@ class Elimination:
     def _try_triangular(self, i: int, j: int) -> bool:
         # a pair may be excused through h only when both of its companion
         # pairs were already decided: the rewrite chain then points strictly
-        # backwards and can never lose an S-polynomial in a cycle.  The pair's
-        # lcm(lc f, lc g) is made once, for the first such h.
+        # backwards and can never lose an S-polynomial in a cycle.
         f, g = self.arena[i], self.arena[j]
-        m = None
         candidates = []
         for pos, (_, k, h) in enumerate(self.basis):
             if (
@@ -354,9 +350,7 @@ class Elimination:
                 or frozenset((j, k)) not in self.decided_pairs
             ):
                 continue
-            if m is None:
-                m = poly_lcm(f.lc.lift(), g.lc.lift())
-            lam = triangular_multiplier(f, g, h, m)
+            lam = triangular_multiplier(f, g, h)
             if lam is not None:
                 candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])

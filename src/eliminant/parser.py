@@ -78,9 +78,10 @@ MAX_TERMS = 100_000
 
 A product of an m-term and an n-term factor is charged m*n, the terms it
 builds before like terms are collected, and a power is charged each
-multiplication of its square-and-multiply, also when a single-term base is
-raised directly.  The count is checked as each charge is made, and a
-product or power of several terms is expanded only after its charge passes.
+multiplication of its square-and-multiply, also when a variable's power is
+folded into its term directly.  The count is checked as each charge is
+made, and a product or power of several terms is expanded only after its
+charge passes.
 """
 
 
@@ -275,20 +276,16 @@ class _ExprParser:
     def _power(self, base: dict, pos: int) -> dict:
         """base^n for the exponent n at pos.
 
-        The checks and the MAX_TERMS charge are those of square-and-multiply,
-        however the power is built.  A single-term base is raised directly.
-        Over Q the other bases are raised as integer numerators over their
-        common denominator D, and the result is divided by D^n once.
+        The power is built by square-and-multiply, and each of its
+        multiplications is charged to MAX_TERMS before it is made.  Over Q
+        the base is raised as integer numerators over their common
+        denominator D, and the result is divided by D^n once.
         """
         p = self.p
         n, col = self._exponent(pos, max((max(m) for m in base), default=0))
         if not p and base and _power_bits(base, n) > MAX_COEFF_BITS:
             bound = f"power may exceed the coefficient limit of {MAX_COEFF_BITS} bits"
             raise ParseError(bound, self.line, col + 1)
-        if len(base) == 1 and n:
-            ((mon, c),) = base.items()
-            self._charge(_square_and_multiply_count(n), col)
-            return {tuple(e * n for e in mon): pow(c, n, p) if p else c**n}
         den = int_lcm(*(c.denominator for c in base.values()))
         base = {m: c.numerator * (den // c.denominator) for m, c in base.items()}
         value = {self.unit: 1}

@@ -290,7 +290,7 @@ class UniPoly:
         return divrem(self, other)[0]
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
-        """The remainder of divrem, built without the quotient; f itself when deg f < deg g."""
+        """The remainder of divrem; f itself when deg f < deg g."""
         a, b = self.nums, other.nums
         if not b:
             raise ZeroDivisionError("polynomial division by zero")
@@ -300,8 +300,8 @@ class UniPoly:
         F = self.field
         p = F.char
         if p:
-            return _raw(F, _gf_rem(a, b, p))
-        r, s = _q_rem(a, b)
+            return _raw(F, _gf_divmod(a, b, p)[1])
+        _, r, s = _q_divmod(a, b)
         return _q_make(F, r, s * self.den)
 
     def monic(self) -> "UniPoly":
@@ -381,9 +381,8 @@ class UniPoly:
 # end.  Over Q the loop is fraction-free: when the divisor's leading integer
 # does not divide the current leading entry, the remainder (and the quotient
 # built so far) is scaled by the smallest factor that makes it divide, so
-# s * a == quot * b + rem with one accumulated scale s > 0.  The `_rem`
-# kernels run the same loops without building the quotient; `%` and the gcd
-# loop use them.
+# s * a == quot * b + rem with one accumulated scale s > 0.  `%` and the gcd
+# loops call the kernels directly and keep only the remainder.
 
 
 def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
@@ -409,55 +408,6 @@ def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
     while rem and not rem[-1]:
         rem.pop()
     return q, rem
-
-
-def _gf_rem(a: list, b: list, p: int) -> list:
-    """The remainder of `_gf_divmod`, b nonzero."""
-    db = len(b) - 1
-    r = list(a)
-    lb = b[-1]
-    inv = 1 if lb == 1 else pow(lb, -1, p)
-    low = b[:-1]
-    for k in range(len(r) - db - 1, -1, -1):
-        c = r[k + db] % p
-        if c:
-            if inv != 1:
-                c = c * inv % p
-            for j, y in enumerate(low, k):
-                r[j] -= c * y
-    rem = [c % p for c in r[:db]]
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem
-
-
-def _q_rem(a: list, b: list) -> tuple[list, int]:
-    """(rem, s) of `_q_divmod`: s * a == quot * b + rem for a quotient never built."""
-    db = len(b) - 1
-    r = list(a)
-    lb = b[-1]
-    low = b[:-1]
-    s = 1
-    for k in range(len(r) - db - 1, -1, -1):
-        top = k + db
-        c = r[top]
-        if not c:
-            continue
-        if c % lb:
-            g = int_gcd(c, lb)
-            m = abs(lb) // g
-            c = c // g if lb > 0 else -c // g
-            for i in range(top):
-                r[i] *= m
-            s *= m
-        else:
-            c //= lb
-        for j, y in enumerate(low, k):
-            r[j] -= c * y
-    rem = r[:db]
-    while rem and not rem[-1]:
-        rem.pop()
-    return rem, s
 
 
 def _q_divmod(a: list, b: list) -> tuple[list, list, int]:
@@ -572,14 +522,14 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     p = F.char
     if p:
         while b:
-            a, b = b, _gf_rem(a, b, p)
+            a, b = b, _gf_divmod(a, b, p)[1]
         return _raw(F, a).monic()
     a = _int_primitive(list(a))
     b = _int_primitive(list(b))
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _q_rem(a, b)[0]
+        r = _q_divmod(a, b)[1]
         a, b = b, _int_primitive(r) if r else []
     # a is primitive with a positive leading entry: a / a[-1] is canonical
     return _raw(F, a, a[-1])

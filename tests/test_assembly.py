@@ -25,6 +25,7 @@ from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
 from eliminant.parser import parse_ideal_file, parse_poly
 from eliminant.pqr import (
+    PqrElem,
     project_multipoly,
     proper_eliminant,
     residue_context,
@@ -351,6 +352,33 @@ def test_component_remainder_matches_reference_step():
             seen_members += verdict
             seen_others += not verdict
     assert seen_members and seen_others
+
+
+def test_component_remainder_inverts_each_unit_step_by_itself(monkeypatch):
+    """Only step multipliers are inverted, never their product, which swells over Q."""
+    inverted = []
+    inverse = PqrElem.inverse
+
+    def spy(self):
+        inverted.append(self)
+        return inverse(self)
+
+    rng = random.Random(408)
+    several_units = 0
+    for gens, dec in _probe_cases():
+        for probe in _probes(rng, gens):
+            for comp in dec.components:
+                steps = gcd_reduce(comp.project(probe), comp.basis, comp.table).steps
+                mus = [mu for mu, _, _ in steps if not mu.is_one]
+                several_units += len(mus) >= 2
+                expected = reference_component_remainder(probe, comp)
+                inverted.clear()
+                with monkeypatch.context() as m:
+                    m.setattr(PqrElem, "inverse", spy)
+                    got = component_remainder(probe, comp)
+                assert got == expected
+                assert all(x in mus for x in inverted)
+    assert several_units
 
 
 def test_gcd_reduce_division_identity_with_component_tables():

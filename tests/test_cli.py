@@ -166,6 +166,25 @@ def test_timings_flag():
     assert code == EXIT_OK and "time " in out
 
 
+def test_trivial_ideal_reports_every_requested_section(tmp_path, capsys):
+    ideal = tmp_path / "trivial.ideal"
+    ideal.write_text("field Q\nvars z < y\nideal:\ny\ny+1\nz\n")
+    probes = tmp_path / "probes.txt"
+    probes.write_text("z*y\n1\n")
+    args = [str(ideal), "--membership", str(probes), "--compare-buchberger", "--timings"]
+    assert main([*args, "--emit", "text"]) == EXIT_OK
+    text = capsys.readouterr().out
+    assert "ideal      : trivial" in text
+    assert "    eliminants agree : True" in text
+    assert "member True  : z*y\nmember True  : 1\n" in text
+    assert "time pseudo" in text
+    assert main([*args, "--emit", "json"]) == EXIT_OK
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["inconsistent"] and doc["oracle"]["eliminants_agree"] is True
+    assert [m["member"] for m in doc["membership"]] == [True, True]
+    assert "pseudo" in doc["timings"]
+
+
 def test_main_entry_direct(capsys):
     assert main([str(FIXTURES / "simple.ideal"), "--emit", "text"]) == EXIT_OK
     out = capsys.readouterr().out

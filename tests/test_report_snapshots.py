@@ -27,6 +27,8 @@ CASES = {
     "modular.no-chi-delta": ("modular.ideal", "--strategy", "no-chi-delta"),
     "modular.no-base-change": ("modular.ideal", "--strategy", "no-base-change"),
     "simple.membership": ("simple.ideal", "--membership", str(FIXTURES / "probes.txt")),
+    # non-members whose reduction takes two or more unit steps in the compatible component
+    "modular.membership": ("modular.ideal", "--membership", str(FIXTURES / "modular_probes.txt")),
     "twovars.lift-pseudo": ("twovars.ideal", "--lift", "pseudo"),
 }
 
