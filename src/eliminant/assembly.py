@@ -22,6 +22,14 @@ component's first probe fills it, so assembly itself never pays for it.
 When the gcd divides the term's coefficient the step needs no multiplier:
 the dividend is not rescaled and the verdict is read off the remainder.
 
+Probes skip gcd-division in a component in shape position, the generic case
+by the Shape Lemma (Gianni & Mora 1987): its reduced basis is one element
+u_i*x_i + t_i per tail variable, with u_i a unit and t_i at the constant
+monomial.  That basis generates <x_i - r_i> with r_i = -t_i/u_i, so f
+reduces to the residue f(x1, r), which is the unique remainder and therefore
+the unit-free gcd-division remainder.  The first probe computes r, as it
+fills the step table of other components.
+
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
 reducible exactly when some divisor is eligible and gcd(g, q), the gcd of
@@ -38,9 +46,10 @@ from itertools import groupby
 
 from .compat import CompatSplit
 from .engine import Division, divide
-from .multipoly import MultiPoly, VarContext, mon_div, mon_divides
+from .multipoly import MultiPoly, VarContext, mon_div, mon_divides, mon_is_one
 from .pqr import (
     PqrCtx,
+    PqrElem,
     ProperOutcome,
     _unit_normalize,
     lift_multipoly,
@@ -319,9 +328,18 @@ class Component:
     # gcd-step table of `basis` for probes, filled by the first one; valid
     # because the basis never changes once assembled
     table: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    # `shape_substitution(basis)`, set by the first probe like `table`;
+    # False when the basis is not in shape position
+    shape: list | bool | None = dc_field(default=None, repr=False, compare=False)
 
     def project(self, f: MultiPoly) -> MultiPoly:
         return project_multipoly(f, self.var_ctx)
+
+    def substitution(self) -> list | None:
+        """r with x_i = r_i when the basis is in shape position, else None."""
+        if self.shape is None:
+            self.shape = shape_substitution(self.basis, self.var_ctx) or False
+        return self.shape or None
 
 
 @dataclass
@@ -414,30 +432,74 @@ def assemble(
 # -- membership and normal forms -----------------------------------------------------
 
 
+def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
+    """[r_1, ..., r_n] when basis is {u_i*x_i + t_i} with units u_i, else None.
+
+    Each tail variable x_i leads exactly one element, t_i sits at the
+    constant monomial, and r_i = -t_i/u_i is a residue.
+    """
+    r = [None] * ctx.arity
+    for b in basis:
+        (mon, u), *rest = b.terms
+        if sum(mon) != 1 or len(rest) > 1 or (rest and not mon_is_one(rest[0][0])):
+            return None
+        i = mon.index(1)
+        if r[i] is not None or not u.is_unit():
+            return None
+        r[i] = -(rest[0][1] * u.inverse()) if rest else ctx.ring_zero()
+    return None if None in r else r
+
+
+def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
+    """f(x1, r) in the component's ring, f over K[x1]; each power of an r_i is built once.
+
+    The terms are summed in K[x1] and reduced mod q once, at the end.
+    """
+    ring: PqrCtx = comp.var_ctx.ring
+    powers = [[ring.one_elem(), ri] for ri in r]
+    acc = UniPoly.zero(ring.field)
+    for mon, c in f.terms:
+        m = None
+        for ri, pw, e in zip(r, powers, mon):
+            if e:
+                while len(pw) <= e:
+                    pw.append(pw[-1] * ri)
+                m = pw[e] if m is None else m * pw[e]
+        acc = acc + (c if m is None else c * m.rep)
+    return ring.elem(acc)
+
+
 def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
     """Unit-free gcd-reduction remainder of f in the component's ring.
 
-    Each step's unit multiplier is inverted by itself, never their product,
-    whose lifts grow large over Q and are costly to invert.
+    In shape position it is the residue f(x1, r).  Otherwise each step's
+    unit multiplier is inverted by itself, never their product, whose lifts
+    grow large over Q and are costly to invert.
     """
+    r = comp.substitution()
+    if r is not None:
+        return MultiPoly.from_coeff(comp.var_ctx, _substituted(f, comp, r))
     division = gcd_reduce(comp.project(f), comp.basis, comp.table)
-    r = division.remainder
+    rem = division.remainder
     for mu, _, _ in division.steps:
         if not mu.is_one:
-            r = r.scale(mu.inverse())
-    return r
+            rem = rem.scale(mu.inverse())
+    return rem
 
 
 def is_member(f: MultiPoly, dec: Decomposition) -> bool:
     """Membership in the original ideal, component by component.
 
     The multiplier of a gcd-division is a unit, so the remainder is zero
-    exactly when the unit-free remainder is.
+    exactly when the unit-free remainder is; in shape position that is the
+    residue f(x1, r).
     """
     if dec.inconsistent:
         return True
     return all(
-        gcd_reduce(comp.project(f), comp.basis, comp.table).remainder.is_zero
+        _substituted(f, comp, r).is_zero
+        if (r := comp.substitution()) is not None
+        else gcd_reduce(comp.project(f), comp.basis, comp.table).remainder.is_zero
         for comp in dec.components
     )
 

@@ -22,6 +22,7 @@ from .assembly import (
 )
 from .buchberger import groebner_self_check, oracle_eliminant, reduced_groebner
 from .compat import compatible_split, lc_compatibility_check
+from .multipoly import MultiPoly
 from .parser import IdealFile, ParseError, parse_ideal_file, parse_probe_file
 from .pqr import NotAUnitError, ZeroElementError, proper_eliminant, residue_context
 from .pseudo import (
@@ -97,13 +98,18 @@ class PipelineReport:
             ]
             comps = []
             for comp in dec.components:
-                pseudo_basis = self.pseudo.basis if self.lift_form == "pseudo" else None
-                lifted = lift_component_basis(comp, dec.base_ctx, pseudo_basis)
+                basis = [b.fmt() for b in comp.basis]
+                if self.lift_form == "pseudo":
+                    lifted = lift_component_basis(comp, dec.base_ctx, self.pseudo.basis)
+                    lifted = [b.fmt() for b in lifted]
+                else:
+                    # a residue prints as its canonical representative, so as its lift
+                    lifted = basis + [MultiPoly.from_coeff(dec.base_ctx, comp.modulus).fmt()]
                 entry = {
                     "kind": comp.kind,
                     "modulus": comp.modulus.fmt(x1),
-                    "basis": [b.fmt() for b in comp.basis],
-                    "lifted_basis": [b.fmt() for b in lifted],
+                    "basis": basis,
+                    "lifted_basis": lifted,
                 }
                 if comp.kind == "modular":
                     entry["composite_divisor"] = comp.source_modulus.fmt(x1)

@@ -31,7 +31,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import cached_property
 from heapq import heapify, heappop, heappush
 
 from .multipoly import MultiPoly, mon_coprime, mon_div, mon_divides, mon_lcm
@@ -142,19 +141,6 @@ class Division:
     divisors: list
     steps: list                    # (mu, mon, parts) per step, as the step rule gave them
 
-    @cached_property
-    def quotients(self) -> list[MultiPoly]:
-        """The quotients, replayed from the step log: no served path reads them."""
-        quotients = [{} for _ in self.divisors]
-        for mu, mon, parts in self.steps:
-            if not mu.is_one:
-                quotients = [{m: a * mu for m, a in q.items()} for q in quotients]
-            for i, factor in parts:
-                shift = mon_div(mon, self.divisors[i].lm)
-                q = quotients[i]
-                q[shift] = q[shift] + factor if shift in q else factor
-        return [MultiPoly(self.remainder.ctx, q) for q in quotients]
-
 
 def lcm_step(divisors, mon, c, admits=None):
     """The lcm division step, a step rule for `divide`.
@@ -182,7 +168,9 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
     factor * (mon / lm b_i) * b_i is subtracted for each part.  The first
     reducible term in decreasing order is reduced each time, and
 
-        multiplier * f == sum(quotients[i] * divisors[i]) + remainder.
+        multiplier * f == sum(quotients[i] * divisors[i]) + remainder,
+
+    where the quotients follow from the step log; no served path reads them.
     """
     for b in divisors:
         if b.is_zero or b.is_coeff:

@@ -681,18 +681,3 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     for g, _ in squarefree_decomposition(f):
         out = out * g
     return out
-
-
-def multiplicity(p: UniPoly, f: UniPoly) -> int:
-    """Largest k with p^k dividing f."""
-    if f.is_zero:
-        raise ZeroInputError("multiplicity in the zero polynomial")
-    if p.is_constant:
-        raise ConstantInputError("multiplicity of a constant factor")
-    k = 0
-    while True:
-        q, r = divrem(f, p)
-        if not r.is_zero:
-            return k
-        f = q
-        k += 1

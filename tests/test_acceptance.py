@@ -40,6 +40,7 @@ from eliminant.unipoly import UniPoly, poly_gcd, squarefree_decomposition
 from util import (
     U,
     ctx3,
+    quotients,
     random_member,
     random_multipoly,
     random_unipoly,
@@ -247,12 +248,13 @@ def test_criterion_5_division_contracts():
         division = pseudo_divide(f, divisors)
         lhs = f.scale(division.multiplier)
         rhs = division.remainder
-        for q, b in zip(division.quotients, divisors):
+        qs = quotients(division)
+        for q, b in zip(qs, divisors):
             rhs = rhs + q * b
         ok &= lhs == rhs
         ok &= pseudo_reduced(division.remainder, divisors)
         ok &= _check_lm_condition(
-            f, division.quotients, divisors, division.remainder, order, residue=False
+            f, qs, divisors, division.remainder, order, residue=False
         )
         count += 1
     assert ok, "pseudo-division contract failed"
@@ -273,12 +275,13 @@ def test_criterion_5_division_contracts():
         ok &= division.multiplier.is_unit()
         lhs = f.scale(division.multiplier)
         rhs = division.remainder
-        for q, b in zip(division.quotients, divisors):
+        qs = quotients(division)
+        for q, b in zip(qs, divisors):
             rhs = rhs + q * b
         ok &= lhs == rhs
         ok &= properly_reduced(division.remainder, divisors)
         ok &= _check_lm_condition(
-            f, division.quotients, divisors, division.remainder, order, residue=True
+            f, qs, divisors, division.remainder, order, residue=True
         )
         count += 1
     assert ok, "proper-division contract failed"
@@ -298,12 +301,13 @@ def test_criterion_5_division_contracts():
         ok &= division.multiplier.is_unit()
         lhs = f.scale(division.multiplier)
         rhs = division.remainder
-        for q, b in zip(division.quotients, divisors):
+        qs = quotients(division)
+        for q, b in zip(qs, divisors):
             rhs = rhs + q * b
         ok &= lhs == rhs
         ok &= gcd_reduce(division.remainder, divisors).remainder == division.remainder
         ok &= _check_lm_condition(
-            f, division.quotients, divisors, division.remainder, order, residue=True
+            f, qs, divisors, division.remainder, order, residue=True
         )
         count += 1
     elapsed = time.perf_counter() - t0

@@ -1,11 +1,14 @@
 import gc
 import pathlib
 import random
+import time
 
 import pytest
 
 from eliminant import assembly
 from eliminant.assembly import (
+    Component,
+    Decomposition,
     _basis_sorted,
     _gcd_step,
     _lt_reducible,
@@ -36,8 +39,10 @@ from eliminant.unipoly import poly_gcd
 from util import (
     P,
     U,
+    quotients,
     random_member,
     random_multipoly,
+    random_unipoly,
     random_zero_dim_ideal,
     reference_component_remainder,
     reference_make_reduced,
@@ -113,7 +118,7 @@ def test_gcd_reduce_golden_simple():
     # exactness of the division identity
     lhs = f.scale(division.multiplier)
     rhs = division.remainder
-    for q, g in zip(division.quotients, [c]):
+    for q, g in zip(quotients(division), [c]):
         rhs = rhs + q * g
     assert lhs == rhs
 
@@ -355,7 +360,11 @@ def test_component_remainder_matches_reference_step():
 
 
 def test_component_remainder_inverts_each_unit_step_by_itself(monkeypatch):
-    """Only step multipliers are inverted, never their product, which swells over Q."""
+    """Only step multipliers are inverted, never their product, which swells over Q.
+
+    A component in shape position inverts nothing once its substitution is
+    set: its leading coefficients are inverted once, by its first probe.
+    """
     inverted = []
     inverse = PqrElem.inverse
 
@@ -368,16 +377,20 @@ def test_component_remainder_inverts_each_unit_step_by_itself(monkeypatch):
     for gens, dec in _probe_cases():
         for probe in _probes(rng, gens):
             for comp in dec.components:
+                shape = comp.substitution() is not None
                 steps = gcd_reduce(comp.project(probe), comp.basis, comp.table).steps
                 mus = [mu for mu, _, _ in steps if not mu.is_one]
-                several_units += len(mus) >= 2
                 expected = reference_component_remainder(probe, comp)
                 inverted.clear()
                 with monkeypatch.context() as m:
                     m.setattr(PqrElem, "inverse", spy)
                     got = component_remainder(probe, comp)
                 assert got == expected
-                assert all(x in mus for x in inverted)
+                if shape:
+                    assert not inverted
+                else:
+                    several_units += len(mus) >= 2
+                    assert all(x in mus for x in inverted)
     assert several_units
 
 
@@ -390,7 +403,7 @@ def test_gcd_reduce_division_identity_with_component_tables():
                 division = gcd_reduce(f, comp.basis, comp.table)
                 assert division.multiplier.is_unit()
                 rhs = division.remainder
-                for q, b in zip(division.quotients, comp.basis):
+                for q, b in zip(quotients(division), comp.basis):
                     rhs = rhs + q * b
                 assert f.scale(division.multiplier) == rhs
                 r = division.remainder
@@ -398,24 +411,33 @@ def test_gcd_reduce_division_identity_with_component_tables():
 
 
 def test_step_tables_stay_with_their_decomposition():
+    """Probes fill the step table of each component outside shape position, and no other.
+
+    Both decompositions have a compatible component in shape position and a
+    modular one outside it.
+    """
     ideal = parse_ideal_file(MODULAR)
     first = run_pipeline(ideal).decomposition
     assert not any(comp.table for comp in first.components)
     for g in ideal.generators:
         assert is_member(g, first)
-    assert all(comp.table for comp in first.components)
+    assert [comp.substitution() is None for comp in first.components] == [False, True]
+    assert [bool(comp.table) for comp in first.components] == [False, True]
     del first
     gc.collect()
 
     ideal = parse_ideal_file(MODULAR.replace("field Q", "field GF 5"))
     second = run_pipeline(ideal).decomposition
-    # assembly builds no table; the first probe of each component does
+    # assembly builds no table and no substitution; the first probe does
     assert not any(comp.table for comp in second.components)
+    assert all(comp.shape is None for comp in second.components)
     rng = random.Random(407)
     for probe in _probes(rng, ideal.generators):
         for comp in second.components:
             expected = reference_component_remainder(probe, comp)
             assert component_remainder(probe, comp) == expected
+    assert [comp.substitution() is None for comp in second.components] == [False, True]
+    assert [bool(comp.table) for comp in second.components] == [False, True]
     for comp in second.components:
         ring = comp.var_ctx.ring
         for hits, (g, cofs, d_st) in comp.table.items():
@@ -423,6 +445,83 @@ def test_step_tables_stay_with_their_decomposition():
             assert len(cofs) == len(hits)
             assert all(cof.ctx == ring for cof in cofs)
             assert d_st == poly_gcd(g, ring.modulus)
+
+
+# -- membership by substitution in shape position -------------------------------------
+
+
+def _shape_case(rng, field, shape):
+    """A hand-built component over a random modulus, with its decomposition.
+
+    In shape position the basis is u*y + t_y, x + t_x with u a unit of
+    positive degree; otherwise x + t_x becomes x^2 + t_x.
+    """
+    ctx = base_context(field, "z", ("y", "x"))
+    while True:
+        q = random_unipoly(rng, field, max_deg=4, bound=3)
+        u = random_unipoly(rng, field, max_deg=2, bound=3)
+        if q.degree >= 2 and u.degree >= 1 and poly_gcd(u, q).is_constant:
+            break
+    q = q.monic()
+    ctx_q = residue_context(ctx, q)
+    ring = ctx_q.ring
+    t_y, t_x = (MultiPoly.from_coeff(ctx_q, ring.elem(random_unipoly(rng, field))) for _ in "yx")
+    y, x = MultiPoly.var(ctx_q, "y"), MultiPoly.var(ctx_q, "x")
+    basis = [y.scale(ring.elem(u)) + t_y, (x if shape else x * x) + t_x]
+    comp = Component(kind="compatible", modulus=q, var_ctx=ctx_q, basis=basis)
+    return ctx, comp, Decomposition(eliminant=q, components=[comp], base_ctx=ctx)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_shape_substitution_matches_the_reference_remainder(field, monkeypatch):
+    """Shape components answer by substitution, the others by gcd-division; remainders agree."""
+    calls = []
+    real = assembly.gcd_reduce
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(assembly, "gcd_reduce", counted)
+    rng = random.Random(409)
+    verdicts = set()
+    for n in range(24):
+        shape = n % 3 != 0
+        ctx, comp, dec = _shape_case(rng, field, shape)
+        assert (comp.substitution() is not None) == shape
+        lifted = lift_component_basis(comp, ctx)
+        probes = [random_multipoly(rng, ctx) for _ in range(3)]
+        member = MultiPoly.zero(ctx)
+        for b in lifted:
+            member = member + random_multipoly(rng, ctx, max_total=1, terms=2) * b
+        probes += [member, member + MultiPoly.from_coeff(ctx, U("1", field=field))]
+        for probe in probes:
+            expected = reference_component_remainder(probe, comp)
+            calls.clear()
+            assert component_remainder(probe, comp) == expected
+            verdict = expected.is_zero
+            assert is_member(probe, dec) == verdict
+            assert len(calls) == (0 if shape else 2)
+            verdicts.add((shape, verdict))
+    assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_slow_q_fixture_probes_are_answered_quickly():
+    """Each generator is a member and each generator + 1 is not, all within 5 s.
+
+    Gcd-division of these probes in the degree-10 compatible component does
+    not finish within 30 s each; substitution answers them.  The other
+    component (leading monomial x*y) is outside shape position.
+    """
+    ideal = parse_ideal_file((FIXTURES / "slow_member_q.ideal").read_text())
+    dec = run_pipeline(ideal).decomposition
+    one = parse_poly("1", ideal.ctx)
+    start = time.perf_counter()
+    for g in ideal.generators:
+        assert is_member(g, dec)
+        assert not is_member(g + one, dec)
+    assert time.perf_counter() - start < 5.0
+    assert [comp.substitution() is None for comp in dec.components] == [False, True]
 
 
 # -- the normalization ladder against the reference ladder ---------------------------

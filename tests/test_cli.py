@@ -8,6 +8,7 @@ import time
 import pytest
 
 import eliminant.cli as cli
+from eliminant.assembly import lift_component_basis
 from eliminant.cli import (
     EXIT_INTERNAL,
     EXIT_NOT_ZERO_DIM,
@@ -159,6 +160,29 @@ def test_lift_flag_and_compare():
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["oracle"]["eliminants_agree"] is True
+
+
+@pytest.mark.parametrize(
+    "name, field",
+    [
+        ("simple.ideal", "Q"),
+        ("simple.ideal", "GF 5"),
+        ("modular.ideal", "Q"),
+        ("modular.ideal", "GF 5"),
+        ("triangular_gf5.ideal", "GF 5"),
+        ("twovars.ideal", "Q"),
+    ],
+)
+def test_proj_lifted_basis_prints_the_lifted_component_basis(name, field):
+    """The default lift form prints each basis as it prints lifted, then the modulus."""
+    text = (FIXTURES / name).read_text().replace("field Q", f"field {field}")
+    report = run_pipeline(parse_ideal_file(text))
+    dec = report.decomposition
+    entries = report.to_json_dict()["components"]
+    assert len(entries) == len(dec.components)
+    for entry, comp in zip(entries, dec.components):
+        lifted = lift_component_basis(comp, dec.base_ctx)
+        assert entry["lifted_basis"] == [b.fmt() for b in lifted]
 
 
 def test_timings_flag():

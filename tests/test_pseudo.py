@@ -30,6 +30,7 @@ from util import (
     P,
     U,
     ctx3,
+    quotients,
     random_multipoly,
     random_unipoly,
     random_zero_dim_ideal,
@@ -152,7 +153,7 @@ def test_pseudo_divide_examples():
     p = P("y^2+z")
     division = pseudo_divide(p, [h])
     assert division.multiplier.is_one and division.remainder == p
-    assert all(q.is_zero for q in division.quotients)
+    assert all(q.is_zero for q in quotients(division))
 
     s = spoly(f, h)
     division = pseudo_divide(s, [f])
@@ -186,13 +187,14 @@ def test_division_contract_random():
         division = pseudo_divide(f, divisors)
         lhs = f.scale(division.multiplier)
         rhs = division.remainder
-        for q, b in zip(division.quotients, divisors):
+        qs = quotients(division)
+        for q, b in zip(qs, divisors):
             rhs = rhs + q * b
         assert lhs == rhs
         assert pseudo_reduced(division.remainder, divisors)
         # leading-monomial condition
         best = None
-        for q, b in zip(division.quotients, divisors):
+        for q, b in zip(qs, divisors):
             if q.is_zero:
                 continue
             m = mon_mul(q.lm, b.lm)

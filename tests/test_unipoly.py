@@ -13,14 +13,13 @@ from eliminant.unipoly import (
     divrem,
     exact_div,
     lcm_cofactors,
-    multiplicity,
     poly_ext_gcd,
     poly_gcd,
     poly_lcm,
     poly_multi_ext_gcd,
     squarefree_decomposition,
 )
-from util import U, random_unipoly, reference_poly_gcd
+from util import U, multiplicity, random_unipoly, reference_poly_gcd
 
 
 def test_divrem_examples():

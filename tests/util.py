@@ -134,6 +134,44 @@ def random_member(rng, ctx, gens) -> MultiPoly:
     return acc
 
 
+# -- replays of what no served path reads ------------------------------------------
+
+
+def quotients(division) -> list[MultiPoly]:
+    """The quotients of an `engine.Division`, replayed from its step log.
+
+    With them multiplier * f == sum(quotients[i] * divisors[i]) + remainder.
+    """
+    from eliminant.multipoly import mon_div
+
+    out = [{} for _ in division.divisors]
+    for mu, mon, parts in division.steps:
+        if not mu.is_one:
+            out = [{m: a * mu for m, a in q.items()} for q in out]
+        for i, factor in parts:
+            shift = mon_div(mon, division.divisors[i].lm)
+            q = out[i]
+            q[shift] = q[shift] + factor if shift in q else factor
+    return [MultiPoly(division.remainder.ctx, q) for q in out]
+
+
+def multiplicity(p: UniPoly, f: UniPoly) -> int:
+    """Largest k with p^k dividing f."""
+    from eliminant.unipoly import ConstantInputError, ZeroInputError, divrem
+
+    if f.is_zero:
+        raise ZeroInputError("multiplicity in the zero polynomial")
+    if p.is_constant:
+        raise ConstantInputError("multiplicity of a constant factor")
+    k = 0
+    while True:
+        q, r = divrem(f, p)
+        if not r.is_zero:
+            return k
+        f = q
+        k += 1
+
+
 # -- reference gcd, lcm and S-polynomial --------------------------------------------
 
 
