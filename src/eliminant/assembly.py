@@ -41,7 +41,7 @@ replaces.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from functools import partial
+from functools import cached_property, partial
 from itertools import groupby
 
 from .compat import CompatSplit
@@ -328,18 +328,17 @@ class Component:
     # gcd-step table of `basis` for probes, filled by the first one; valid
     # because the basis never changes once assembled
     table: dict = dc_field(default_factory=dict, repr=False, compare=False)
-    # `shape_substitution(basis)`, set by the first probe like `table`;
-    # False when the basis is not in shape position
-    shape: list | bool | None = dc_field(default=None, repr=False, compare=False)
 
     def project(self, f: MultiPoly) -> MultiPoly:
         return project_multipoly(f, self.var_ctx)
 
+    @cached_property
     def substitution(self) -> list | None:
-        """r with x_i = r_i when the basis is in shape position, else None."""
-        if self.shape is None:
-            self.shape = shape_substitution(self.basis, self.var_ctx) or False
-        return self.shape or None
+        """r with x_i = r_i when the basis is in shape position, else None.
+
+        The first probe computes it, as it fills `table`.
+        """
+        return shape_substitution(self.basis, self.var_ctx)
 
 
 @dataclass
@@ -476,7 +475,7 @@ def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
     unit multiplier is inverted by itself, never their product, whose lifts
     grow large over Q and are costly to invert.
     """
-    r = comp.substitution()
+    r = comp.substitution
     if r is not None:
         return MultiPoly.from_coeff(comp.var_ctx, _substituted(f, comp, r))
     division = gcd_reduce(comp.project(f), comp.basis, comp.table)
@@ -498,7 +497,7 @@ def is_member(f: MultiPoly, dec: Decomposition) -> bool:
         return True
     return all(
         _substituted(f, comp, r).is_zero
-        if (r := comp.substitution()) is not None
+        if (r := comp.substitution) is not None
         else gcd_reduce(comp.project(f), comp.basis, comp.table).remainder.is_zero
         for comp in dec.components
     )
