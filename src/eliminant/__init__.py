@@ -28,7 +28,6 @@ from .pqr import (
     proper_divide,
     proper_eliminant,
     residue_context,
-    spoly_q,
 )
 from .pseudo import (
     NotZeroDimensionalError,
@@ -79,6 +78,5 @@ __all__ = [
     "reduced_groebner",
     "residue_context",
     "spoly",
-    "spoly_q",
     "squarefree_decomposition",
 ]

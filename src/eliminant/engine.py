@@ -10,8 +10,9 @@ once here: each computes on lifts in K[x1] (`lift()`) and projects the result
 with `f.ctx.ring.elem`, which is the identity over K[x1].
 
 `Elimination` holds what the two runs share: the basis kept in order, the
-pair queue, the pair order, the coprime and triangular pair criteria and the
-drain loop.  A ring adapter supplies only what differs:
+queue of pairs, whose S-polynomials are formed only when popped, the pair
+order, the coprime and triangular pair criteria and the drain loop.  A ring
+adapter supplies only what differs:
 
 - `reduce` (one division of an S-polynomial, returning the remainder),
   `reduced` and `normalize`;
@@ -52,7 +53,9 @@ def spoly(f: MultiPoly, g, check: bool = False) -> MultiPoly:
     K[x1] and then projected into the coefficient ring; in a residue ring
     they are never zero, even when the lcm of the leading coefficients
     vanishes there.  Against a coefficient g the S-polynomial is f's tail
-    times f's multiplier.
+    times f's multiplier.  g may also be a polynomial of K[x1] that vanishes
+    in the ring, such as the modulus q: the S-polynomial is then
+    tail(f) * q / gcd(lift lc f, q), up to a constant.
 
     The leading terms cancel, on lifts and therefore in the ring, so they are
     never formed; `check` (the debug checks) verifies that they would.
@@ -68,7 +71,7 @@ def spoly(f: MultiPoly, g, check: bool = False) -> MultiPoly:
     lg = g if coeff else g.lc
     cf, cg = lcm_cofactors(f.lc.lift(), lg.lift())
     cf = elem(cf)
-    if check and f.lc * cf != lg * elem(cg):
+    if check and f.lc * cf != elem(lg.lift() * cg):
         raise AssertionError("S-polynomial leading terms do not cancel")
     if coeff:
         return f.tail().scale(cf)
@@ -136,10 +139,18 @@ def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
 
 @dataclass
 class Division:
-    multiplier: object             # in K[x1], or a unit of the residue ring
     remainder: MultiPoly
     divisors: list
     steps: list                    # (mu, mon, parts) per step, as the step rule gave them
+
+    @property
+    def multiplier(self):
+        """The product of the step multipliers: in K[x1], or a unit of the residue ring."""
+        lam = self.remainder.ctx.ring_one()
+        for mu, _, _ in self.steps:
+            if not mu.is_one:
+                lam = lam * mu
+        return lam
 
 
 def lcm_step(divisors, mon, c, admits=None):
@@ -175,7 +186,6 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
     for b in divisors:
         if b.is_zero or b.is_coeff:
             raise InvalidSPolyInput("divisors must have tail variables")
-    lam = f.ctx.ring_one()
     steps = []
     h = f
     while True:
@@ -184,11 +194,10 @@ def divide(f: MultiPoly, divisors: list[MultiPoly], step) -> Division:
             if hit is not None:
                 break
         else:
-            return Division(lam, h, divisors, steps)
+            return Division(h, divisors, steps)
         mu, parts = hit
         steps.append((mu, mon, parts))
         if not mu.is_one:
-            lam = lam * mu
             h = h.scale(mu)
         for i, factor in parts:
             h = h.sub_mul_term(divisors[i], factor, mon_div(mon, divisors[i].lm))
@@ -207,9 +216,12 @@ def reduced(f: MultiPoly, divisors: list[MultiPoly], step) -> bool:
 class Elimination:
     """One run of the eliminant search over the ring that `ring` adapts.
 
-    Queue entries and basis entries carry a unique seq or slot before the
-    polynomial, so ties never compare polynomials and the pop order is the
-    (lcm key, seq) order.
+    The queue holds pairs (i, j): i is a basis slot and j another slot or a
+    polynomial of K[x1] that vanishes in the ring (the modulus, or the
+    temporary eliminant), and the S-polynomial is formed from the current
+    elements when the pair is popped.  Queue entries and basis entries carry
+    a unique seq or slot first, so ties never compare polynomials and the pop
+    order is the (lcm key, seq) order.
     """
 
     def __init__(self, ring, order, strategy):
@@ -218,9 +230,8 @@ class Elimination:
         self.strategy = strategy
         self.arena: list = []           # slot -> polynomial, None once dropped
         self.basis: list = []           # (sort key, slot, polynomial), increasing
-        self.queue: list = []           # heap of (lcm key, seq, S-polynomial)
+        self.queue: list = []           # heap of (lcm key, seq, slot, slot or K[x1] operand)
         self.seq = 0
-        self.used_triplets: set = set()
         self.decided_pairs: set = set()
         self.inconsistent = False
 
@@ -239,8 +250,8 @@ class Elimination:
         insort(self.basis, (self.ring.sort_key(f), slot, f))
         return slot
 
-    def push(self, key, s: MultiPoly):
-        heappush(self.queue, (key, self.seq, s))
+    def push(self, key, i: int, j):
+        heappush(self.queue, (key, self.seq, i, j))
         self.seq += 1
 
     def fold(self, r):
@@ -248,25 +259,15 @@ class Elimination:
             self.inconsistent = True
 
     def remap(self, move) -> list:
-        """Apply `move` to every basis element and queued S-polynomial.
+        """Apply `move`, a ring homomorphism such as a projection, to the basis.
 
-        Polynomials that become univariate leave the run and are returned
-        for folding; the basis is re-sorted, since leading data may change.
-
-        `move` is a ring homomorphism, such as the projection onto a smaller
-        modulus, so each kept leading coefficient either stays congruent to
-        its old one or vanishes.  A vanished one gives its element a new
-        leading monomial: the pair decisions and triplets that read the old
-        one are forgotten and those pairs are decided again.  Every other
-        decision stays valid.  Deciding a pair (i, j), by forming its
-        S-polynomial or by excusing it, leaves a representation of that
-        S-polynomial (made on lifts of the leading coefficients) with terms
-        below lcm(lm i, lm j) and a unit multiplier.  Its image under `move`
-        is such a representation in the new ring: the old lifts are lifts of
-        the new leading coefficients, and a unit mod q stays a unit mod every
-        divisor of q.  This holds also when the excuse went through an
-        element whose leading monomial moved, since its S-polynomials with i
-        and j were bounded by lcms that divide lcm(lm i, lm j).
+        Elements that become univariate leave the run and are returned for
+        folding; the basis is re-sorted, since leading data may change.  A
+        kept element whose leading coefficient vanished has a new leading
+        monomial: the queued pairs and decisions that read the old one, or
+        touch an element that left, are dropped, and those pairs decided
+        again.  Every other queued pair is formed from the moved elements
+        when it is popped.
         """
         univariates = []
         basis = []
@@ -276,24 +277,17 @@ class Elimination:
             if g.is_coeff:
                 self.arena[slot] = None
                 univariates.append(g.as_coeff())
+                moved.add(slot)
             else:
                 self.arena[slot] = g
                 basis.append((self.ring.sort_key(g), slot, g))
                 if g.lm != f.lm:
                     moved.add(slot)
-        queue = []
-        for key, seq, s in self.queue:
-            s = move(s)
-            if s.is_coeff:
-                univariates.append(s.as_coeff())
-            else:
-                queue.append((key, seq, s))
-        basis.sort()
-        heapify(queue)
-        self.basis, self.queue = basis, queue
+        self.basis = sorted(basis)
         if moved:
+            self.queue = [e for e in self.queue if e[2] not in moved and e[3] not in moved]
+            heapify(self.queue)
             self.decided_pairs = {p for p in self.decided_pairs if not p & moved}
-            self.used_triplets = {t for t in self.used_triplets if not t & moved}
             ids = self.slots()
             self.decide_batch(
                 [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :] if i in moved or j in moved]
@@ -320,9 +314,7 @@ class Elimination:
             return
         if self.strategy.triangular_skip and self._try_triangular(i, j):
             return
-        s = spoly(f, g, self.strategy.debug_checks)
-        if not s.is_zero:
-            self.push(self.pair_key(i, j), s)
+        self.push(self.pair_key(i, j), i, j)
 
     def _try_triangular(self, i: int, j: int) -> bool:
         # a pair may be excused through h only when both of its companion
@@ -333,7 +325,6 @@ class Elimination:
         for pos, (_, k, h) in enumerate(self.basis):
             if (
                 k in (i, j)
-                or frozenset((i, j, k)) in self.used_triplets
                 or frozenset((i, k)) not in self.decided_pairs
                 or frozenset((j, k)) not in self.decided_pairs
             ):
@@ -345,7 +336,6 @@ class Elimination:
         for _, _, k, lam in candidates:
             if not self.ring.excuse(lam):
                 continue
-            self.used_triplets.add(frozenset((i, j, k)))
             if self.strategy.debug_checks and not check_triangular_identity(f, g, self.arena[k]):
                 raise AssertionError("triangular identity failed to verify")
             return True
@@ -374,7 +364,11 @@ class Elimination:
 
     def drain(self):
         while self.queue and not self.inconsistent:
-            _, _, s = heappop(self.queue)
+            _, _, i, j = heappop(self.queue)
+            g = self.arena[j] if isinstance(j, int) else j
+            s = spoly(self.arena[i], g, self.strategy.debug_checks)
+            if s.is_zero:
+                continue
             r = self.ring.reduce(s, self.polys())
             if r.is_coeff:
                 self.fold(r.as_coeff())

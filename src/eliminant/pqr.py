@@ -15,10 +15,12 @@ the engine's, computed on lifts (never zero).  The adapter skips a pair
 only when the skip multiplier is a unit, ranks triangular candidates by the
 standard factor of their multiplier, and folds univariate remainders into a
 shrinking modulus.
-By default the ring itself is rebased to the shrunken modulus (all carried
-data re-projected), which both matches the mathematics and keeps
-coefficients small; its finish step adds the S-polynomials against the
-modulus, and the final answer is read back in the ring we started from.
+By default the ring itself is rebased to the shrunken modulus (the basis
+re-projected; queued pairs are formed from it when popped), which both
+matches the mathematics and keeps coefficients small.  Its finish step
+queues the pairs of the basis against the modulus, whose S-polynomial is
+`engine.spoly(f, q)`, and the final answer is read back in the ring we
+started from.
 """
 
 from __future__ import annotations
@@ -26,18 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from .engine import (
-    Division,
-    Elimination,
-    InvalidSPolyInput,
-    divide,
-    lcm_step,
-    reduced,
-    spoly,
-)
+from .engine import Division, Elimination, divide, lcm_step, reduced
 from .multipoly import MultiPoly, VarContext
 from .pseudo import StrategyConfig
-from .unipoly import UniPoly, content_scale, exact_div, poly_gcd
+from .unipoly import UniPoly, content_scale, poly_gcd
 
 
 class NotAUnitError(ValueError):
@@ -178,19 +172,6 @@ class PqrElem:
         return f"PqrElem({self.rep.fmt()} mod {self.ctx.modulus.fmt()})"
 
 
-# -- gcd in the residue ring ---------------------------------------------------
-
-
-def pqr_gcd(a: PqrElem, b: PqrElem) -> PqrElem:
-    if a.is_zero and b.is_zero:
-        raise ZeroElementError("gcd(0, 0) in residue ring")
-    if a.is_zero:
-        return b.standard_factor()
-    if b.is_zero:
-        return a.standard_factor()
-    return a.ctx.elem(poly_gcd(a.rep, b.rep))
-
-
 # -- projections ----------------------------------------------------------------
 
 
@@ -222,41 +203,6 @@ def lift_multipoly(f: MultiPoly, base: VarContext) -> MultiPoly:
     for mon, c in f.terms:
         out[mon] = c.rep if isinstance(c, PqrElem) else c
     return MultiPoly(base, out)
-
-
-# -- S-polynomials over the residue ring ----------------------------------------
-
-
-class ModulusOperand:
-    """Marker selecting the S-polynomial against the ring modulus itself."""
-
-    def __repr__(self) -> str:
-        return "MODULUS"
-
-
-MODULUS = ModulusOperand()
-
-
-def spoly_q(f: MultiPoly, g, check: bool = False) -> MultiPoly:
-    """S-polynomial over the residue ring.
-
-    g may be another polynomial with tail variables, a non-unit residue
-    (univariate member), or MODULUS for the special pairs against the
-    modulus; in the latter case the leading coefficient of f must be a
-    non-unit.  Everything but MODULUS is the shared `engine.spoly`, whose
-    multipliers are computed on lifts; `check` is its debug check.
-    """
-    if f.is_zero or f.is_coeff:
-        raise InvalidSPolyInput("first operand must have tail variables")
-    ring: PqrCtx = f.ctx.ring
-    if isinstance(g, ModulusOperand):
-        if f.lc.is_unit():
-            raise InvalidSPolyInput("leading coefficient is a unit")
-        lf = f.lc.lift()
-        return f.tail().scale(ring.elem(exact_div(ring.modulus, poly_gcd(lf, ring.modulus))))
-    if isinstance(g, PqrElem) and g.is_unit():
-        raise InvalidSPolyInput("unit operand")
-    return spoly(f, g, check)
 
 
 # -- proper division --------------------------------------------------------------
@@ -316,11 +262,11 @@ class _ResidueRing:
     A pair is skipped only when its skip multiplier is a unit, or, without
     base change, coprime to the temporary eliminant (chi-delta).  With base
     change a univariate member rebases the run to the smaller modulus and
-    re-projects everything it carries; without it the member shrinks the
-    temporary eliminant `e`.  The finish step adds the special S-polynomials
-    against the modulus (or `e`) until nothing changes.  proper_divide is
-    called through this module's globals, where perfbench's tracer binds its
-    wrapper.
+    re-projects the basis; without it the member shrinks the temporary
+    eliminant `e`.  The finish step queues the pairs (slot, q), or (slot, e)
+    once `e` exists, of the basis elements whose leading coefficient is no
+    unit, until nothing changes.  proper_divide is called through this
+    module's globals, where perfbench's tracer binds its wrapper.
     """
 
     reduced = staticmethod(properly_reduced)
@@ -332,7 +278,7 @@ class _ResidueRing:
         self.start_ring = self.ring
         self.strategy = strategy
         self.e: UniPoly | None = None   # nonzero temporary eliminant (no base change)
-        self.behead_done: set = set()   # (slot, modulus/eliminant) pairs
+        self.behead_done: set = set()   # queued (slot, q or e); q and e only shrink
 
     def current(self, f: MultiPoly) -> MultiPoly:
         """f re-projected into the current ring, whose modulus divides f's.
@@ -386,8 +332,6 @@ class _ResidueRing:
         """Continue over the smaller ring modulo new_modulus."""
         self.ring = PqrCtx(new_modulus)
         self.var_ctx = self.var_ctx.with_ring(self.ring)
-        # behead bookkeeping refers to the old modulus
-        self.behead_done = set()
         for r in run.remap(self.current):
             if run.inconsistent:
                 return
@@ -418,22 +362,13 @@ class _ResidueRing:
         )
 
     def _behead_round(self, run: Elimination):
-        """Queue the special S-polynomials against the modulus or eliminant."""
-        if self.strategy.base_change or self.e is None:
-            against, marker = MODULUS, ("q", self.ring.modulus)
-        else:
-            against, marker = self.ring.elem(self.e), ("e", self.e)
+        """Queue the pairs of the basis against the modulus or the temporary eliminant."""
+        against = self.ring.modulus if self.e is None else self.e
         for _, slot, f in run.basis:
-            if f.lc.is_unit():
+            if (slot, against) in self.behead_done or poly_gcd(f.lc.rep, against).is_constant:
                 continue
-            if against is not MODULUS and pqr_gcd(f.lc, against).is_unit():
-                continue
-            if (slot, marker) in self.behead_done:
-                continue
-            self.behead_done.add((slot, marker))
-            s = spoly_q(f, against, self.strategy.debug_checks)
-            if not s.is_zero:
-                run.push(run.order.key(f.lm), s)
+            self.behead_done.add((slot, against))
+            run.push(run.order.key(f.lm), slot, against)
 
 
 def proper_eliminant(

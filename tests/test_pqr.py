@@ -1,24 +1,23 @@
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
-from eliminant.engine import check_triangular_identity, spoly, triangular_multiplier
+from eliminant.cli import run_pipeline
+from eliminant.engine import Elimination, check_triangular_identity, spoly, triangular_multiplier
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context, mon_lcm, mon_mul
 from eliminant.parser import parse_ideal_file, parse_poly
 from eliminant.pqr import (
-    MODULUS,
     NotAUnitError,
     PqrCtx,
     ZeroElementError,
-    pqr_gcd,
     project_multipoly,
     proper_divide,
     proper_eliminant,
     properly_reduced,
     residue_context,
-    spoly_q,
 )
 from eliminant.pseudo import StrategyConfig
 from eliminant.unipoly import UniPoly, poly_gcd
@@ -119,13 +118,6 @@ def test_standard_factor():
         ring.zero_elem().standard_factor()
 
 
-def test_pqr_gcd():
-    ring = PqrCtx(U("z^8"))
-    a = ring.elem(U("z^3*(z+2)"))
-    assert pqr_gcd(a, ring.zero_elem()) == a.standard_factor()
-    assert pqr_gcd(ring.elem(U("z^5")), ring.elem(U("z^4*(z+1)"))) == ring.elem(U("z^4"))
-
-
 def _modular_run_elements():
     """The residue images of the worked three-generator ideal over z^8."""
     ideal = parse_ideal_file(MODULAR_SRC)
@@ -140,22 +132,22 @@ def _modular_run_elements():
 
 def test_spoly_q_examples():
     ctx8, f, g, h, d, e = _modular_run_elements()
-    s = spoly_q(d, e)
+    s = spoly(d, e)
     assert up_to_unit_scalar(s, parse_poly("z^4*(18*z^3+16*z^2+6*z+1)*y", ctx8))
 
     # modulus form over the rebased ring
     ideal = parse_ideal_file(MODULAR_SRC)
     ctx6 = residue_context(ideal.ctx, U("z^6"))
     f6 = project_multipoly(ideal.generators[0], ctx6, keep_lifts=True)
-    s6 = spoly_q(f6, MODULUS)
+    s6 = spoly(f6, ctx6.ring.modulus)
     assert up_to_unit_scalar(s6, parse_poly("z^4*y", ctx6))
 
     # coprime monomials with unit gcd: S equals (f1*g - g1*f)/d
     a = parse_poly("y^2+z", ctx8)
     b = parse_poly("x+z+1", ctx8)
-    dd = pqr_gcd(a.lc, b.lc)
+    dd = ctx8.ring.elem(poly_gcd(a.lc.rep, b.lc.rep))
     assert dd.is_unit()
-    s = spoly_q(a, b)
+    s = spoly(a, b)
     assert s.scale(dd) == a.tail() * b - b.tail() * a
 
 
@@ -175,7 +167,7 @@ def test_spoly_q_multipliers_nonzero():
         m_f = ring.elem(exact_div(poly_lcm(lf, lg), lf))
         m_g = ring.elem(exact_div(poly_lcm(lf, lg), lg))
         assert not m_f.is_zero and not m_g.is_zero
-        s = spoly_q(f, g)
+        s = spoly(f, g)
         if not s.is_zero:
             assert ctx.order.compare(s.lm, mon_lcm(f.lm, g.lm)) < 0
 
@@ -233,13 +225,13 @@ def test_proper_divide_examples():
     division = proper_divide(p, [d])
     assert division.multiplier.rep.is_one and division.remainder == p
 
-    s = spoly_q(d, e)
+    s = spoly(d, e)
     division = proper_divide(s, [d])
     assert division.remainder.is_zero
     assert division.multiplier.is_unit()
 
     # the S(d, f) chain ends at the temporary eliminant -z^6(6z+1)
-    s = spoly_q(d, f)
+    s = spoly(d, f)
     division = proper_divide(s, [d, e, f, g, h])
     assert division.remainder.is_coeff
     r = division.remainder.as_coeff()
@@ -338,6 +330,34 @@ def test_proper_eliminant_rebase_during_initialization():
         assert b.ctx == out.basis_var_ctx
 
 
+def test_rebase_moves_only_the_basis(monkeypatch):
+    # this fixture rebases twice, the first time with pairs against other
+    # slots and against the modulus queued; queued pairs are formed when
+    # popped, so the rebase projects each basis element once and nothing else
+    seen = []
+    remap = Elimination.remap
+
+    def counted_remap(run, move):
+        moved = []
+
+        def counted_move(f):
+            moved.append(f)
+            return move(f)
+
+        queued, size = list(run.queue), len(run.basis)
+        out = remap(run, counted_move)
+        seen.append((queued, size, len(moved)))
+        return out
+
+    monkeypatch.setattr(Elimination, "remap", counted_remap)
+    path = pathlib.Path(__file__).parent / "fixtures" / "rebase" / "gf2_unit_a.ideal"
+    run_pipeline(parse_ideal_file(path.read_text()))
+    assert len(seen) == 2 and seen[0][0]
+    for queued, size, calls in seen:
+        assert calls == size
+        assert not any(isinstance(x, MultiPoly) for entry in queued for x in entry)
+
+
 def test_proper_eliminant_unit_lc_guard():
     # F = {y} over z^2: no pairs, leading coefficient is a unit, so no
     # modulus pairs are generated and the eliminant stays zero
@@ -355,14 +375,14 @@ def test_post_hoc_proper_spoly_check():
     basis = out.basis
     for i in range(len(basis)):
         for j in range(i + 1, len(basis)):
-            s = spoly_q(basis[i], basis[j])
+            s = spoly(basis[i], basis[j])
             if s.is_zero:
                 continue
             r = proper_divide(s, basis).remainder
             if not r.is_zero:
                 assert r.is_coeff and r.as_coeff().is_zero
         if not basis[i].lc.is_unit():
-            s = spoly_q(basis[i], MODULUS)
+            s = spoly(basis[i], out.basis_var_ctx.ring.modulus)
             if not s.is_zero:
                 r = proper_divide(s, basis).remainder
                 if not r.is_zero:

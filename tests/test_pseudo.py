@@ -142,8 +142,12 @@ def test_debug_checks_catch_spoly_leading_terms_that_do_not_cancel(monkeypatch):
         with pytest.raises(AssertionError, match="leading terms do not cancel"):
             spoly(f, other, check=True)
     monkeypatch.setenv(DEBUG_ENV, "1")
-    with pytest.raises(AssertionError, match="leading terms do not cancel"):
+    # pairs are formed when popped, so under the default strategy the
+    # triangular identity check meets the bad cofactors first
+    with pytest.raises(AssertionError):
         run_pipeline(parse_ideal_file(MODULAR))
+    with pytest.raises(AssertionError, match="leading terms do not cancel"):
+        run_pipeline(parse_ideal_file(MODULAR), StrategyConfig.from_toggles("no-triangular-skip"))
 
 
 def test_pseudo_divide_examples():
@@ -373,7 +377,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
 
 def _triangular_decisions(try_triangular):
-    """Each triangular decision, and the triplets and queue after each batch of pairs.
+    """Each triangular decision, and the queue after each batch of pairs.
 
     The runs cover every fixture ideal, with and without base change, and
     seeded random ideals over Q, so both rings decide pairs.
@@ -388,8 +392,7 @@ def _triangular_decisions(try_triangular):
 
     def logged_batch(run, pairs):
         decide_batch(run, pairs)
-        queue = sorted((key, seq, s.fmt()) for key, seq, s in run.queue)
-        log.append(("batch", sorted(map(sorted, run.used_triplets)), queue))
+        log.append(("batch", list(run.queue)))
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(Elimination, "_try_triangular", logged_try)

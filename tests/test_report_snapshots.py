@@ -30,6 +30,12 @@ CASES = {
     # non-members whose reduction takes two or more unit steps in the compatible component
     "modular.membership": ("modular.ideal", "--membership", str(FIXTURES / "modular_probes.txt")),
     "twovars.lift-pseudo": ("twovars.ideal", "--lift", "pseudo"),
+    # modular runs that rebase while pairs are queued
+    **{
+        f"rebase.{name}.{tag}": (f"rebase/{name}.ideal", *options)
+        for name in ("gf2_unit_a", "gf2_unit_b", "q_extra_z")
+        for tag, options in (("both", ()), ("no-base-change", ("--strategy", "no-base-change")))
+    },
 }
 
 

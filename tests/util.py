@@ -257,7 +257,7 @@ def reference_try_triangular(run, i, j):
     f, g = run.arena[i], run.arena[j]
     candidates = []
     for pos, (_, k, h) in enumerate(run.basis):
-        if k in (i, j) or frozenset((i, j, k)) in run.used_triplets:
+        if k in (i, j):
             continue
         if (
             frozenset((i, k)) not in run.decided_pairs
@@ -271,7 +271,6 @@ def reference_try_triangular(run, i, j):
     for _, _, k, lam in candidates:
         if not run.ring.excuse(lam):
             continue
-        run.used_triplets.add(frozenset((i, j, k)))
         if run.strategy.debug_checks and not check_triangular_identity(f, g, run.arena[k]):
             raise AssertionError("triangular identity failed to verify")
         return True
