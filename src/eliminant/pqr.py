@@ -142,8 +142,12 @@ class PqrElem:
     def inverse(self) -> "PqrElem":
         from .unipoly import poly_ext_gcd
 
-        if self.rep.is_zero:
+        nums = self.rep.nums
+        if not nums:
             raise NotAUnitError("zero has no inverse")
+        if len(nums) == 1:
+            # a nonzero constant is inverted in the field
+            return PqrElem(self.ctx, UniPoly.one(self.ctx.field).scale(self.rep._lc_inverse()))
         d, u, _ = poly_ext_gcd(self.rep, self.ctx.modulus)
         if not d.is_constant:
             raise NotAUnitError(f"{self.rep.fmt()} shares {d.fmt()} with the modulus")

@@ -428,9 +428,10 @@ def test_step_tables_stay_with_their_decomposition():
 
     ideal = parse_ideal_file(MODULAR.replace("field Q", "field GF 5"))
     second = run_pipeline(ideal).decomposition
-    # assembly builds no table and no substitution; the first probe does
+    # assembly builds no table, no substitution and no power lists; the first probe does
     assert not any(comp.table for comp in second.components)
     assert not any("substitution" in vars(comp) for comp in second.components)
+    assert not any("powers" in vars(comp) for comp in second.components)
     rng = random.Random(407)
     for probe in _probes(rng, ideal.generators):
         for comp in second.components:
@@ -438,6 +439,7 @@ def test_step_tables_stay_with_their_decomposition():
             assert component_remainder(probe, comp) == expected
     assert [comp.substitution is None for comp in second.components] == [False, True]
     assert [bool(comp.table) for comp in second.components] == [False, True]
+    assert ["powers" in vars(comp) for comp in second.components] == [True, False]
     for comp in second.components:
         ring = comp.var_ctx.ring
         for hits, (g, cofs, d_st) in comp.table.items():
@@ -450,17 +452,19 @@ def test_step_tables_stay_with_their_decomposition():
 # -- membership by substitution in shape position -------------------------------------
 
 
-def _shape_case(rng, field, shape):
+def _shape_case(rng, field, shape, constant_u=False):
     """A hand-built component over a random modulus, with its decomposition.
 
     In shape position the basis is u*y + t_y, x + t_x with u a unit of
-    positive degree; otherwise x + t_x becomes x^2 + t_x.
+    positive degree, or a nonzero constant with constant_u; otherwise
+    x + t_x becomes x^2 + t_x.
     """
     ctx = base_context(field, "z", ("y", "x"))
     while True:
         q = random_unipoly(rng, field, max_deg=4, bound=3)
-        u = random_unipoly(rng, field, max_deg=2, bound=3)
-        if q.degree >= 2 and u.degree >= 1 and poly_gcd(u, q).is_constant:
+        u = random_unipoly(rng, field, max_deg=0 if constant_u else 2, bound=3)
+        u_degree_ok = u.degree == 0 if constant_u else u.degree >= 1
+        if q.degree >= 2 and u_degree_ok and poly_gcd(u, q).is_constant:
             break
     q = q.monic()
     ctx_q = residue_context(ctx, q)
@@ -504,6 +508,41 @@ def test_shape_substitution_matches_the_reference_remainder(field, monkeypatch):
             assert len(calls) == (0 if shape else 2)
             verdicts.add((shape, verdict))
     assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("constant_u", [False, True], ids=["unit_u", "constant_u"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_power_lists_grow_with_probes_in_any_order(field, constant_u):
+    """Probes extend a component's powers of r_i only as far as their exponents need.
+
+    One component takes probes with rising, then falling exponents, and a
+    fresh copy takes them in reverse order.  Every remainder matches the
+    reference, and each list is [1, r_i, r_i^2, ...] up to the largest
+    exponent of x_i probed so far.
+    """
+    rng = random.Random(410)
+    exponents = [(0, 1), (1, 1), (2, 0), (3, 2), (5, 4), (4, 6), (2, 3), (1, 0), (0, 2)]
+    for _ in range(4):
+        ctx, comp, _ = _shape_case(rng, field, True, constant_u)
+        assert comp.basis[0].lc.rep.is_constant == constant_u
+        probes = [
+            MultiPoly.term(ctx, random_unipoly(rng, field, nonzero=True), mon)
+            + random_multipoly(rng, ctx, max_total=1)
+            for mon in exponents
+        ]
+        fresh = Component(kind=comp.kind, modulus=comp.modulus, var_ctx=comp.var_ctx, basis=comp.basis)
+        for target, order in ((comp, probes), (fresh, probes[::-1])):
+            need = [1, 1]
+            for probe in order:
+                assert component_remainder(probe, target) == reference_component_remainder(probe, target)
+                for mon, _ in probe.terms:
+                    need = [max(k, e) for k, e in zip(need, mon)]
+                assert [len(pw) for pw in target.powers] == [1 + k for k in need]
+            for ri, pw in zip(target.substitution, target.powers):
+                power = target.var_ctx.ring.one_elem()
+                for rep in pw:
+                    assert rep == power.rep
+                    power = power * ri
 
 
 def test_slow_q_fixture_probes_are_answered_quickly():
