@@ -28,10 +28,7 @@ u_i*x_i + t_i per tail variable, with u_i a unit and t_i at the constant
 monomial.  That basis generates <x_i - r_i> with r_i = -t_i/u_i, so f
 reduces to the residue f(x1, r), which is the unique remainder and therefore
 the unit-free gcd-division remainder.  The first probe computes r, as it
-fills the step table of other components.  The powers of each r_i are
-kept on the component as representatives in K[x1]; a probe extends them
-only as far as its exponents need, forms its terms on them without
-reducing, and reduces the sum mod q once.
+fills the step table of other components.
 
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
@@ -329,8 +326,7 @@ class Component:
     source_modulus: UniPoly | None = None   # composite divisor for modular parts
     eliminant_code: str = ""
     # gcd-step table of `basis` for probes, filled by the first one; valid
-    # because the basis never changes once assembled, as are the cached
-    # `substitution` and its `powers`, which probes fill the same way
+    # because the basis never changes once assembled
     table: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def project(self, f: MultiPoly) -> MultiPoly:
@@ -343,17 +339,6 @@ class Component:
         The first probe computes it, as it fills `table`.
         """
         return shape_substitution(self.basis, self.var_ctx)
-
-    @cached_property
-    def powers(self) -> list:
-        """[1, r_i, r_i^2, ...] per tail variable, as representatives mod the modulus.
-
-        Only for a component in shape position.  Probes extend each list as
-        far as their exponents need and later probes reuse it, valid for the
-        same reason as `table`.
-        """
-        one = UniPoly.one(self.modulus.field)
-        return [[one, ri.rep] for ri in self.substitution]
 
 
 @dataclass
@@ -460,25 +445,19 @@ def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
         i = mon.index(1)
         if r[i] is not None or not u.is_unit():
             return None
-        if not rest:
-            r[i] = ctx.ring_zero()
-        elif u.rep.is_constant:
-            # a constant u is inverted in the field and scales t_i directly
-            r[i] = rest[0][1].scale_scalar(-u.rep._lc_inverse())
-        else:
-            r[i] = -(rest[0][1] * u.inverse())
+        r[i] = -(rest[0][1] * u.inverse()) if rest else ctx.ring_zero()
     return None if None in r else r
 
 
-def _substituted(f: MultiPoly, comp: Component) -> PqrElem:
+def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
     """f(x1, r) in the component's ring, f over K[x1], on representatives in K[x1].
 
-    Each term c*r_1^a_1*...*r_n^a_n takes its powers from `comp.powers`,
-    extended as far as its exponents need; the terms go into one unreduced
-    sum, which is reduced mod q once, at the end.
+    Each power of an r_i is built once per call and reduced mod q; the terms
+    c*r_1^a_1*...*r_n^a_n go into one unreduced sum, reduced mod q once.
     """
     ring: PqrCtx = comp.var_ctx.ring
-    modulus, powers = ring.modulus, comp.powers
+    modulus, one = ring.modulus, UniPoly.one(ring.field)
+    powers = [[one, ri.rep] for ri in r]
     acc = UniPoly.zero(ring.field)
     for mon, c in f.terms:
         for pw, e in zip(powers, mon):
@@ -497,8 +476,9 @@ def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
     unit multiplier is inverted by itself, never their product, whose lifts
     grow large over Q and are costly to invert.
     """
-    if comp.substitution is not None:
-        return MultiPoly.from_coeff(comp.var_ctx, _substituted(f, comp))
+    r = comp.substitution
+    if r is not None:
+        return MultiPoly.from_coeff(comp.var_ctx, _substituted(f, comp, r))
     division = gcd_reduce(comp.project(f), comp.basis, comp.table)
     rem = division.remainder
     for mu, _, _ in division.steps:
@@ -517,8 +497,8 @@ def is_member(f: MultiPoly, dec: Decomposition) -> bool:
     if dec.inconsistent:
         return True
     return all(
-        _substituted(f, comp).is_zero
-        if comp.substitution is not None
+        _substituted(f, comp, r).is_zero
+        if (r := comp.substitution) is not None
         else gcd_reduce(comp.project(f), comp.basis, comp.table).remainder.is_zero
         for comp in dec.components
     )

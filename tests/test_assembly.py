@@ -428,10 +428,9 @@ def test_step_tables_stay_with_their_decomposition():
 
     ideal = parse_ideal_file(MODULAR.replace("field Q", "field GF 5"))
     second = run_pipeline(ideal).decomposition
-    # assembly builds no table, no substitution and no power lists; the first probe does
+    # assembly builds no table and no substitution; the first probe does
     assert not any(comp.table for comp in second.components)
     assert not any("substitution" in vars(comp) for comp in second.components)
-    assert not any("powers" in vars(comp) for comp in second.components)
     rng = random.Random(407)
     for probe in _probes(rng, ideal.generators):
         for comp in second.components:
@@ -439,7 +438,6 @@ def test_step_tables_stay_with_their_decomposition():
             assert component_remainder(probe, comp) == expected
     assert [comp.substitution is None for comp in second.components] == [False, True]
     assert [bool(comp.table) for comp in second.components] == [False, True]
-    assert ["powers" in vars(comp) for comp in second.components] == [True, False]
     for comp in second.components:
         ring = comp.var_ctx.ring
         for hits, (g, cofs, d_st) in comp.table.items():
@@ -512,37 +510,20 @@ def test_shape_substitution_matches_the_reference_remainder(field, monkeypatch):
 
 @pytest.mark.parametrize("constant_u", [False, True], ids=["unit_u", "constant_u"])
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
-def test_power_lists_grow_with_probes_in_any_order(field, constant_u):
-    """Probes extend a component's powers of r_i only as far as their exponents need.
+def test_substitution_reaches_high_powers_for_constant_and_unit_u(field, constant_u):
+    """Probes whose terms need powers of r_i up to 6, in any order, match the reference.
 
-    One component takes probes with rising, then falling exponents, and a
-    fresh copy takes them in reverse order.  Every remainder matches the
-    reference, and each list is [1, r_i, r_i^2, ...] up to the largest
-    exponent of x_i probed so far.
+    u is a nonzero constant or a unit of positive degree; each probe is one
+    term, or all terms at once, with exponents rising and then falling.
     """
     rng = random.Random(410)
     exponents = [(0, 1), (1, 1), (2, 0), (3, 2), (5, 4), (4, 6), (2, 3), (1, 0), (0, 2)]
     for _ in range(4):
         ctx, comp, _ = _shape_case(rng, field, True, constant_u)
         assert comp.basis[0].lc.rep.is_constant == constant_u
-        probes = [
-            MultiPoly.term(ctx, random_unipoly(rng, field, nonzero=True), mon)
-            + random_multipoly(rng, ctx, max_total=1)
-            for mon in exponents
-        ]
-        fresh = Component(kind=comp.kind, modulus=comp.modulus, var_ctx=comp.var_ctx, basis=comp.basis)
-        for target, order in ((comp, probes), (fresh, probes[::-1])):
-            need = [1, 1]
-            for probe in order:
-                assert component_remainder(probe, target) == reference_component_remainder(probe, target)
-                for mon, _ in probe.terms:
-                    need = [max(k, e) for k, e in zip(need, mon)]
-                assert [len(pw) for pw in target.powers] == [1 + k for k in need]
-            for ri, pw in zip(target.substitution, target.powers):
-                power = target.var_ctx.ring.one_elem()
-                for rep in pw:
-                    assert rep == power.rep
-                    power = power * ri
+        terms = [MultiPoly.term(ctx, random_unipoly(rng, field, nonzero=True), mon) for mon in exponents]
+        for probe in terms + [sum(terms, MultiPoly.zero(ctx)) + random_multipoly(rng, ctx, max_total=1)]:
+            assert component_remainder(probe, comp) == reference_component_remainder(probe, comp)
 
 
 def test_slow_q_fixture_probes_are_answered_quickly():

@@ -105,44 +105,20 @@ def test_is_unit_agrees_with_gcd_against_modulus(field, modulus):
             e = ring.elem(random_unipoly(rng, field, max_deg=6, bound=4))
         expected = not e.is_zero and poly_gcd(e.rep, ring.modulus).is_constant
         assert e.is_unit() == expected
-    assert constants >= 50
-    assert not ring.zero_elem().is_unit() and ring.one_elem().is_unit()
-
-
-@pytest.mark.parametrize(
-    "field, modulus",
-    [(QQ, "z^4*(z+1)^2"), (GF(2), "z^3*(z+1)^2"), (GF(5), "z^3*(z+2)^2")],
-    ids=["Q", "GF2", "GF5"],
-)
-def test_inverse_agrees_with_ext_gcd(field, modulus):
-    """Constants are inverted in the field, other units by the extended gcd; same answers."""
-    ring = PqrCtx(U(modulus, field=field))
-    rng = random.Random(78)
-    seen = {"constant": 0, "unit": 0, "non-unit": 0, "zero": 0}
-    for _ in range(200):
-        if rng.random() < 0.5:
-            n = rng.randint(-4, 4)
-            c = Fraction(n, rng.randint(1, 4)) if not field.char else n % field.char
-            e = ring.elem(UniPoly.constant(field, c))
-        else:
-            e = ring.elem(random_unipoly(rng, field, max_deg=6, bound=4))
+        # constants are inverted in the field, other units by the extended gcd
         if e.is_zero:
-            seen["zero"] += 1
             with pytest.raises(NotAUnitError, match="^zero has no inverse$"):
                 e.inverse()
             continue
         d, u, _ = poly_ext_gcd(e.rep, ring.modulus)
-        if not d.is_constant:
-            seen["non-unit"] += 1
-            message = f"{e.rep.fmt()} shares {d.fmt()} with the modulus"
+        if expected:
+            assert e.inverse() == ring.elem(u) and (e * e.inverse()).is_one
+        else:
             with pytest.raises(NotAUnitError) as info:
                 e.inverse()
-            assert str(info.value) == message
-            continue
-        seen["constant" if e.rep.is_constant else "unit"] += 1
-        assert e.inverse() == ring.elem(u)
-        assert (e * e.inverse()).is_one
-    assert seen["constant"] >= 50 and min(seen.values()) > 0
+            assert str(info.value) == f"{e.rep.fmt()} shares {d.fmt()} with the modulus"
+    assert constants >= 50
+    assert not ring.zero_elem().is_unit() and ring.one_elem().is_unit()
 
 
 def test_standard_factor():
