@@ -28,7 +28,11 @@ u_i*x_i + t_i per tail variable, with u_i a unit and t_i at the constant
 monomial.  That basis generates <x_i - r_i> with r_i = -t_i/u_i, so f
 reduces to the residue f(x1, r), which is the unique remainder and therefore
 the unit-free gcd-division remainder.  The first probe computes r, as it
-fills the step table of other components.
+fills the step table of other components; a constant u_i scales t_i in the
+field, any other u_i is tested and inverted by one extended gcd with q.
+Probes keep what they build in the component's `images`: the powers of each
+r_i, reduced mod q, and the image r_1^a_1*...*r_n^a_n of each tail monomial
+they meet, so a later probe pays one product per term and one reduction.
 
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
@@ -326,8 +330,10 @@ class Component:
     source_modulus: UniPoly | None = None   # composite divisor for modular parts
     eliminant_code: str = ""
     # gcd-step table of `basis` for probes, filled by the first one; valid
-    # because the basis never changes once assembled
+    # because the basis never changes once assembled, as is `images`, which
+    # probes in shape position fill (see `_image`)
     table: dict = dc_field(default_factory=dict, repr=False, compare=False)
+    images: dict = dc_field(default_factory=dict, repr=False, compare=False)
 
     def project(self, f: MultiPoly) -> MultiPoly:
         return project_multipoly(f, self.var_ctx)
@@ -435,37 +441,73 @@ def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
     """[r_1, ..., r_n] when basis is {u_i*x_i + t_i} with units u_i, else None.
 
     Each tail variable x_i leads exactly one element, t_i sits at the
-    constant monomial, and r_i = -t_i/u_i is a residue.
+    constant monomial, and r_i = -t_i/u_i is a residue.  A constant u_i is
+    inverted in the field; for any other, one extended gcd with q both tests
+    that u_i is a unit and gives its inverse.
     """
+    ring: PqrCtx = ctx.ring
     r = [None] * ctx.arity
     for b in basis:
         (mon, u), *rest = b.terms
         if sum(mon) != 1 or len(rest) > 1 or (rest and not mon_is_one(rest[0][0])):
             return None
         i = mon.index(1)
-        if r[i] is not None or not u.is_unit():
+        if r[i] is not None:
             return None
-        r[i] = -(rest[0][1] * u.inverse()) if rest else ctx.ring_zero()
+        t = rest[0][1] if rest else ctx.ring_zero()
+        if u.rep.is_constant:
+            r[i] = t.scale_scalar(-u.rep._lc_inverse())
+            continue
+        d, inv, _ = poly_ext_gcd(u.rep, ring.modulus)
+        if not d.is_constant:
+            return None
+        r[i] = ring.elem(-t.rep * inv)
     return None if None in r else r
+
+
+def _image(mon: tuple, comp: Component, r: list) -> UniPoly:
+    """r_1^a_1*...*r_n^a_n for mon = (a_1, ..., a_n), kept in `comp.images`.
+
+    `images` maps each tail monomial a probe has met to its image, the
+    unreduced product of the reduced powers, and each tail index i to the
+    powers [1, r_i, r_i^2, ...] reduced mod q, grown as far as the probes'
+    exponents of x_i need.  So it holds one entry per distinct tail monomial
+    probed, each of degree < n*deg q, and per x_i the powers up to the
+    largest exponent of x_i probed (at least the first), each of degree
+    < deg q.
+    """
+    images = comp.images
+    modulus = comp.var_ctx.ring.modulus
+    image = None
+    for i, e in enumerate(mon):
+        if e:
+            pw = images.get(i)
+            if pw is None:
+                pw = images[i] = [UniPoly.one(modulus.field), r[i].rep]
+            while len(pw) <= e:
+                pw.append(pw[-1] * pw[1] % modulus)
+            image = pw[e] if image is None else image * pw[e]
+    if image is None:
+        image = UniPoly.one(modulus.field)
+    images[mon] = image
+    return image
 
 
 def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
     """f(x1, r) in the component's ring, f over K[x1], on representatives in K[x1].
 
-    Each power of an r_i is built once per call and reduced mod q; the terms
-    c*r_1^a_1*...*r_n^a_n go into one unreduced sum, reduced mod q once.
+    Each term c*r_1^a_1*...*r_n^a_n is c times its monomial's image, kept
+    across probes (see `_image`); the terms go into one unreduced sum,
+    reduced mod q once.
     """
     ring: PqrCtx = comp.var_ctx.ring
-    modulus, one = ring.modulus, UniPoly.one(ring.field)
-    powers = [[one, ri.rep] for ri in r]
+    images = comp.images
     acc = UniPoly.zero(ring.field)
     for mon, c in f.terms:
-        for pw, e in zip(powers, mon):
-            if e:
-                while len(pw) <= e:
-                    pw.append(pw[-1] * pw[1] % modulus)
-                c = c * pw[e]
-        acc = acc + c
+        image = images.get(mon)
+        if image is None:
+            image = _image(mon, comp, r)
+        acc = acc + c * image
     return ring.elem(acc)
 
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from eliminant import assembly
+from eliminant import assembly, pqr
 from eliminant.assembly import (
     Component,
     Decomposition,
@@ -411,25 +411,27 @@ def test_gcd_reduce_division_identity_with_component_tables():
 
 
 def test_step_tables_stay_with_their_decomposition():
-    """Probes fill the step table of each component outside shape position, and no other.
+    """Probes fill the step table of each component outside shape position, and
+    the kept images of each component in it, and nothing else.
 
     Both decompositions have a compatible component in shape position and a
     modular one outside it.
     """
     ideal = parse_ideal_file(MODULAR)
     first = run_pipeline(ideal).decomposition
-    assert not any(comp.table for comp in first.components)
+    assert not any(comp.table or comp.images for comp in first.components)
     for g in ideal.generators:
         assert is_member(g, first)
     assert [comp.substitution is None for comp in first.components] == [False, True]
     assert [bool(comp.table) for comp in first.components] == [False, True]
+    assert [bool(comp.images) for comp in first.components] == [True, False]
     del first
     gc.collect()
 
     ideal = parse_ideal_file(MODULAR.replace("field Q", "field GF 5"))
     second = run_pipeline(ideal).decomposition
-    # assembly builds no table and no substitution; the first probe does
-    assert not any(comp.table for comp in second.components)
+    # assembly builds no table, no substitution and no image; the first probe does
+    assert not any(comp.table or comp.images for comp in second.components)
     assert not any("substitution" in vars(comp) for comp in second.components)
     rng = random.Random(407)
     for probe in _probes(rng, ideal.generators):
@@ -438,6 +440,7 @@ def test_step_tables_stay_with_their_decomposition():
             assert component_remainder(probe, comp) == expected
     assert [comp.substitution is None for comp in second.components] == [False, True]
     assert [bool(comp.table) for comp in second.components] == [False, True]
+    assert [bool(comp.images) for comp in second.components] == [True, False]
     for comp in second.components:
         ring = comp.var_ctx.ring
         for hits, (g, cofs, d_st) in comp.table.items():
@@ -524,6 +527,96 @@ def test_substitution_reaches_high_powers_for_constant_and_unit_u(field, constan
         terms = [MultiPoly.term(ctx, random_unipoly(rng, field, nonzero=True), mon) for mon in exponents]
         for probe in terms + [sum(terms, MultiPoly.zero(ctx)) + random_multipoly(rng, ctx, max_total=1)]:
             assert component_remainder(probe, comp) == reference_component_remainder(probe, comp)
+
+
+@pytest.mark.parametrize("constant_u", [False, True], ids=["unit_u", "constant_u"])
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_kept_images_answer_many_probes_as_the_reference_does(field, constant_u):
+    """24 probes of one decomposition read the component's kept images; each matches the reference.
+
+    Monomials repeat with new coefficients and new ones arrive as exponents
+    rise to 6 and fall again; every other probe is a member.  The images hold
+    one entry per distinct monomial probed, and a second decomposition of the
+    same ideal shares no object with them.
+    """
+    rng = random.Random(411)
+    ctx, comp, dec = _shape_case(random.Random(412), field, True, constant_u)
+    _, twin, twin_dec = _shape_case(random.Random(412), field, True, constant_u)
+    assert twin.basis == comp.basis and twin is not comp
+    assert comp.basis[0].lc.rep.is_constant == constant_u
+    lifted = lift_component_basis(comp, ctx)
+    probed, verdicts = set(), set()
+    for e in (1, 2, 3, 4, 5, 6, 6, 5, 4, 3, 2, 1):
+        mons = [(e, 0), (0, e), (e, 6 - e), (e // 2, e), (1, 1)]
+        other = sum(
+            (MultiPoly.term(ctx, random_unipoly(rng, field, nonzero=True), mon) for mon in mons),
+            MultiPoly.zero(ctx),
+        )
+        member = MultiPoly.zero(ctx)
+        for b in lifted:
+            member = member + random_multipoly(rng, ctx, max_total=1, terms=2) * b
+        member = member * MultiPoly.term(ctx, U("1", field=field), (e // 2, e // 3))
+        for probe in (other, member):
+            expected = reference_component_remainder(probe, comp)
+            verdict = expected.is_zero
+            for c, d in ((comp, dec), (twin, twin_dec)):
+                assert component_remainder(probe, c) == expected
+                assert is_member(probe, d) == verdict
+            probed.update(mon for mon, _ in probe.terms)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+    # the memory bound: one image per monomial probed, powers only as far as probed
+    images = comp.images
+    assert {key for key in images if isinstance(key, tuple)} == probed
+    n, deg_q = ctx.arity, comp.modulus.degree
+    for i in range(n):
+        assert 2 <= len(images[i]) <= max(2, max(mon[i] for mon in probed) + 1)
+        assert all(p.degree < deg_q for p in images[i])
+    assert all(images[mon].degree < n * deg_q for mon in probed)
+
+    def kept(c):
+        powers = [p for key, pw in c.images.items() if isinstance(key, int) for p in pw]
+        return {id(x) for x in [c.images, *c.images.values(), *powers]}
+
+    assert not kept(comp) & kept(twin)
+
+
+def test_shape_substitution_inverts_by_one_ext_gcd_or_in_the_field(monkeypatch):
+    """A non-constant u_i costs one extended gcd with q and no gcd; a constant one no inverse.
+
+    A u_i that shares a factor with q is found by that same extended gcd.
+    """
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(assembly, "poly_ext_gcd", spy("ext_gcd", assembly.poly_ext_gcd))
+    monkeypatch.setattr(assembly, "poly_gcd", spy("gcd", assembly.poly_gcd))
+    monkeypatch.setattr(pqr, "poly_gcd", spy("gcd", pqr.poly_gcd))
+    monkeypatch.setattr(PqrElem, "inverse", spy("inverse", PqrElem.inverse))
+    for field in (QQ, GF(5)):
+        rng = random.Random(413)
+        for constant_u in (False, True):
+            for _ in range(4):
+                _, comp, _ = _shape_case(rng, field, True, constant_u)
+                calls.clear()
+                assert comp.substitution is not None
+                # x leads with the constant 1; y with u
+                assert calls == ([] if constant_u else ["ext_gcd"])
+        ctx = base_context(field, "z", ("y", "x"))
+        q, u = U("(z+1)*(z+2)", field=field), U("z+1", field=field)
+        ctx_q = residue_context(ctx, q)
+        y, x = MultiPoly.var(ctx_q, "y"), MultiPoly.var(ctx_q, "x")
+        one = MultiPoly.from_coeff(ctx_q, ctx_q.ring_one())
+        comp = Component(kind="compatible", modulus=q, var_ctx=ctx_q,
+                         basis=[y.scale(ctx_q.ring.elem(u)) + one, x + one])
+        calls.clear()
+        assert comp.substitution is None
+        assert calls == ["ext_gcd"]
 
 
 def test_slow_q_fixture_probes_are_answered_quickly():
