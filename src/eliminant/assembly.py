@@ -33,6 +33,8 @@ field, any other u_i is tested and inverted by one extended gcd with q.
 Probes keep what they build in the component's `images`: the powers of each
 r_i, reduced mod q, and the image r_1^a_1*...*r_n^a_n of each tail monomial
 they meet, so a later probe pays one product per term and one reduction.
+That is one image per distinct tail monomial probed, of degree < n*deg q,
+and the powers of r_i up to the largest exponent of x_i probed.
 
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
