@@ -32,9 +32,12 @@ fills the step table of other components; a constant u_i scales t_i in the
 field, any other u_i is tested and inverted by one extended gcd with q.
 Probes keep what they build in the component's `images`: the powers of each
 r_i, reduced mod q, and the image r_1^a_1*...*r_n^a_n of each tail monomial
-they meet, so a later probe pays one product per term and one reduction.
-That is one image per distinct tail monomial probed, of degree < n*deg q,
-and the powers of r_i up to the largest exponent of x_i probed.
+they meet.  That is one image per distinct tail monomial probed, of degree
+< n*deg q, and the powers of r_i up to the largest exponent of x_i probed.
+A later probe then forms no product or partial sum of polynomials: its
+terms c*image go through one `sum_of_products` pass, reduced mod q once.
+Normal forms recombine the same way, one `sum_of_products` per monomial
+reduced once mod the eliminant.
 
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
@@ -70,6 +73,7 @@ from .unipoly import (
     poly_ext_gcd,
     poly_gcd,
     poly_multi_ext_gcd,
+    sum_of_products,
 )
 
 
@@ -253,7 +257,9 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     d = gcd(q, lc c : c in B, lm c strictly divides M) divides s_M, that is,
     when d divides the leading coefficient of every f in B with lm f = M.
     Then the rest of B has gcd d at M for any such f, and f was reducible
-    in B, which is irredundant.
+    in B, which is irredundant.  The loop has each element's standard factor
+    at hand, f_st when f is kept and d_st when it is replaced, and the
+    duplicate check reads it from there; debug checks recompute it.
     """
     out = make_irredundant(basis)
     if not out:
@@ -261,6 +267,7 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     ctx = out[0].ctx
     ring: PqrCtx = ctx.ring
     replaced = []
+    standard = {}  # id of each element of `replaced` -> its standard factor
     for f in out:
         hits = _eligible(out, f.lm)
         # f is among the hits, so d_st divides f_st; cofactors only on a mismatch
@@ -268,6 +275,7 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
         d_st = _lc_content(out, hits, f_st)
         if f_st == d_st:
             replaced.append(f)
+            standard[id(f)] = f_st
             continue
         g, cofs, _ = _lc_gcd(out, hits, ring)
         w = _coprime_adjust(g, d_st, ring.modulus)
@@ -281,12 +289,18 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
             acc = acc + b.mul_term(factor, mon_div(f.lm, b.lm))
         if acc.is_zero or acc.lm != f.lm:
             raise AssertionError("minimal-basis combination lost its leading term")
-        replaced.append(_unit_normalize(acc))
+        b = _unit_normalize(acc)
+        replaced.append(b)
+        standard[id(b)] = d_st
     # drop later duplicates whose leading terms agree up to a unit
+    check = debug_checks_enabled()
     seen = {}
     out2 = []
     for b in _basis_sorted(replaced):
-        key = (b.lm, poly_gcd(b.lc.rep, ring.modulus).coeffs)
+        st = standard[id(b)]
+        if check and st != poly_gcd(b.lc.rep, ring.modulus):
+            raise AssertionError("carried standard factor differs from gcd(lc, q)")
+        key = (b.lm, st)
         if key in seen:
             continue
         seen[key] = True
@@ -499,18 +513,18 @@ def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
     """f(x1, r) in the component's ring, f over K[x1], on representatives in K[x1].
 
     Each term c*r_1^a_1*...*r_n^a_n is c times its monomial's image, kept
-    across probes (see `_image`); the terms go into one unreduced sum,
-    reduced mod q once.
+    across probes (see `_image`); one `sum_of_products` call forms the
+    unreduced sum of the terms, reduced mod q once.
     """
     ring: PqrCtx = comp.var_ctx.ring
     images = comp.images
-    acc = UniPoly.zero(ring.field)
+    pairs = []
     for mon, c in f.terms:
         image = images.get(mon)
         if image is None:
             image = _image(mon, comp, r)
-        acc = acc + c * image
-    return ring.elem(acc)
+        pairs.append((c, image))
+    return ring.elem(sum_of_products(ring.field, pairs))
 
 
 def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
@@ -576,13 +590,8 @@ def normal_form(f: MultiPoly, dec: Decomposition):
     )
     out = {}
     for mon in mons:
-        acc = UniPoly.zero(dec.base_ctx.field)
-        for r, combo in zip(remainders, combos):
-            c = r.coeff_at(mon)
-            if c.is_zero:
-                continue
-            acc = (acc + c.rep * combo) % total
-        out[mon] = acc
+        pairs = [(r.coeff_at(mon).rep, combo) for r, combo in zip(remainders, combos)]
+        out[mon] = sum_of_products(dec.base_ctx.field, pairs) % total
     combined = MultiPoly(dec.base_ctx, out)
     return combined, remainders
 

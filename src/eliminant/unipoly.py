@@ -17,6 +17,11 @@ skip that pass.  Division over Q is fraction-free on the numerators
 constructor, `constant`, `scale`, and the `coeffs`, `coeff` and `lc`
 accessors.
 
+A sum of products, as a substitution or a CRT recombination forms it, is
+one kernel call, `sum_of_products`: the products accumulate on one integer
+list (over one common denominator over Q) and the sum is normalised once,
+not once per product and once per partial sum.
+
 Constant operands, as most leading coefficients are after normalisation,
 skip the loops: a product with a constant is one scaling pass, `poly_gcd`
 with a nonzero constant is one, and `content_scale` returns the int 1 or -1,
@@ -372,6 +377,37 @@ class UniPoly:
 
     def __repr__(self) -> str:
         return f"UniPoly({self.fmt()})"
+
+
+# -- sums of products -----------------------------------------------------------
+
+
+def sum_of_products(field, pairs) -> UniPoly:
+    """The sum of a*b over the pairs (a, b), all over `field`, in one integer pass.
+
+    Over Q every product's numerators are scaled to one common denominator,
+    the lcm of the products' denominators; over GF(p) the raw products
+    accumulate and each output entry is reduced once.  The sum is normalised
+    once; the empty sum is zero.
+    """
+    terms = [(a.nums, b.nums, a.den * b.den) for a, b in pairs if a.nums and b.nums]
+    if not terms:
+        return _raw(field, [])
+    p = field.char
+    den = 1 if p else int_lcm(*[d for _, _, d in terms])
+    out = [0] * max(len(a) + len(b) - 1 for a, b, _ in terms)
+    for a, b, d in terms:
+        if len(a) > len(b):
+            a, b = b, a
+        m = den // d
+        for i, x in enumerate(a):
+            if x:
+                x *= m
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+    if p:
+        return _gf_make(field, [c % p for c in out])
+    return _q_make(field, out, den)
 
 
 # -- division ---------------------------------------------------------------

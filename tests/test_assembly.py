@@ -35,7 +35,7 @@ from eliminant.pqr import (
     _unit_normalize,
 )
 from eliminant.pseudo import DEBUG_ENV, pseudo_eliminant, normalize_content
-from eliminant.unipoly import poly_gcd
+from eliminant.unipoly import UniPoly, poly_gcd
 from util import (
     P,
     U,
@@ -619,6 +619,58 @@ def test_shape_substitution_inverts_by_one_ext_gcd_or_in_the_field(monkeypatch):
         assert calls == ["ext_gcd"]
 
 
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_repeated_probe_sums_in_one_pass(field, monkeypatch):
+    """A probe repeated on warmed shape components forms no product and no sum of UniPolys.
+
+    Its images are kept, so the sum of the terms is one `sum_of_products`
+    call, and each component `is_member` visits reduces that sum mod q once.
+    Verdicts and remainders still match the reference.
+    """
+    rng = random.Random(414)
+    calls = []
+
+    def spy(name):
+        real = getattr(UniPoly, name)
+
+        def wrapped(self, other):
+            calls.append(name)
+            return real(self, other)
+        return wrapped
+
+    verdicts = set()
+    for _ in range(6):
+        ctx, comp, _ = _shape_case(rng, field, True, rng.random() < 0.5)
+        _, other, _ = _shape_case(rng, field, True)
+        dec = Decomposition(eliminant=comp.modulus * other.modulus, components=[comp, other], base_ctx=ctx)
+        members = []
+        for c in dec.components:
+            member = MultiPoly.zero(ctx)
+            for b in lift_component_basis(c, ctx):
+                member = member + random_multipoly(rng, ctx, max_total=1, terms=2) * b
+            members.append(member)
+        # the product of the members lies in both components
+        for probe in (random_multipoly(rng, ctx), members[0], members[0] * members[1]):
+            expected = [reference_component_remainder(probe, c) for c in dec.components]
+            visited = next((k + 1 for k, r in enumerate(expected) if not r.is_zero), 2)
+            verdict = all(r.is_zero for r in expected)
+            assert is_member(probe, dec) == verdict
+            for c in dec.components:
+                component_remainder(probe, c)
+            with monkeypatch.context() as m:
+                for name in ("__mul__", "__add__", "__sub__", "__mod__"):
+                    m.setattr(UniPoly, name, spy(name))
+                calls.clear()
+                assert is_member(probe, dec) == verdict
+                assert calls == ["__mod__"] * visited
+                for c, r in zip(dec.components, expected):
+                    calls.clear()
+                    assert component_remainder(probe, c) == r
+                    assert calls == ["__mod__"]
+            verdicts.add((verdict, visited))
+    assert verdicts == {(False, 1), (False, 2), (True, 2)}
+
+
 def test_slow_q_fixture_probes_are_answered_quickly():
     """Each generator is a member and each generator + 1 is not, all within 5 s.
 
@@ -730,6 +782,41 @@ def test_make_reduced_confirms_its_one_pass_under_debug_checks(monkeypatch):
     reduced.clear()
     with pytest.raises(AssertionError, match="second tail-reduction pass"):
         make_reduced(bases[0])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
+def test_make_minimal_replacements_keep_their_standard_factor(field, monkeypatch):
+    """Elements the minimal pass replaces are deduplicated by the factor the loop carries.
+
+    Over q = z^2*(z+1), z*x*y + x is irredundant beside (z+1)*x + 1 but not
+    minimal: the local gcd at x*y is 1.  With (z+1)*x*y + y in its place both
+    elements at x*y are replaced and only the first is kept.  Debug checks
+    recompute each carried factor; the ladder matches the reference.
+    """
+    replacements = []
+    real = assembly._coprime_adjust
+
+    def counted(*args):
+        replacements.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(assembly, "_coprime_adjust", counted)
+    monkeypatch.setenv(DEBUG_ENV, "1")
+    base = base_context(field, "z", ("y", "x"))
+    ctx = residue_context(base, U("z^2*(z+1)", field=field))
+    ring = ctx.ring
+    cases = (
+        (("z*x*y + x", "(z+1)*x + 1"), 1, ["x + 1", "1"]),
+        (("z*x*y + x", "(z+1)*x*y + y", "x^2 + 1"), 2, ["1", "1"]),
+    )
+    for texts, replaced, factors in cases:
+        elems = [project_multipoly(P(t, base), ctx) for t in texts]
+        for basis in (elems, elems[::-1]):
+            replacements.clear()
+            minimal = make_minimal(basis)
+            assert len(replacements) == replaced
+            assert [poly_gcd(b.lc.rep, ring.modulus).fmt() for b in minimal] == factors
+            assert make_reduced(basis) == reference_make_reduced(basis)
 
 
 def test_basis_sorted_breaks_ties_by_format():

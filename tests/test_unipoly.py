@@ -18,6 +18,7 @@ from eliminant.unipoly import (
     poly_lcm,
     poly_multi_ext_gcd,
     squarefree_decomposition,
+    sum_of_products,
 )
 from util import U, multiplicity, random_unipoly, reference_poly_gcd
 
@@ -535,3 +536,40 @@ def test_content_scale_reads_the_leading_integer(p):
                 unit_scales += 1
     if not p:
         assert unit_scales >= 100
+
+
+@pytest.mark.parametrize("p", [0, 5, 2**31 - 1], ids=["Q", "GF5", "GF2^31-1"])
+def test_sum_of_products_matches_pairwise_sums(p):
+    """One-pass sums of products equal the pairwise sum of the products, canonically.
+
+    Over Q the operands carry mixed denominators and signs, and some are
+    constants; factors may be zero, lists may hold one pair or none, and some
+    sums are built to cancel to zero.
+    """
+    F = GF(p) if p else QQ
+    R = _RefField(p)
+    rng = random.Random(960 + p % 1000)
+    seen = {"constant": 0, "zero_factor": 0, "one_pair": 0, "cancels": 0, "mixed_den": 0}
+    assert sum_of_products(F, []) == UniPoly.zero(F)
+    for _ in range(300):
+        pairs = [
+            (_kernel_poly(rng, F, rng.choice((0, 2, 5))), _kernel_poly(rng, F, 4))
+            for _ in range(rng.randint(1, 5))
+        ]
+        if rng.random() < 0.25:
+            # each pair again with one factor negated: the sum cancels
+            pairs += [(-a, b) for a, b in pairs]
+            rng.shuffle(pairs)
+        expected, ref = UniPoly.zero(F), []
+        for a, b in pairs:
+            expected = expected + a * b
+            ref = _ref_add(R, ref, _ref_mul(R, list(a.coeffs), list(b.coeffs)))
+        got = sum_of_products(F, pairs)
+        assert got == expected and list(got.coeffs) == ref
+        assert _canonical(got)
+        seen["constant"] += any(a.is_constant and not a.is_zero for a, _ in pairs)
+        seen["zero_factor"] += any(a.is_zero or b.is_zero for a, b in pairs)
+        seen["one_pair"] += len(pairs) == 1
+        seen["cancels"] += got.is_zero and any(not (a * b).is_zero for a, b in pairs)
+        seen["mixed_den"] += len({a.den * b.den for a, b in pairs}) > 1
+    assert min(v for k, v in seen.items() if p == 0 or k != "mixed_den") >= 20, seen
