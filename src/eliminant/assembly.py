@@ -51,7 +51,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from itertools import groupby
+from itertools import count, groupby
 
 from .compat import CompatSplit
 from .engine import Division, divide
@@ -96,18 +96,9 @@ def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
     if field.char == 0:
         candidates = (UniPoly.constant(field, field.from_int(n)) for n in range(modulus.degree + 2))
     else:
-        def gf_candidates():
-            n = 0
-            while True:
-                digits, m = [], n
-                while True:
-                    digits.append(field.from_int(m % field.char))
-                    m //= field.char
-                    if m == 0:
-                        break
-                yield UniPoly(field, digits)
-                n += 1
-        candidates = gf_candidates()
+        def digits(n):    # base-p digits of n, lowest first
+            return [n % field.char, *digits(n // field.char)] if n else []
+        candidates = (UniPoly(field, digits(n)) for n in count())
     for t in candidates:
         w = base + t * bump
         if not w.is_zero and poly_gcd(w, modulus).is_constant:
@@ -294,18 +285,13 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
         standard[id(b)] = d_st
     # drop later duplicates whose leading terms agree up to a unit
     check = debug_checks_enabled()
-    seen = {}
-    out2 = []
+    kept = {}
     for b in _basis_sorted(replaced):
         st = standard[id(b)]
         if check and st != poly_gcd(b.lc.rep, ring.modulus):
             raise AssertionError("carried standard factor differs from gcd(lc, q)")
-        key = (b.lm, st)
-        if key in seen:
-            continue
-        seen[key] = True
-        out2.append(b)
-    return out2
+        kept.setdefault((b.lm, st), b)
+    return list(kept.values())
 
 
 def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:
@@ -379,6 +365,11 @@ class Decomposition:
     pseudo: PseudoOutcome | None = None
     split: CompatSplit | None = None
 
+    @cached_property
+    def crt_data(self):
+        """`_crt_data` of this decomposition, computed by the first `normal_form`."""
+        return _crt_data(self)
+
 
 def assemble(
     pseudo: PseudoOutcome,
@@ -421,14 +412,10 @@ def assemble(
         delta = q if outcome.eliminant is None else outcome.eliminant
         chi = chi * delta
         ctx_delta = residue_context(base_ctx, delta)
-        basis = []
-        for b in outcome.basis:
-            moved = project_multipoly(b, ctx_delta, keep_lifts=True)
-            if moved.is_zero:
-                continue
-            if moved.is_coeff:
-                raise AssertionError("modular basis element projected to a nonzero residue")
-            basis.append(moved)
+        basis = [project_multipoly(b, ctx_delta, keep_lifts=True) for b in outcome.basis]
+        basis = [b for b in basis if not b.is_zero]
+        if any(b.is_coeff for b in basis):
+            raise AssertionError("modular basis element projected to a nonzero residue")
         components.append(
             Component(
                 kind="modular",
@@ -563,6 +550,7 @@ def is_member(f: MultiPoly, dec: Decomposition) -> bool:
 
 
 def _crt_data(dec: Decomposition):
+    """(eliminant, combos): combos[i] is 1 mod component i's modulus and 0 mod the others'."""
     moduli = [comp.modulus for comp in dec.components]
     total = dec.eliminant
     combos = []
@@ -582,7 +570,7 @@ def normal_form(f: MultiPoly, dec: Decomposition):
     if dec.base_ctx is None:
         raise ValueError("decomposition lacks its base context")
     remainders = [component_remainder(f, comp) for comp in dec.components]
-    total, combos = _crt_data(dec)
+    total, combos = dec.crt_data
     mons = sorted(
         {m for r in remainders for m, _ in r.terms},
         key=dec.base_ctx.order.key,

@@ -20,7 +20,8 @@ above MAX_COEFF_BITS.  Ideal files are line oriented:
     ideal:
     <one expression per line>
 
-Blank lines and '#' comments are skipped.
+Blank lines and '#' comments are skipped.  A line is tokenized by one regex
+scan; the column of an error is found by a second scan, only when it is raised.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
+from itertools import islice
 from math import lcm as int_lcm
 from operator import add
 
@@ -49,24 +51,21 @@ class ParseError(ValueError):
 # NUMBER (with an optional '/' tail), NAME, an operator, or any other
 # non-space character, which is an error; whitespace falls between matches.
 _TOKEN = re.compile(r"(\d+(?:/\d*)?)|([^\W\d]\w*)|([-+*^()])|(\S)")
+# The tokens of a well-formed line.  findall skips a character no token starts with
+# and the '/' of a NUMBER with no digits after it, which _TOKEN reports.
+_TOKENS = re.compile(r"[-+*^()]|\d+(?:/\d+)?|[^\W\d]\w*")
 
 
-def _tokenize(text: str, line_no: int | None = None):
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        num, name, op, bad = m.groups()
-        col = m.start()
-        if num is not None:
-            if num[-1] == "/":
-                raise ParseError("expected digits after '/'", line_no, col + len(num))
-            tokens.append(("num", num, col))
-        elif name is not None:
-            tokens.append(("name", name, col))
-        elif op is not None:
-            tokens.append((op, op, col))
-        else:
-            raise ParseError(f"unexpected character {bad!r}", line_no, col + 1)
-    tokens.append(("end", "", len(text)))
+def _tokenize(text: str, line_no: int | None = None) -> list[str]:
+    """The tokens of a line as strings, then "" for its end; columns are found only for an error."""
+    tokens = _TOKENS.findall(text)
+    if "".join(tokens) != "".join(text.split()):    # a character was skipped
+        for m in _TOKEN.finditer(text):
+            if m[4]:
+                raise ParseError(f"unexpected character {m[4]!r}", line_no, m.start() + 1)
+            if m[1] and m[1][-1] == "/":
+                raise ParseError("expected digits after '/'", line_no, m.end())
+    tokens.append("")
     return tokens
 
 
@@ -113,11 +112,6 @@ def _term_mul(a: dict, b: dict, p: int) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
-def _square_and_multiply_count(n: int) -> int:
-    """Multiplications square-and-multiply makes for base^n: one per set bit, one per squaring."""
-    return n and n.bit_count() + n.bit_length() - 1
-
-
 class _ExprParser:
     """Evaluates an expression into one term dict {(e_x1, e_tail...): scalar} in one pass.
 
@@ -127,8 +121,9 @@ class _ExprParser:
     would build if every factor were expanded into a dict.
     """
 
-    def __init__(self, tokens, ctx: VarContext, line_no: int | None):
-        self.tokens = tokens
+    def __init__(self, text: str, ctx: VarContext, line_no: int | None):
+        self.text = text
+        self.tokens = _tokenize(text, line_no)
         self.pos = 0
         self.built = 0
         self.ctx = ctx
@@ -137,11 +132,16 @@ class _ExprParser:
         self.var_index = {name: i for i, name in enumerate((ctx.x1, *ctx.tilde))}
         self.unit = (0,) * len(self.var_index)
 
+    def _error(self, message: str, k: int) -> ParseError:
+        """The error at the k-th token, whose column a second scan of the line finds."""
+        m = next(islice(_TOKEN.finditer(self.text), k, None), None)
+        return ParseError(message, self.line, (len(self.text) if m is None else m.start()) + 1)
+
     def parse(self) -> MultiPoly:
         value = self.expr()
-        kind, text, col = self.tokens[self.pos]
-        if kind != "end":
-            raise ParseError(f"trailing input {text!r}", self.line, col + 1)
+        text = self.tokens[self.pos]
+        if text:
+            raise self._error(f"trailing input {text!r}", self.pos)
         return self._build(value)
 
     def _build(self, value: dict) -> MultiPoly:
@@ -157,10 +157,10 @@ class _ExprParser:
             term_map[mon] = ctx.ring.elem(UniPoly(ctx.field, dense))
         return MultiPoly(ctx, term_map)
 
-    def _charge(self, terms: int, col: int) -> None:
+    def _charge(self, terms: int, k: int) -> None:
         self.built += terms
         if self.built > MAX_TERMS:
-            raise ParseError(f"expression expands to more than {MAX_TERMS} terms", self.line, col + 1)
+            raise self._error(f"expression expands to more than {MAX_TERMS} terms", k)
 
     def expr(self) -> dict:
         """A sum of terms, each added into one dict."""
@@ -178,7 +178,7 @@ class _ExprParser:
                         out[m] = c
                     else:
                         del out[m]
-            sign = tokens[self.pos][0]
+            sign = tokens[self.pos]
             if sign != "+" and sign != "-":
                 return out
             self.pos += 1
@@ -188,49 +188,52 @@ class _ExprParser:
 
         Factors of one term fold into `exps` and `c`; `poly` is the product
         of the factors of two or more terms.  `size` is the number of terms
-        of the product so far, and a '*' is charged it times the factor's.
+        of the product so far, and a '*' (token `star`) is charged it times
+        the factor's.  A variable's power is charged in line, as MAX_TERMS says.
         """
-        tokens, p, pos = self.tokens, self.p, self.pos
+        tokens, p, pos, var_index = self.tokens, self.p, self.pos, self.var_index
         exps = list(self.unit)
         c, poly, size, negative, star = 1, None, 1, False, None
         while True:
-            kind, text, col = tokens[pos]
-            while kind == "-" or kind == "+":
-                negative ^= kind == "-"
+            text = tokens[pos]
+            while text == "-" or text == "+":
+                negative ^= text == "-"
                 pos += 1
-                kind, text, col = tokens[pos]
+                text = tokens[pos]
             pos += 1
             width = 1
-            if kind == "name":
-                i = self.var_index.get(text)
-                if i is None:
-                    raise ParseError(f"unknown variable {text!r}", self.line, col + 1)
+            i = var_index.get(text)
+            if i is not None:
                 n = 1
-                if tokens[pos][0] == "^":
-                    n, col = self._exponent(pos + 1, 1)
+                if tokens[pos] == "^":
                     pos += 2
-                    self._charge(_square_and_multiply_count(n), col)
+                    n = int(tokens[pos - 1]) if tokens[pos - 1].isdecimal() else MAX_EXPONENT + 1
+                    if n > MAX_EXPONENT:
+                        self._exponent(pos - 1, 1)    # raises the exponent's error
+                    self.built += n and n.bit_count() + n.bit_length() - 1
+                    if self.built > MAX_TERMS:
+                        self._charge(0, pos - 1)    # raises the term cap's error
                 exps[i] += n
-            elif kind == "num":
+            elif text[:1].isdecimal():
                 if "/" not in text:
                     f = int(text) % p if p else int(text)
                 elif p:
-                    raise ParseError("rational literal in a prime field", self.line, col + 1)
+                    raise self._error("rational literal in a prime field", pos - 1)
                 else:
                     f = self.ctx.field.parse(text)
-                if tokens[pos][0] == "^":
+                if tokens[pos] == "^":
                     f = self._power({self.unit: f} if f else {}, pos + 1).get(self.unit, 0)
                     pos += 2
                 c = c * f % p if p else c * f
                 width = 1 if f else 0
-            elif kind == "(":
+            elif text == "(":
                 self.pos = pos
                 value = self.expr()
-                kind, text, col = tokens[self.pos]
-                if kind != ")":
-                    raise ParseError(f"expected ), found {text!r}", self.line, col + 1)
+                text = tokens[self.pos]
+                if text != ")":
+                    raise self._error(f"expected ), found {text!r}", self.pos)
                 pos = self.pos + 1
-                if tokens[pos][0] == "^":
+                if tokens[pos] == "^":
                     value = self._power(value, pos + 1)
                     pos += 2
                 width = len(value)
@@ -238,8 +241,10 @@ class _ExprParser:
                     ((mon, f),) = value.items()
                     exps = list(map(add, exps, mon))
                     c = c * f % p if p else c * f
+            elif text in ("", "*", "^", ")"):
+                raise self._error(f"unexpected token {text!r}", pos - 1)
             else:
-                raise ParseError(f"unexpected token {text!r}", self.line, col + 1)
+                raise self._error(f"unknown variable {text!r}", pos - 1)
             if star is not None:
                 self._charge(size * width, star)
             if width > 1 and size:
@@ -247,9 +252,9 @@ class _ExprParser:
                 size = len(poly)
             elif not width:
                 size = 0
-            kind, _, star = tokens[pos]
-            if kind != "*":
+            if tokens[pos] != "*":
                 break
+            star = pos
             pos += 1
         self.pos = pos
         if not size:
@@ -261,20 +266,20 @@ class _ExprParser:
             return mon, c
         return {tuple(map(add, m, mon)): v * c % p if p else v * c for m, v in poly.items()}
 
-    def _exponent(self, pos: int, top: int) -> tuple[int, int]:
-        """The exponent n at pos and its column, checked for a base of degree `top`."""
-        kind, text, col = self.tokens[pos]
-        if kind != "num":
-            raise ParseError(f"expected num, found {text!r}", self.line, col + 1)
+    def _exponent(self, k: int, top: int) -> int:
+        """The exponent n at token k, checked for a base of degree `top`."""
+        text = self.tokens[k]
+        if not text[:1].isdecimal():
+            raise self._error(f"expected num, found {text!r}", k)
         if "/" in text:
-            raise ParseError("exponent must be an integer", self.line, col + 1)
+            raise self._error("exponent must be an integer", k)
         n = int(text)
         if n > MAX_EXPONENT or top * n > MAX_EXPONENT:
-            raise ParseError(f"power exceeds the exponent limit {MAX_EXPONENT}", self.line, col + 1)
-        return n, col
+            raise self._error(f"power exceeds the exponent limit {MAX_EXPONENT}", k)
+        return n
 
-    def _power(self, base: dict, pos: int) -> dict:
-        """base^n for the exponent n at pos.
+    def _power(self, base: dict, k: int) -> dict:
+        """base^n for the exponent n at token k.
 
         The power is built by square-and-multiply, and each of its
         multiplications is charged to MAX_TERMS before it is made.  Over Q
@@ -282,19 +287,19 @@ class _ExprParser:
         denominator D, and the result is divided by D^n once.
         """
         p = self.p
-        n, col = self._exponent(pos, max((max(m) for m in base), default=0))
+        n = self._exponent(k, max((max(m) for m in base), default=0))
         if not p and base and _power_bits(base, n) > MAX_COEFF_BITS:
             bound = f"power may exceed the coefficient limit of {MAX_COEFF_BITS} bits"
-            raise ParseError(bound, self.line, col + 1)
+            raise self._error(bound, k)
         den = int_lcm(*(c.denominator for c in base.values()))
         base = {m: c.numerator * (den // c.denominator) for m, c in base.items()}
         value = {self.unit: 1}
         for bit in range(n.bit_length()):    # square-and-multiply, low bits first
             if bit:
-                self._charge(len(base) ** 2, col)
+                self._charge(len(base) ** 2, k)
                 base = _term_mul(base, base, p)
             if n >> bit & 1:
-                self._charge(len(value) * len(base), col)
+                self._charge(len(value) * len(base), k)
                 value = _term_mul(value, base, p)
         if den == 1:
             return value
@@ -303,7 +308,7 @@ class _ExprParser:
 
 
 def parse_poly(text: str, ctx: VarContext, line_no: int | None = None) -> MultiPoly:
-    return _ExprParser(_tokenize(text, line_no), ctx, line_no).parse()
+    return _ExprParser(text, ctx, line_no).parse()
 
 
 @dataclass
@@ -324,14 +329,9 @@ def parse_ideal_file(text: str) -> IdealFile:
     field = None
     names: list[str] | None = None
     order = "lex"
-    gen_lines: list[tuple[int, str]] = []
-    in_ideal = False
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    lines = ((n, raw.split("#", 1)[0].strip()) for n, raw in enumerate(text.splitlines(), start=1))
+    for line_no, line in lines:
         if not line:
-            continue
-        if in_ideal:
-            gen_lines.append((line_no, line))
             continue
         head, _, rest = line.partition(" ")
         head = head.lower()
@@ -357,9 +357,10 @@ def parse_ideal_file(text: str) -> IdealFile:
             if order not in ("lex", "grevlex"):
                 raise ParseError(f"unknown order {rest!r}", line_no)
         elif line.lower().rstrip(":") == "ideal":
-            in_ideal = True
+            break    # every later line is a generator
         else:
             raise ParseError(f"unexpected directive {line!r}", line_no)
+    gen_lines = [(n, line) for n, line in lines if line]
     if field is None:
         raise ParseError("missing 'field' line")
     if names is None:

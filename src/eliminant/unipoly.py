@@ -571,6 +571,14 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return _raw(F, a, a[-1])
 
 
+def _constant_inverse(c: UniPoly) -> UniPoly:
+    """1 / c for a nonzero constant c; over Q its numerator and denominator swap places."""
+    (n,), p = c.nums, c.field.char
+    if p:
+        return _raw(c.field, [pow(n, -1, p)])
+    return _raw(c.field, [c.den if n > 0 else -c.den], abs(n))
+
+
 def lcm_cofactors(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     """(m / f, m / g) for the monic lcm m of f and g.
 
@@ -580,6 +588,9 @@ def lcm_cofactors(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
     """
     if f.is_zero or g.is_zero:
         raise BothZeroError("lcm with zero")
+    if len(f.nums) == 1 == len(g.nums):    # m = 1: the cofactors are 1 / f and 1 / g
+        f._check(g)
+        return _constant_inverse(f), _constant_inverse(g)
     d = poly_gcd(f, g)
     cf, cg = (g, f) if d.is_one else (exact_div(g, d), exact_div(f, d))
     p = f.field.char

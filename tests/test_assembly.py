@@ -219,6 +219,31 @@ def test_normal_form_crt_modular():
         assert component_remainder(nf, comp) == r
 
 
+@pytest.mark.parametrize("src", [SIMPLE, MODULAR], ids=["one_component", "two_components"])
+def test_normal_form_keeps_its_crt_data(src, monkeypatch):
+    """A second normal form on the same decomposition runs no extended gcd of its own and agrees.
+
+    Gcd-division in a component outside shape position still inverts units
+    through `pqr` on every call; that is the remainder's work, not the CRT's.
+    """
+    ideal, pseudo, split, dec = pipeline(src)
+    probe = parse_poly("x*y + z^2*x - 3", ideal.ctx)
+    first = normal_form(probe, dec)
+    calls = []
+
+    def spy(fn):
+        def wrapped(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(assembly, "poly_ext_gcd", spy(assembly.poly_ext_gcd))
+    assert normal_form(probe, dec) == first
+    assert calls == []
+    assert dec.crt_data == assembly._crt_data(dec)
+    assert len(calls) == len(dec.components)
+
+
 def test_ladder_fixpoint_and_orders():
     ideal, pseudo, split, dec = pipeline(MODULAR)
     for comp in dec.components:

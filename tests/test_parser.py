@@ -20,14 +20,14 @@ from eliminant.pqr import residue_context
 from eliminant.unipoly import UniPoly
 
 import util
-from util import ReferenceExprParser
+from util import ReferenceExprParser, reference_tokenize
 
 
 class _MultiPolyEvaluator:
     """Reference: evaluate the grammar with full MultiPoly arithmetic per operator."""
 
     def __init__(self, text, ctx):
-        self.tokens = _tokenize(text)
+        self.tokens = reference_tokenize(text)
         self.pos = 0
         self.ctx = ctx
 
@@ -207,7 +207,7 @@ def test_power_bits_bounds_the_expansion():
         n = rng.randint(1, 12)
         base = f"({' '.join(terms)})"
         value = parse_poly(f"{base}^{n}", ctx)
-        parser = _ExprParser(_tokenize(base), ctx, None)
+        parser = _ExprParser(base, ctx, None)
         assert _coeff_bits(value) <= _power_bits(parser.expr(), n)
 
 
@@ -241,7 +241,7 @@ def _random_sum(rng, rational, depth=0):
 def _outcome(parser_class, text, ctx):
     """The polynomial and the term charge, or the error with its line and column."""
     try:
-        parser = parser_class(_tokenize(text, 7), ctx, 7)
+        parser = parser_class(text, ctx, 7)
         return "ok", parser.parse(), parser.built
     except ParseError as exc:
         return "error", str(exc), exc.line, exc.col
@@ -272,6 +272,9 @@ def test_parser_matches_reference_parser(ctx):
         "(x+y+z+1)^1000 + w", "0*(x+1)^1000*w", "(2^1000)^11*w",
         "x*(y+1)^1000", "-(x + 1)^1000", f"(x+y+1)^40*(x+y+1)^40*(x+y+1)^{MAX_EXPONENT + 1}",
         "1/2*x - y^1000*(z^400)^3",
+        # where another split of the line, or another notion of a digit or a
+        # space, would disagree with the reference tokenizer
+        "x1/2", "1/2/3", "12/ x", "x²", "١٢*x^١٠٠١", "x\t+\tw",
     ],
 )
 def test_malformed_inputs_fail_as_the_reference_parser_does(text):
@@ -281,6 +284,47 @@ def test_malformed_inputs_fail_as_the_reference_parser_does(text):
     assert outcome == _outcome(ReferenceExprParser, text, ctx)
     gf = base_context(GF(5), "z", ("y", "x"))
     assert _outcome(_ExprParser, text, gf) == _outcome(ReferenceExprParser, text, gf)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["3/4*x", "١٢*x", "x^١٢ - ٣", "\tx\t*\ty\t", "x\u00a0+\u2003y", "(1/2*x)^3*(7/5)^2", "x+-+y"],
+)
+def test_unusual_texts_parse_as_the_reference_parser_does(text):
+    # Arabic-Indic digits are digits to the tokenizer and to int, and Unicode
+    # spaces are spaces; a rational is refused only in a prime field
+    for field in (QQ, GF(5)):
+        ctx = base_context(field, "z", ("y", "x"))
+        outcome = _outcome(_ExprParser, text, ctx)
+        assert outcome == _outcome(ReferenceExprParser, text, ctx)
+        assert outcome[0] == ("error" if field.char and "/" in text else "ok"), outcome
+
+
+def _token_outcome(tokenize, text):
+    try:
+        return "ok", [token if type(token) is str else token[1] for token in tokenize(text, 3)]
+    except ParseError as exc:
+        return "error", str(exc), exc.line, exc.col
+
+
+def test_tokenizer_matches_reference_tokenizer():
+    """Tokens or the first error, and the column the parser finds for each token on demand."""
+    ctx = base_context(QQ, "z", ("y", "x"))
+    pieces = ["x", "y1", "z", "_", "0", "7", "12", "٣", "/", "/", " ", "\t", "\u00a0",
+              "+", "-", "*", "^", "(", ")", "$", ".", "²"]
+    rng = random.Random(1616)
+    errors = 0
+    for _ in range(4000):
+        text = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 10)))
+        outcome = _token_outcome(reference_tokenize, text)
+        assert _token_outcome(_tokenize, text) == outcome, repr(text)
+        if outcome[0] == "error":
+            errors += 1
+            continue
+        parser = _ExprParser(text, ctx, 3)
+        for k, (_, _, col) in enumerate(reference_tokenize(text)):
+            assert parser._error("", k).col == col + 1, (repr(text), k)
+    assert 1000 < errors < 3000, errors
 
 
 def test_limits_refuse_alike_at_the_boundary(monkeypatch):

@@ -463,8 +463,12 @@ def test_lcm_cofactors_remainder_and_gcd_match_references(p):
     F = GF(p) if p else QQ
     rng = random.Random(800 + p)
     shapes = {"smaller": 0, "equal": 0, "divides": 0, "constant": 0, "common": 0}
-    for _ in range(400):
-        f, g = _kernel_pair(rng, F)
+    pairs = [_kernel_pair(rng, F) for _ in range(400)]
+    # two constants, whose cofactors are their inverses: negative and rational over Q
+    scalars = range(1, p) if p else (Fraction(-3, 4), Fraction(5, 6), -1, 2, Fraction(-7, 9), 1)
+    constants = [UniPoly.constant(F, c) for c in scalars]
+    pairs += [(f, g) for f in constants for g in constants]
+    for f, g in pairs:
         if not f.is_zero or not g.is_zero:
             assert poly_gcd(f, g) == reference_poly_gcd(f, g)
         if not g.is_zero:
@@ -483,6 +487,9 @@ def test_lcm_cofactors_remainder_and_gcd_match_references(p):
         shapes["divides"] += (f % g).is_zero
         shapes["constant"] += f.is_constant or g.is_constant
         shapes["common"] += not d.is_constant
+        if f.is_constant and g.is_constant:
+            inverses = tuple(UniPoly.constant(F, F.inv(h.lc)) for h in (f, g))
+            assert lcm_cofactors(f, g) == inverses
     assert min(shapes.values()) >= 20, shapes
 
 

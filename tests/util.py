@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from operator import add
 
@@ -14,7 +15,6 @@ from eliminant.parser import (
     MAX_TERMS,
     ParseError,
     _power_bits,
-    _tokenize,
     parse_poly,
 )
 from eliminant.unipoly import UniPoly
@@ -455,6 +455,35 @@ def _reference_term_mul(a: dict, b: dict, p: int) -> dict:
     return {m: c for m, c in out.items() if c}
 
 
+# NUMBER (with an optional '/' tail), NAME, an operator, or any other
+# non-space character, which is an error; whitespace falls between matches.
+_TOKEN = re.compile(r"(\d+(?:/\d*)?)|([^\W\d]\w*)|([-+*^()])|(\S)")
+
+
+def reference_tokenize(text: str, line_no: int | None = None):
+    """The reference tokenizer: (kind, text, column) per token, then ("end", "", len(text)).
+
+    It reports each token's column as it reads it, one Python step per
+    token; the engine's tokenizer finds columns only for an error.
+    """
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        num, name, op, bad = m.groups()
+        col = m.start()
+        if num is not None:
+            if num[-1] == "/":
+                raise ParseError("expected digits after '/'", line_no, col + len(num))
+            tokens.append(("num", num, col))
+        elif name is not None:
+            tokens.append(("name", name, col))
+        elif op is not None:
+            tokens.append((op, op, col))
+        else:
+            raise ParseError(f"unexpected character {bad!r}", line_no, col + 1)
+    tokens.append(("end", "", len(text)))
+    return tokens
+
+
 class ReferenceExprParser:
     """The expression evaluator before the one-pass parser, kept as an oracle.
 
@@ -464,10 +493,11 @@ class ReferenceExprParser:
 
     Scalars are ints or Fractions over Q and residues over GF(p).  The
     MultiPoly is built once from the final dict, so its terms are sorted once.
+    Tokens come from the reference tokenizer, each with its column.
     """
 
-    def __init__(self, tokens, ctx, line_no: int | None):
-        self.tokens = tokens
+    def __init__(self, text: str, ctx, line_no: int | None):
+        self.tokens = reference_tokenize(text, line_no)
         self.pos = 0
         self.built = 0
         self.ctx = ctx
@@ -600,4 +630,4 @@ class ReferenceExprParser:
 
 
 def reference_parse_poly(text: str, ctx, line_no=None) -> MultiPoly:
-    return ReferenceExprParser(_tokenize(text, line_no), ctx, line_no).parse()
+    return ReferenceExprParser(text, ctx, line_no).parse()
