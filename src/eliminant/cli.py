@@ -13,6 +13,7 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .assembly import (
     Decomposition,
@@ -41,6 +42,48 @@ EXIT_NOT_ZERO_DIM = 3
 EXIT_INTERNAL = 4
 
 
+def _emit_json(value, newline: str, out: list) -> None:
+    """Append the pieces of `json.dumps(value, indent=2)` to `out`.
+
+    `newline` is a line break and the indent of the line `value` starts on.
+    The indented form makes `json` use its pure-Python encoder; this writes
+    the same text with the C string encoder, and the caller joins the pieces
+    once.  Dict keys are strings.
+    """
+    t = type(value)
+    if t is str:
+        out.append(_encode_str(value))
+    elif t is dict or t is list or t is tuple:
+        if not value:
+            out.append("{}" if t is dict else "[]")
+            return
+        inner = newline + "  "
+        if t is dict:
+            sep = "{" + inner
+            for k, v in value.items():
+                out.append(sep + _encode_str(k) + ": ")
+                _emit_json(v, inner, out)
+                sep = "," + inner
+            out.append(newline + "}")
+        else:
+            sep = "[" + inner
+            for v in value:
+                out.append(sep)
+                _emit_json(v, inner, out)
+                sep = "," + inner
+            out.append(newline + "]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif t is int:
+        out.append(repr(value))
+    else:
+        out.append(json.dumps(value))
+
+
 def _pretty_multiplier(p: UniPoly, x1: str) -> str:
     """Print monic-normalized multipliers with primitive integer coefficients."""
     return p.scale(content_scale(p.field, [p], p.nums[-1])).fmt(x1)
@@ -64,6 +107,16 @@ class PipelineReport:
     def to_json_dict(self) -> dict:
         x1 = self.ideal.x1
         dec = self.decomposition
+        # the eliminants, the compatible part and the moduli are often one
+        # polynomial: each is formatted once per call, and nothing is kept after
+        printed: dict = {}
+
+        def fmt(p: UniPoly) -> str:
+            text = printed.get(p)
+            if text is None:
+                text = printed[p] = p.fmt(x1)
+            return text
+
         out = {
             "field": repr(self.ideal.field),
             "variables": [x1, *self.ideal.tilde],
@@ -76,21 +129,19 @@ class PipelineReport:
                 "base_change": self.strategy.base_change,
             },
             "inconsistent": dec.inconsistent,
-            "pseudo_eliminant": self.pseudo.eliminant.fmt(x1),
+            "pseudo_eliminant": fmt(self.pseudo.eliminant),
             "multipliers": [_pretty_multiplier(m, x1) for m in self.pseudo.multipliers],
             "leading_coefficient_gcds": [
                 _pretty_multiplier(m, x1) for m in self.pseudo.lc_gcds
             ],
-            "eliminant": dec.eliminant.fmt(x1),
+            "eliminant": fmt(dec.eliminant),
         }
         if not dec.inconsistent:
-            out["compatible_part"] = self.split.compatible_part.fmt(x1)
-            out["composite_divisors"] = [
-                q.fmt(x1) for q in self.split.composite_divisors()
-            ]
+            out["compatible_part"] = fmt(self.split.compatible_part)
+            out["composite_divisors"] = [fmt(q) for q in self.split.composite_divisors()]
             out["coefficient_criterion"] = [
                 {
-                    "factor": v.factor.fmt(x1),
+                    "factor": fmt(v.factor),
                     "exponent": v.exponent,
                     "coprime_to_leading_coefficients": v.coprime_to_lcs,
                 }
@@ -107,18 +158,18 @@ class PipelineReport:
                     lifted = basis + [MultiPoly.from_coeff(dec.base_ctx, comp.modulus).fmt()]
                 entry = {
                     "kind": comp.kind,
-                    "modulus": comp.modulus.fmt(x1),
+                    "modulus": fmt(comp.modulus),
                     "basis": basis,
                     "lifted_basis": lifted,
                 }
                 if comp.kind == "modular":
-                    entry["composite_divisor"] = comp.source_modulus.fmt(x1)
+                    entry["composite_divisor"] = fmt(comp.source_modulus)
                     entry["proper_eliminant"] = comp.eliminant_code
                 comps.append(entry)
             out["components"] = comps
             out["trivial_components"] = [
                 {
-                    "composite_divisor": t.source_modulus.fmt(x1),
+                    "composite_divisor": fmt(t.source_modulus),
                     "proper_eliminant": t.eliminant_code,
                 }
                 for t in dec.trivial
@@ -132,7 +183,10 @@ class PipelineReport:
         return out
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
+        """The report as `json.dumps(self.to_json_dict(), indent=2)` writes it."""
+        out: list = []
+        _emit_json(self.to_json_dict(), "\n", out)
+        return "".join(out)
 
     # -- human form ---------------------------------------------------------
 

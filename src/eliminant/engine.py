@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .multipoly import MultiPoly, mon_coprime, mon_div, mon_divides, mon_lcm
-from .unipoly import exact_div, lcm_cofactors, poly_gcd, poly_lcm
+from .unipoly import UniPoly, exact_div, lcm_cofactors, poly_gcd, poly_lcm
 
 
 class InvalidSPolyInput(ValueError):
@@ -94,11 +94,10 @@ def coprime_multiplier(f: MultiPoly, g: MultiPoly):
     return f.ctx.ring.elem(poly_gcd(f.lc.lift(), g.lc.lift()))
 
 
-def _triangular_lift(f: MultiPoly, g: MultiPoly, h: MultiPoly):
-    """(lam, m) on lifts: m = lcm(lc f, lc g) and lam = lc h / gcd(m, lc h)."""
-    m = poly_lcm(f.lc.lift(), g.lc.lift())
+def _triangular_lift(m: UniPoly, h: MultiPoly) -> UniPoly:
+    """lam = lc h / gcd(m, lc h) on lifts, for the pair's m = lcm(lc f, lc g)."""
     lh = h.lc.lift()
-    return exact_div(lh, poly_gcd(m, lh)), m
+    return exact_div(lh, poly_gcd(m, lh))
 
 
 def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
@@ -108,7 +107,7 @@ def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
     """
     if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
         return None
-    return f.ctx.ring.elem(_triangular_lift(f, g, h)[0])
+    return f.ctx.ring.elem(_triangular_lift(poly_lcm(f.lc.lift(), g.lc.lift()), h))
 
 
 def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
@@ -123,7 +122,8 @@ def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
     if not mon_divides(h.lm, gamma):
         return False
     elem = f.ctx.ring.elem
-    lam, m = _triangular_lift(f, g, h)
+    m = poly_lcm(f.lc.lift(), g.lc.lift())
+    lam = _triangular_lift(m, h)
     top = lam * m
     lh = h.lc.lift()
     c1 = elem(exact_div(top, poly_lcm(f.lc.lift(), lh)))
@@ -320,18 +320,25 @@ class Elimination:
         # a pair may be excused through h only when both of its companion
         # pairs were already decided: the rewrite chain then points strictly
         # backwards and can never lose an S-polynomial in a cycle.
+        # lcm(lc f, lc g) is computed once per search, when a first candidate
+        # passes the monomial test, and serves every candidate's multiplier.
         f, g = self.arena[i], self.arena[j]
+        gamma = mon_lcm(f.lm, g.lm)
+        elem = f.ctx.ring.elem
+        m = None
         candidates = []
         for pos, (_, k, h) in enumerate(self.basis):
             if (
                 k in (i, j)
+                or not mon_divides(h.lm, gamma)
                 or frozenset((i, k)) not in self.decided_pairs
                 or frozenset((j, k)) not in self.decided_pairs
             ):
                 continue
-            lam = triangular_multiplier(f, g, h)
-            if lam is not None:
-                candidates.append((self.ring.rank(lam), pos, k, lam))
+            if m is None:
+                m = poly_lcm(f.lc.lift(), g.lc.lift())
+            lam = elem(_triangular_lift(m, h))
+            candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])
         for _, _, k, lam in candidates:
             if not self.ring.excuse(lam):

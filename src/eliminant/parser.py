@@ -35,7 +35,7 @@ from operator import add
 
 from .fields import GF, QQ
 from .multipoly import MultiPoly, VarContext, base_context
-from .unipoly import UniPoly
+from .unipoly import _gf_make, _q_make
 
 
 class ParseError(ValueError):
@@ -145,16 +145,30 @@ class _ExprParser:
         return self._build(value)
 
     def _build(self, value: dict) -> MultiPoly:
+        """The MultiPoly of a term dict, each coefficient made on the integer kernel.
+
+        Every scalar is nonzero, so each row's top entry is too.  Over GF(p)
+        the scalars are residues already; over Q a row's numerators are put
+        over the row's common denominator.
+        """
         ctx = self.ctx
+        field, elem, p = ctx.field, ctx.ring.elem, self.p
         by_tail: dict = {}
         for mon, c in value.items():
             by_tail.setdefault(mon[1:], {})[mon[0]] = c
         term_map = {}
         for mon, row in by_tail.items():
             dense = [0] * (max(row) + 1)
-            for e1, c in row.items():
-                dense[e1] = c
-            term_map[mon] = ctx.ring.elem(UniPoly(ctx.field, dense))
+            if p:
+                for e1, c in row.items():
+                    dense[e1] = c
+                coeff = _gf_make(field, dense)
+            else:
+                den = int_lcm(*[c.denominator for c in row.values()])
+                for e1, c in row.items():
+                    dense[e1] = c.numerator * (den // c.denominator)
+                coeff = _q_make(field, dense, den)
+            term_map[mon] = elem(coeff)
         return MultiPoly(ctx, term_map)
 
     def _charge(self, terms: int, k: int) -> None:

@@ -22,6 +22,34 @@ one kernel call, `sum_of_products`: the products accumulate on one integer
 list (over one common denominator over Q) and the sum is normalised once,
 not once per product and once per partial sum.
 
+Over Q, `poly_gcd` first tries GCDHEU (Char, Geddes & Gonnet 1989,
+"GCDHEU: heuristic polynomial GCD algorithm based on integer GCD
+computation", JSC 7; Geddes, Czapor & Labahn 1992, "Algorithms for Computer
+Algebra", §7.7) on the primitive integer lists a, b of its operands: with
+M = min(‖a‖∞, ‖b‖∞) and an integer point xi >= 2M + 2 (the first is
+2M + 29), gamma = gcd(a(xi), b(xi)) is one integer gcd, its symmetric
+xi-adic digits (each in (-xi/2, xi/2]) are the coefficients of a polynomial
+G with G(xi) = gamma, and the candidate is P = pp(G).
+
+- Theorem: if P divides a and b in Z[x], then P = gcd(a, b).
+- Proof: P divides g = gcd(a, b), so g = P*h with h in Z[x].  g(xi) divides
+  a(xi) and b(xi), hence gamma = c*P(xi), where c = cont(G) and 0 < |c| <=
+  xi/2; so h(xi) divides c.  Every root of h is a root of the operand of
+  norm M, so it lies below 1 + M in absolute value (Cauchy), and a
+  non-constant h would have |h(xi)| > (xi - 1 - M)^deg h >= xi/2 >= |c|.
+  So h is a constant; P and g are primitive with positive leading entries,
+  so h = 1.
+
+The trial divisions (`_q_divmod` with an empty remainder and scale 1) are
+what make the answer exact: a wrong candidate never divides both operands,
+and a candidate of 1 needs none.
+A rejected point is followed by a larger one, xi*73794//27011 (about xi
+times 1 + sqrt 3); after `_HEU_POINTS` points the primitive remainder
+sequence answers.  The integer gcd and the evaluations run in C on one big
+integer each, where the remainder sequence swells in Python loops.  The
+answer is the same canonical monic gcd either way.  GF(p) keeps its
+Euclidean loop, and the extended gcds keep theirs.
+
 Constant operands, as most leading coefficients are after normalisation,
 skip the loops: a product with a constant is one scaling pass, `poly_gcd`
 with a nonzero constant is one, and `content_scale` returns the int 1 or -1,
@@ -529,9 +557,10 @@ def content_scale(field, polys, lead):
 
 # -- gcd family ---------------------------------------------------------------
 #
-# Over Q the Euclidean loop runs on primitive integer coefficient lists
-# (fraction-free remainders with content stripped each round) to keep the
-# intermediate numerators bounded; the external contract is a monic gcd.
+# Over Q the heuristic gcd and the Euclidean loop it falls back to run on
+# primitive integer coefficient lists (the loop takes fraction-free
+# remainders with content stripped each round); the external contract is a
+# monic gcd.
 
 
 def _int_primitive(cs: list[int]) -> list[int]:
@@ -540,6 +569,50 @@ def _int_primitive(cs: list[int]) -> list[int]:
     if cs[-1] < 0:
         g = -g
     return [c // g for c in cs] if g != 1 else cs
+
+
+_HEU_POINTS = 6    # evaluation points GCDHEU tries before the remainder sequence
+
+
+def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
+    """gcd(a, b) of primitive integer lists with positive leading entries, or None.
+
+    GCDHEU (see the module docstring): one integer gcd at an evaluation point
+    xi, the candidate read back from its symmetric xi-adic digits, accepted
+    only when it divides both lists exactly.  The candidate 1, and a candidate
+    equal to an operand, divide it with no division.  None after _HEU_POINTS
+    points.
+    """
+    top = min(len(a), len(b))
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 29
+    for _ in range(_HEU_POINTS):
+        va = vb = 0
+        for c in reversed(a):
+            va = va * xi + c
+        for c in reversed(b):
+            vb = vb * xi + c
+        gamma = int_gcd(va, vb)
+        half = xi >> 1
+        digits = []
+        while gamma:
+            gamma, c = divmod(gamma, xi)
+            if c > half:
+                c -= xi
+                gamma += 1
+            digits.append(c)
+        if len(digits) <= top:
+            cand = _int_primitive(digits)
+            if len(cand) == 1:
+                return cand    # [1] divides both
+            for x in (a, b):
+                if x != cand:
+                    _, r, s = _q_divmod(x, cand)
+                    if r or s != 1:
+                        break
+            else:
+                return cand
+        xi = xi * 73794 // 27011
+    return None
 
 
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -562,6 +635,9 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return _raw(F, a).monic()
     a = _int_primitive(list(a))
     b = _int_primitive(list(b))
+    d = _heu_gcd(a, b)
+    if d is not None:
+        return _raw(F, d, d[-1])
     if len(a) < len(b):
         a, b = b, a
     while b:

@@ -257,3 +257,29 @@ def test_hostile_inputs_exit_2_quickly(body, tmp_path, capsys):
     assert main([str(path)]) == EXIT_PARSE
     assert time.perf_counter() - t0 < 1.0
     assert "error" in capsys.readouterr().err
+
+
+def test_json_report_text_is_json_dumps_indent_2():
+    # the emitter against json.dumps on every value kind a report holds, and on whole reports
+    odd = {
+        "quotes \"and\" \\ slashes\n\ttabs": ["é ü 😀", "\x00\x1f", ""],
+        "empty": [{}, [], ()],
+        "scalars": [True, False, None, 0, -7, 2**70, 1.5, -0.0, 1e300, 3.141592653589793],
+        "nested": {"a": [{"b": [[1], {"c": None}]}], "t": (1, "x")},
+    }
+    out = []
+    cli._emit_json(odd, "\n", out)
+    assert "".join(out) == json.dumps(odd, indent=2)
+    for name in ("simple.ideal", "modular.ideal", "twovars.ideal", "rebase/q_extra_z.ideal"):
+        report = run_pipeline(parse_ideal_file((FIXTURES / name).read_text()))
+        if name == "simple.ideal":
+            cli.attach_oracle(report)
+        report.timings = dict(report._times)
+        for lift in ("proj", "pseudo"):
+            report.lift_form = lift
+            assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)
+    ideal = parse_ideal_file((FIXTURES / "simple.ideal").read_text())
+    report = run_pipeline(ideal)
+    probes = cli.parse_probe_file((FIXTURES / "probes.txt").read_text(), ideal.ctx)
+    cli.attach_membership(report, probes)
+    assert report.to_json() == json.dumps(report.to_json_dict(), indent=2)

@@ -580,3 +580,88 @@ def test_sum_of_products_matches_pairwise_sums(p):
         seen["cancels"] += got.is_zero and any(not (a * b).is_zero for a, b in pairs)
         seen["mixed_den"] += len({a.den * b.den for a, b in pairs}) > 1
     assert min(v for k, v in seen.items() if p == 0 or k != "mixed_den") >= 20, seen
+
+
+def _big_rational(rng, bits):
+    return Fraction(rng.randint(-(1 << bits), 1 << bits) or 1, rng.randint(1, 1 << bits))
+
+
+def _heu_poly(rng, deg, bits):
+    """Degree `deg` over Q with numerators and denominators of up to `bits` bits."""
+    return UniPoly(QQ, [_big_rational(rng, bits) for _ in range(deg)] + [_big_rational(rng, bits)])
+
+
+def _heu_pairs(rng):
+    """Pairs over Q by shape, each shape drawn 40 times, for the heuristic gcd."""
+    pairs = []
+    for _ in range(40):
+        bits = rng.choice((3, 20, 60))
+        cf, cg = (_heu_poly(rng, rng.randint(0, 4), bits) for _ in range(2))
+        common = _heu_poly(rng, rng.randint(6, 12), bits)
+        pairs.append(("coprime", _heu_poly(rng, rng.randint(1, 8), bits),
+                      _heu_poly(rng, rng.randint(1, 8), bits)))
+        pairs.append(("high_degree_common", common * cf, common * cg))
+        # negative leading terms on both sides and mixed denominators
+        lead = UniPoly(QQ, [Fraction(-rng.randint(1, 10**9), rng.randint(1, 10**6))])
+        pairs.append(("negative_lead", common * cf * lead, -(common * cg)))
+        # a one-term common factor c*z^k
+        mono = UniPoly(QQ, [0] * rng.randint(1, 6) + [_big_rational(rng, bits)])
+        pairs.append(("one_term", mono * cf * U("z+1"), mono * cg))
+        # coprime primitive parts with a common integer content: the gcd is 1
+        k = UniPoly.constant(QQ, rng.randint(2, 10**6))
+        a = _heu_poly(rng, rng.randint(1, 6), 3)
+        pairs.append(("constant_primitive_part", a * k, (a + UniPoly.one(QQ)) * k))
+        # b = a*z + a(xi) for the first point xi: the integer gcd there is a(xi)
+        # and its digits read back a, which divides a but not b
+        nums = [rng.randint(-9, 9) for _ in range(rng.randint(1, 5))] + [rng.randint(1, 9)]
+        a = UniPoly(QQ, nums)
+        xi = 2 * max(map(abs, a.nums)) + 29
+        b = a.shift(1) + UniPoly.constant(QQ, sum(c * xi**i for i, c in enumerate(a.nums)))
+        pairs.append(("unlucky_first_point", a.scale(_big_rational(rng, bits)), b))
+    return pairs
+
+
+def _count_heuristic(monkeypatch):
+    import eliminant.unipoly as unipoly
+
+    answers = {"calls": 0, "answered": 0}
+    heu_gcd = unipoly._heu_gcd
+
+    def counted(a, b):
+        d = heu_gcd(a, b)
+        answers["calls"] += 1
+        answers["answered"] += d is not None
+        return d
+
+    monkeypatch.setattr(unipoly, "_heu_gcd", counted)
+    return answers
+
+
+def test_heuristic_gcd_matches_remainder_sequence_over_q(monkeypatch):
+    answers = _count_heuristic(monkeypatch)
+    rng = random.Random(1701)
+    common_degrees = []
+    for shape, f, g in _heu_pairs(rng):
+        expected = reference_poly_gcd(f, g)
+        assert poly_gcd(f, g) == expected, shape
+        assert poly_gcd(g, f) == expected, shape
+        if shape in ("constant_primitive_part", "unlucky_first_point"):
+            assert expected.is_one, shape
+        else:
+            common_degrees.append(expected.degree)
+    assert max(common_degrees) >= 12
+    # the heuristic, not the fallback, answered nearly every pair
+    assert answers["answered"] >= 0.95 * answers["calls"] > 400, answers
+
+
+def test_remainder_sequence_fallback_when_no_point_is_tried(monkeypatch):
+    import eliminant.unipoly as unipoly
+
+    monkeypatch.setattr(unipoly, "_HEU_POINTS", 0)
+    answers = _count_heuristic(monkeypatch)
+    rng = random.Random(1702)
+    for shape, f, g in _heu_pairs(rng):
+        expected = reference_poly_gcd(f, g)
+        assert poly_gcd(f, g) == expected, shape
+        assert poly_gcd(g, f) == expected, shape
+    assert answers["answered"] == 0 and answers["calls"] > 400, answers
