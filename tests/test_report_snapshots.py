@@ -30,6 +30,8 @@ CASES = {
     # non-members whose reduction takes two or more unit steps in the compatible component
     "modular.membership": ("modular.ideal", "--membership", str(FIXTURES / "modular_probes.txt")),
     "twovars.lift-pseudo": ("twovars.ideal", "--lift", "pseudo"),
+    # grevlex on the tail block, over GF(5), with two composite divisors
+    "grevlex_gf5.both": ("grevlex_gf5.ideal",),
     # modular runs that rebase while pairs are queued
     **{
         f"rebase.{name}.{tag}": (f"rebase/{name}.ideal", *options)
