@@ -576,11 +576,11 @@ def normal_form(f: MultiPoly, dec: Decomposition):
         key=dec.base_ctx.order.key,
         reverse=True,
     )
-    out = {}
+    out = []
     for mon in mons:
         pairs = [(r.coeff_at(mon).rep, combo) for r, combo in zip(remainders, combos)]
-        out[mon] = sum_of_products(dec.base_ctx.field, pairs) % total
-    combined = MultiPoly(dec.base_ctx, out)
+        out.append((mon, sum_of_products(dec.base_ctx.field, pairs) % total))
+    combined = MultiPoly.from_sorted(dec.base_ctx, out)
     return combined, remainders
 
 

@@ -30,15 +30,20 @@ class CompatSplit:
     omega_sets: dict = dc_field(default_factory=dict)   # exponent -> [UniPoly]
     # the squarefree decomposition of chi_eps, for lc_compatibility_check to reuse
     squarefree_parts: list | None = dc_field(default=None, compare=False, repr=False)
+    _divisors: list = dc_field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        self._divisors = sorted(
+            (w**i for i, ws in self.omega_sets.items() for w in ws), key=poly_sort_key
+        )
 
     def composite_divisors(self) -> list[UniPoly]:
-        """The pairwise coprime moduli omega^i, sorted deterministically."""
-        out = []
-        for i in sorted(self.omega_sets):
-            for w in self.omega_sets[i]:
-                out.append(w**i)
-        out.sort(key=poly_sort_key)
-        return out
+        """The pairwise coprime moduli omega^i, sorted deterministically.
+
+        The pipeline, the assembly and the report each ask for them, so they
+        are built once, from omega_sets as the split was made.
+        """
+        return list(self._divisors)
 
 
 def _sorted_multipliers(multipliers) -> list[UniPoly]:

@@ -308,8 +308,8 @@ class Elimination:
         f, g = self.arena[i], self.arena[j]
         if (
             self.strategy.coprime_skip
-            and mon_coprime(f.lm, g.lm)
-            and self.ring.excuse(coprime_multiplier(f, g))
+            and (lam := coprime_multiplier(f, g)) is not None
+            and self.ring.excuse(lam)
         ):
             return
         if self.strategy.triangular_skip and self._try_triangular(i, j):

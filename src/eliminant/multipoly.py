@@ -5,9 +5,20 @@ A polynomial in K[x1, x2, ..., xn] is stored as a term map from monomials in
 the tail variables (x2..xn) to coefficients in K[x1]; the same class also
 carries residue-ring coefficients for the modular phase.  Monomials are bare
 exponent tuples indexed by the tail variables in ascending precedence.
+
+The search spends much of its time on term bookkeeping, so the monomial
+helpers are `map` calls over `operator` functions (C loops, no generator
+frames), each order binds its sort key once, and a constructor whose output
+order cannot differ from its input's skips the sort: `MultiPoly.from_sorted`
+takes terms already in decreasing order and only drops zero coefficients.
+Mapping each coefficient (scale, negate, normalize, project, lift) or
+shifting every monomial by one (`mul_term`; an order is multiplicative) keeps
+the order; a sum or product can merge terms, so it sorts.
 """
 
 from __future__ import annotations
+
+from operator import add, itemgetter, le, mul, neg, sub
 
 from .unipoly import UniPoly
 
@@ -34,30 +45,40 @@ def mon_one(arity: int) -> Monomial:
 
 
 def mon_mul(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mon_divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mon_div(a: Monomial, b: Monomial) -> Monomial:
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(e < 0 for e in out):
+    out = tuple(map(sub, a, b))
+    if min(out, default=0) < 0:
         raise ArithmeticError("monomial division with negative exponent")
     return out
 
 
 def mon_lcm(a: Monomial, b: Monomial) -> Monomial:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mon_coprime(a: Monomial, b: Monomial) -> bool:
-    return all(x == 0 or y == 0 for x, y in zip(a, b))
+    return not any(map(mul, a, b))
 
 
 def mon_is_one(a: Monomial) -> bool:
-    return all(e == 0 for e in a)
+    return not any(a)
+
+
+# Order keys: larger key, larger monomial.  Lex reads the exponents from the
+# last (highest-precedence) variable down; grevlex compares total degree, then
+# the negated exponents from the first (lowest-precedence) variable up.
+_lex_key = itemgetter(slice(None, None, -1))
+
+
+def _grevlex_key(m: Monomial):
+    return (sum(m), tuple(map(neg, m)))
 
 
 class ElimOrder:
@@ -66,20 +87,18 @@ class ElimOrder:
     Exponent tuples are indexed smallest variable first, so lex compares from
     the last coordinate down.  Any tail monomial dominates any power of the
     eliminated variable, which lives in the coefficients and never enters the
-    comparison.
+    comparison.  `key` is bound once per order, so sorting with it runs no
+    Python frame for lex and one for grevlex.
     """
 
     TAGS = ("lex", "grevlex")
+    _KEYS = {"lex": _lex_key, "grevlex": _grevlex_key}
 
     def __init__(self, tag: str):
         if tag not in self.TAGS:
             raise ValueError(f"unknown ordering {tag!r}")
         self.tag = tag
-
-    def key(self, m: Monomial):
-        if self.tag == "lex":
-            return tuple(reversed(m))
-        return (sum(m), tuple(-e for e in m))
+        self.key = self._KEYS[tag]
 
     def compare(self, a: Monomial, b: Monomial) -> int:
         if len(a) != len(b):
@@ -194,16 +213,30 @@ class MultiPoly:
     __slots__ = ("ctx", "terms")
 
     def __init__(self, ctx: VarContext, term_map: dict):
-        items = [(m, c) for m, c in term_map.items() if not c.is_zero]
-        items.sort(key=lambda mc: ctx.order.key(mc[0]), reverse=True)
+        mons = [m for m, c in term_map.items() if not c.is_zero]
+        mons.sort(key=ctx.order.key, reverse=True)
         self.ctx = ctx
-        self.terms = tuple(items)
+        self.terms = tuple([(m, term_map[m]) for m in mons])
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, ctx: VarContext) -> "MultiPoly":
         return cls(ctx, {})
+
+    @classmethod
+    def from_sorted(cls, ctx: VarContext, terms) -> "MultiPoly":
+        """The polynomial of (monomial, coefficient) pairs already in order.
+
+        Precondition: the monomials are distinct and strictly decreasing
+        under ctx.order, as they are when a polynomial's terms are mapped
+        coefficient by coefficient or all shifted by one monomial.  Zero
+        coefficients are dropped; nothing is sorted or merged.
+        """
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = tuple([t for t in terms if not t[1].is_zero])
+        return self
 
     @classmethod
     def from_coeff(cls, ctx: VarContext, c) -> "MultiPoly":
@@ -260,7 +293,7 @@ class MultiPoly:
 
     def tail(self) -> "MultiPoly":
         """Drop the leading term."""
-        return MultiPoly(self.ctx, dict(self.terms[1:]))
+        return MultiPoly.from_sorted(self.ctx, self.terms[1:])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -279,7 +312,7 @@ class MultiPoly:
         return MultiPoly(self.ctx, out)
 
     def __neg__(self) -> "MultiPoly":
-        return MultiPoly(self.ctx, {m: -c for m, c in self.terms})
+        return MultiPoly.from_sorted(self.ctx, [(m, -c) for m, c in self.terms])
 
     def __sub__(self, other: "MultiPoly") -> "MultiPoly":
         return self + (-other)
@@ -298,10 +331,10 @@ class MultiPoly:
         return MultiPoly(self.ctx, out)
 
     def scale(self, c) -> "MultiPoly":
-        return MultiPoly(self.ctx, {m: a * c for m, a in self.terms})
+        return MultiPoly.from_sorted(self.ctx, [(m, a * c) for m, a in self.terms])
 
     def mul_term(self, c, mon: Monomial) -> "MultiPoly":
-        return MultiPoly(self.ctx, {mon_mul(m, mon): a * c for m, a in self.terms})
+        return MultiPoly.from_sorted(self.ctx, [(mon_mul(m, mon), a * c) for m, a in self.terms])
 
     def sub_mul_term(self, other: "MultiPoly", c, mon: Monomial) -> "MultiPoly":
         """self - other.mul_term(c, mon), built and sorted once.

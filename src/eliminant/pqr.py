@@ -189,24 +189,24 @@ def project_multipoly(
     """Apply the coefficient-wise projection into a residue context.
 
     With keep_lifts, each source coefficient survives as the preferred lift
-    of its image whenever the projection actually reduced it.
+    of its image whenever the projection actually reduced it.  target keeps
+    f's order (`residue_context` does), so the terms stay in order.
     """
     ring: PqrCtx = target.ring
-    out = {}
+    out = []
     for mon, c in f.terms:
         src = c.lift() if isinstance(c, PqrElem) else c
         rep = src % ring.modulus
         pref = src if keep_lifts and src != rep else None
-        out[mon] = PqrElem(ring, rep, pref)
-    return MultiPoly(target, out)
+        out.append((mon, PqrElem(ring, rep, pref)))
+    return MultiPoly.from_sorted(target, out)
 
 
 def lift_multipoly(f: MultiPoly, base: VarContext) -> MultiPoly:
-    """Coefficient-wise injection of the canonical representatives."""
-    out = {}
-    for mon, c in f.terms:
-        out[mon] = c.rep if isinstance(c, PqrElem) else c
-    return MultiPoly(base, out)
+    """Coefficient-wise injection of the canonical representatives; base keeps f's order."""
+    return MultiPoly.from_sorted(
+        base, [(mon, c.rep if isinstance(c, PqrElem) else c) for mon, c in f.terms]
+    )
 
 
 # -- proper division --------------------------------------------------------------
@@ -257,7 +257,7 @@ def _unit_normalize(f: MultiPoly) -> MultiPoly:
     k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.nums[-1])
     if k == 1:
         return f
-    return MultiPoly(f.ctx, {m: c.scale_scalar(k) for m, c in f.terms})
+    return MultiPoly.from_sorted(f.ctx, [(m, c.scale_scalar(k)) for m, c in f.terms])
 
 
 class _ResidueRing:
@@ -292,8 +292,8 @@ class _ResidueRing:
         if f.ctx == self.var_ctx:
             return f
         ring = self.ring
-        out = {m: PqrElem(ring, c.rep % ring.modulus, c.pref) for m, c in f.terms}
-        return MultiPoly(self.var_ctx, out)
+        out = [(m, PqrElem(ring, c.rep % ring.modulus, c.pref)) for m, c in f.terms]
+        return MultiPoly.from_sorted(self.var_ctx, out)
 
     def sort_key(self, f: MultiPoly):
         return (self.var_ctx.order.key(f.lm), f.lc.rep.degree)

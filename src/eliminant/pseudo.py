@@ -84,7 +84,7 @@ def normalize_content(f: MultiPoly) -> MultiPoly:
     scale = content_scale(f.ctx.field, (c for _, c in f.terms), f.lc.nums[-1])
     if scale == 1:
         return f
-    return MultiPoly(f.ctx, {m: c.scale(scale) for m, c in f.terms})
+    return MultiPoly.from_sorted(f.ctx, [(m, c.scale(scale)) for m, c in f.terms])
 
 
 # -- pseudo-division -----------------------------------------------------------

@@ -319,6 +319,44 @@ def reference_component_remainder(f, comp):
     return division.remainder.scale(division.multiplier.inverse())
 
 
+# -- reference monomial helpers and order keys ---------------------------------------
+
+
+def reference_mon_mul(a, b):
+    """The generator forms of the monomial helpers, before the `operator` kernels."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_mon_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_mon_div(a, b):
+    out = tuple(x - y for x, y in zip(a, b))
+    if any(e < 0 for e in out):
+        raise ArithmeticError("monomial division with negative exponent")
+    return out
+
+
+def reference_mon_lcm(a, b):
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def reference_mon_coprime(a, b):
+    return all(x == 0 or y == 0 for x, y in zip(a, b))
+
+
+def reference_mon_is_one(a):
+    return all(e == 0 for e in a)
+
+
+def reference_order_key(tag: str, m):
+    """ElimOrder.key as it branched on the order tag on every call."""
+    if tag == "lex":
+        return tuple(reversed(m))
+    return (sum(m), tuple(-e for e in m))
+
+
 # -- reference normalization ladder ---------------------------------------------------
 
 
