@@ -39,6 +39,11 @@ terms c*image go through one `sum_of_products` pass, reduced mod q once.
 Normal forms recombine the same way, one `sum_of_products` per monomial
 reduced once mod the eliminant.
 
+A modular component's basis is projected onto its ring only when the run
+ended over another one (without base change, the temporary eliminant's
+ring is not the run's); a proper basis already over its component's ring,
+as every one is under base change, is used as it is.
+
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
 reducible exactly when some divisor is eligible and gcd(g, q), the gcd of
@@ -412,8 +417,14 @@ def assemble(
         delta = q if outcome.eliminant is None else outcome.eliminant
         chi = chi * delta
         ctx_delta = residue_context(base_ctx, delta)
-        basis = [project_multipoly(b, ctx_delta, keep_lifts=True) for b in outcome.basis]
-        basis = [b for b in basis if not b.is_zero]
+        if outcome.basis_var_ctx == ctx_delta:
+            # already over the component's ring, as every basis is under base
+            # change: projecting again would return equal representatives and lifts
+            ctx_delta = outcome.basis_var_ctx
+            basis = outcome.basis
+        else:
+            basis = [project_multipoly(b, ctx_delta, keep_lifts=True) for b in outcome.basis]
+            basis = [b for b in basis if not b.is_zero]
         if any(b.is_coeff for b in basis):
             raise AssertionError("modular basis element projected to a nonzero residue")
         components.append(

@@ -30,20 +30,16 @@ class CompatSplit:
     omega_sets: dict = dc_field(default_factory=dict)   # exponent -> [UniPoly]
     # the squarefree decomposition of chi_eps, for lc_compatibility_check to reuse
     squarefree_parts: list | None = dc_field(default=None, compare=False, repr=False)
-    _divisors: list = dc_field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        self._divisors = sorted(
-            (w**i for i, ws in self.omega_sets.items() for w in ws), key=poly_sort_key
-        )
+    # the powers omega^i sorted by poly_sort_key, built once by compatible_split
+    divisors: list = dc_field(kw_only=True, compare=False, repr=False)
 
     def composite_divisors(self) -> list[UniPoly]:
         """The pairwise coprime moduli omega^i, sorted deterministically.
 
         The pipeline, the assembly and the report each ask for them, so they
-        are built once, from omega_sets as the split was made.
+        are built once per split, where they are divided out of chi_eps.
         """
-        return list(self._divisors)
+        return list(self.divisors)
 
 
 def _sorted_multipliers(multipliers) -> list[UniPoly]:
@@ -95,11 +91,13 @@ def compatible_split(chi_eps: UniPoly, multipliers) -> CompatSplit:
                 _refine_into(bucket, d)
         if bucket:
             omega[i] = sorted(bucket, key=poly_sort_key)
+    divisors = sorted((w**i for i, ws in omega.items() for w in ws), key=poly_sort_key)
     cp = chi_eps
-    for i, ws in omega.items():
-        for w in ws:
-            cp = exact_div(cp, w**i)
-    return CompatSplit(compatible_part=cp.monic(), omega_sets=omega, squarefree_parts=parts)
+    for d in divisors:
+        cp = exact_div(cp, d)
+    return CompatSplit(
+        compatible_part=cp.monic(), omega_sets=omega, squarefree_parts=parts, divisors=divisors
+    )
 
 
 @dataclass

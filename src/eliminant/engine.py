@@ -300,11 +300,13 @@ class Elimination:
         return self.order.key(mon_lcm(self.arena[i].lm, self.arena[j].lm))
 
     def decide_batch(self, pairs: list[tuple[int, int]]):
-        for i, j in sorted(pairs, key=lambda p: (self.pair_key(*p), p)):
-            self.decide_pair(i, j)
+        """Decide the pairs in (lcm key, i, j) order, each key computed once."""
+        for key, i, j in sorted([(self.pair_key(i, j), i, j) for i, j in pairs]):
+            self.decide_pair(i, j, key)
             self.decided_pairs.add(frozenset((i, j)))
 
-    def decide_pair(self, i: int, j: int):
+    def decide_pair(self, i: int, j: int, key):
+        """Skip the pair (i, j) by a criterion or queue it under its lcm key."""
         f, g = self.arena[i], self.arena[j]
         if (
             self.strategy.coprime_skip
@@ -314,7 +316,7 @@ class Elimination:
             return
         if self.strategy.triangular_skip and self._try_triangular(i, j):
             return
-        self.push(self.pair_key(i, j), i, j)
+        self.push(key, i, j)
 
     def _try_triangular(self, i: int, j: int) -> bool:
         # a pair may be excused through h only when both of its companion

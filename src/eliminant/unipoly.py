@@ -47,8 +47,12 @@ A rejected point is followed by a larger one, xi*73794//27011 (about xi
 times 1 + sqrt 3); after `_HEU_POINTS` points the primitive remainder
 sequence answers.  The integer gcd and the evaluations run in C on one big
 integer each, where the remainder sequence swells in Python loops.  The
-answer is the same canonical monic gcd either way.  GF(p) keeps its
-Euclidean loop, and the extended gcds keep theirs.
+answer is the same canonical monic gcd either way.
+
+Over GF(p), `poly_gcd` runs one kernel, `_gf_gcd`: Euclid on a monic
+divisor, each remainder reduced in place on a copy of the dividend with no
+quotient list, and made monic in the same pass that reduces it mod p.  The
+extended gcds keep the Euclidean loop on `divrem`.
 
 Constant operands, as most leading coefficients are after normalisation,
 skip the loops: a product with a constant is one scaling pass, `poly_gcd`
@@ -305,16 +309,20 @@ class UniPoly:
         return _raw(self.field, [0] * k + self.nums, self.den)
 
     def __pow__(self, n: int) -> "UniPoly":
+        """Binary powering; f**1 is f, and no square is formed past the top bit."""
         if n < 0:
             raise ValueError("negative power")
-        result = UniPoly.one(self.field)
+        if not n:
+            return UniPoly.one(self.field)
+        result = None
         base = self
-        while n:
+        while True:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if not n:
+                return result
+            base = base * base
 
     def __divmod__(self, other: "UniPoly"):
         return divrem(self, other)
@@ -445,8 +453,9 @@ def sum_of_products(field, pairs) -> UniPoly:
 # end.  Over Q the loop is fraction-free: when the divisor's leading integer
 # does not divide the current leading entry, the remainder (and the quotient
 # built so far) is scaled by the smallest factor that makes it divide, so
-# s * a == quot * b + rem with one accumulated scale s > 0.  `%` and the gcd
-# loops call the kernels directly and keep only the remainder.
+# s * a == quot * b + rem with one accumulated scale s > 0.  `%` and the Q
+# gcd loop call the kernels directly and keep only the remainder; the GF(p)
+# gcd has its own remainder-only kernel, `_gf_gcd`.
 
 
 def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
@@ -615,6 +624,38 @@ def _heu_gcd(a: list[int], b: list[int]) -> list[int] | None:
     return None
 
 
+def _gf_gcd(a: list, b: list, p: int) -> list:
+    """The monic gcd of residue lists of degree >= 1.
+
+    Euclid on a monic divisor: each round reduces a copy of the dividend in
+    place, builds no quotient, and makes the remainder monic in the pass
+    that reduces it mod p, so its leading entry is never inverted again.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    if b[-1] != 1:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+    while True:
+        db = len(b) - 1
+        low = b[:-1]
+        r = list(a)
+        for k in range(len(r) - 1, db - 1, -1):
+            c = r[k] % p
+            if c:
+                for j, y in enumerate(low, k - db):
+                    r[j] -= c * y
+        top = db - 1
+        while top >= 0 and not r[top] % p:
+            top -= 1
+        if top < 0:
+            return b
+        if not top:
+            return [1]    # a nonzero constant remainder: the operands are coprime
+        inv = pow(r[top], -1, p)
+        a, b = b, [c * inv % p for c in r[: top + 1]]
+
+
 def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     """Monic greatest common divisor."""
     if f.is_zero and g.is_zero:
@@ -630,9 +671,7 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
         return _raw(F, [1])
     p = F.char
     if p:
-        while b:
-            a, b = b, _gf_divmod(a, b, p)[1]
-        return _raw(F, a).monic()
+        return _raw(F, _gf_gcd(a, b, p))
     a = _int_primitive(list(a))
     b = _int_primitive(list(b))
     d = _heu_gcd(a, b)

@@ -1,11 +1,12 @@
 import gc
 import pathlib
 import random
+import sys
 import time
 
 import pytest
 
-from eliminant import assembly, pqr
+from eliminant import assembly, cli, pqr
 from eliminant.assembly import (
     Component,
     Decomposition,
@@ -34,7 +35,7 @@ from eliminant.pqr import (
     residue_context,
     _unit_normalize,
 )
-from eliminant.pseudo import DEBUG_ENV, pseudo_eliminant, normalize_content
+from eliminant.pseudo import DEBUG_ENV, StrategyConfig, pseudo_eliminant, normalize_content
 from eliminant.unipoly import UniPoly, poly_gcd
 from util import (
     P,
@@ -898,3 +899,51 @@ def test_normalizers_return_normalized_input_unchanged():
             scaled += s is not r
             unchanged += s is r
     assert scaled and unchanged
+
+
+def test_proper_bases_over_their_component_ring_need_no_projection(monkeypatch):
+    """Projecting a proper basis onto the ring it is already over changes nothing.
+
+    `assemble` uses such a basis as it is, as every one is under base change;
+    without it the temporary eliminant's ring differs and the basis is
+    projected.  The runs cover the modular fixtures and the first 50 ideals of
+    the benchmark's seed-701 `modular_gf` pool, under both strategies.
+    """
+    monkeypatch.syspath_prepend(str(FIXTURES.parents[1] / "perfbench"))
+    sys.modules.pop("gen", None)
+    import gen
+
+    names = ["modular.ideal", "grevlex_gf5.ideal", "triangular_gf5.ideal"]
+    texts = [(FIXTURES / n).read_text() for n in names]
+    texts += [p.read_text() for p in sorted((FIXTURES / "rebase").glob("*.ideal"))]
+    workload = gen.WORKLOADS["modular_gf"]
+    texts += [workload.case(701, i).text for i in range(50)]
+    seen = []
+    assemble_ = cli.assemble
+    monkeypatch.setattr(cli, "assemble", lambda *a: seen.append(a) or assemble_(*a))
+    counts = {}
+    for toggles in ("", "no-base-change"):
+        used = projected = 0
+        for text in texts:
+            seen.clear()
+            run_pipeline(parse_ideal_file(text), StrategyConfig.from_toggles(toggles))
+            if not seen:
+                continue    # inconsistent
+            _, _, propers, base_ctx = seen[0]
+            for q, outcome in propers.items():
+                if outcome.inconsistent:
+                    continue
+                delta = q if outcome.eliminant is None else outcome.eliminant
+                ring_ctx = residue_context(base_ctx, delta)
+                for b in outcome.basis:
+                    if b.ctx != ring_ctx:
+                        projected += 1
+                        continue
+                    again = project_multipoly(b, b.ctx, keep_lifts=True)
+                    assert [m for m, _ in again.terms] == [m for m, _ in b.terms]
+                    for (_, c), (_, d) in zip(again.terms, b.terms):
+                        assert c == d and c.lift() == d.lift()
+                    used += 1
+        counts[toggles] = (used, projected)
+    assert counts[""][0] >= 100 and counts[""][1] == 0, counts
+    assert counts["no-base-change"][1] >= 10, counts

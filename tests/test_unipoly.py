@@ -458,14 +458,17 @@ def _kernel_pair(rng, F):
     return f, g
 
 
-@pytest.mark.parametrize("p", [0, 2, 5])
+@pytest.mark.parametrize("p", [0, 2, 3, 5, 32003, 2**61 - 1])
 def test_lcm_cofactors_remainder_and_gcd_match_references(p):
     F = GF(p) if p else QQ
     rng = random.Random(800 + p)
     shapes = {"smaller": 0, "equal": 0, "divides": 0, "constant": 0, "common": 0}
     pairs = [_kernel_pair(rng, F) for _ in range(400)]
     # two constants, whose cofactors are their inverses: negative and rational over Q
-    scalars = range(1, p) if p else (Fraction(-3, 4), Fraction(5, 6), -1, 2, Fraction(-7, 9), 1)
+    if not p:
+        scalars = (Fraction(-3, 4), Fraction(5, 6), -1, 2, Fraction(-7, 9), 1)
+    else:
+        scalars = range(1, p) if p < 7 else (1, 2, 3, p // 2, p - 2, p - 1)
     constants = [UniPoly.constant(F, c) for c in scalars]
     pairs += [(f, g) for f in constants for g in constants]
     for f, g in pairs:
@@ -491,6 +494,28 @@ def test_lcm_cofactors_remainder_and_gcd_match_references(p):
             inverses = tuple(UniPoly.constant(F, F.inv(h.lc)) for h in (f, g))
             assert lcm_cofactors(f, g) == inverses
     assert min(shapes.values()) >= 20, shapes
+
+
+@pytest.mark.parametrize("p", [0, 5])
+def test_pow_matches_repeated_products(p, monkeypatch):
+    F = GF(p) if p else QQ
+    rng = random.Random(30 + p)
+    polys = [_kernel_poly(rng, F, 4) for _ in range(30)] + [UniPoly.gen(F)]
+    for f in polys:
+        expected = UniPoly.one(F)
+        for n in range(10):
+            assert f**n == expected, (f, n)
+            expected = expected * f
+        assert (f**0).is_one
+        with pytest.raises(ValueError):
+            f ** -1
+    # f**1 is f itself: no product is formed
+    calls = []
+    mul = UniPoly.__mul__
+    monkeypatch.setattr(UniPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    f = _kernel_poly(rng, F, 4, nonzero=True)
+    assert f**1 == f and not calls
+    assert f**2 == mul(f, f) and len(calls) == 1
 
 
 @pytest.mark.parametrize("p", [0, 2, 5])
