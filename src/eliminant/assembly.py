@@ -56,10 +56,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
-from itertools import count, groupby
+from itertools import groupby
 
 from .compat import CompatSplit
-from .engine import Division, divide
+from .engine import Division, debug_checks_enabled, divide, sort_key
 from .multipoly import MultiPoly, VarContext, mon_div, mon_divides, mon_is_one
 from .pqr import (
     PqrCtx,
@@ -70,7 +70,7 @@ from .pqr import (
     project_multipoly,
     residue_context,
 )
-from .pseudo import PseudoOutcome, debug_checks_enabled
+from .pseudo import PseudoOutcome
 from .unipoly import (
     UniPoly,
     divrem,
@@ -89,26 +89,29 @@ class MissingComponentError(ValueError):
 # -- gcd-term reduction ---------------------------------------------------------
 
 
-def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
-    """A lift w with w*d_st congruent to g and w coprime to the modulus.
+def _coprime_part(t: UniPoly, a: UniPoly) -> UniPoly:
+    """The largest divisor of t coprime to a: divide out gcd(t, a) until it is constant."""
+    while not (h := poly_gcd(t, a)).is_constant:
+        t = exact_div(t, h)
+    return t
 
-    g is a nonzero lift with gcd(g, modulus) = d_st; the adjustment adds a
-    multiple of modulus/d_st, searching small polynomials until coprime.
+
+def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
+    """A lift w with w*d_st congruent to g mod q and w coprime to q, the modulus.
+
+    g is a nonzero lift with gcd(g, q) = d_st.  Write a = g/d_st and
+    b = q/d_st, which are coprime.  When a is coprime to q, w = a.
+    Otherwise w = a + t*b, where t is the part of q coprime to both a and b;
+    then w*d_st = g + t*q.  Take a prime p dividing q.  If p divides a, it
+    divides neither b nor t, so p does not divide w = a + t*b.  If p divides
+    b, it does not divide a, and w = a mod p.  If p divides neither, it
+    divides t, and again w = a mod p.  So no prime of q divides w.
     """
-    base = exact_div(g, d_st)
-    bump = exact_div(modulus, d_st)
-    field = g.field
-    if field.char == 0:
-        candidates = (UniPoly.constant(field, field.from_int(n)) for n in range(modulus.degree + 2))
-    else:
-        def digits(n):    # base-p digits of n, lowest first
-            return [n % field.char, *digits(n // field.char)] if n else []
-        candidates = (UniPoly(field, digits(n)) for n in count())
-    for t in candidates:
-        w = base + t * bump
-        if not w.is_zero and poly_gcd(w, modulus).is_constant:
-            return w
-    raise AssertionError("no coprime adjustment found")
+    a = exact_div(g, d_st)
+    if poly_gcd(a, modulus).is_constant:
+        return a
+    b = exact_div(modulus, d_st)
+    return a + _coprime_part(_coprime_part(modulus, a), b) * b
 
 
 def _eligible(divisors, mon) -> tuple:
@@ -197,14 +200,10 @@ def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly], table: dict | None = Non
 # -- basis normalization ladder ---------------------------------------------------
 
 
-def _sort_key(b: MultiPoly):
-    return b.ctx.order.key(b.lm), b.lc.rep.degree
-
-
 def _basis_sorted(basis: list[MultiPoly]) -> list[MultiPoly]:
     """Sorted by (leading monomial, lc degree); `fmt()` only breaks ties."""
     out = []
-    for _, run in groupby(sorted(basis, key=_sort_key), key=_sort_key):
+    for _, run in groupby(sorted(basis, key=sort_key), key=sort_key):
         run = list(run)
         out.extend(sorted(run, key=MultiPoly.fmt) if len(run) > 1 else run)
     return out
@@ -367,8 +366,6 @@ class Decomposition:
     trivial: list = dc_field(default_factory=list)
     inconsistent: bool = False
     base_ctx: VarContext | None = None
-    pseudo: PseudoOutcome | None = None
-    split: CompatSplit | None = None
 
     @cached_property
     def crt_data(self):
@@ -443,8 +440,6 @@ def assemble(
         trivial=trivial,
         inconsistent=pseudo.inconsistent,
         base_ctx=base_ctx,
-        pseudo=pseudo,
-        split=split,
     )
 
 

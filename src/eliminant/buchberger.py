@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .fields import RationalField
 from .multipoly import MultiPoly
 from .unipoly import UniPoly, exact_div, poly_ext_gcd
 
@@ -161,8 +160,7 @@ def to_field_poly(f: MultiPoly) -> FieldPoly:
     field = f.ctx.field
     out: FieldPoly = {}
     for mon, c in f.terms:
-        cu = c if isinstance(c, UniPoly) else c.rep
-        for k, a in enumerate(cu.coeffs):
+        for k, a in enumerate(c.rep.coeffs):
             if field.is_zero(a):
                 continue
             fp_add_term(out, field, (k,) + tuple(mon), a)
@@ -204,8 +202,7 @@ def groebner_self_check(gb: list[FieldPoly], field) -> bool:
 
 
 def _bit_size(p: UniPoly) -> int:
-    field = p.field
-    if not isinstance(field, RationalField):
+    if p.field.char:
         return max((c.bit_length() for c in p.coeffs), default=0)
     out = 0
     for c in p.coeffs:

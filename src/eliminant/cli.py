@@ -30,7 +30,6 @@ from .pseudo import (
     NotZeroDimensionalError,
     PseudoOutcome,
     StrategyConfig,
-    debug_checks_enabled,
     normalize_content,
     pseudo_eliminant,
 )
@@ -251,7 +250,7 @@ class PipelineReport:
 
 def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> PipelineReport:
     """Eliminant, decomposition and reduced bases for a parsed ideal file."""
-    strategy = strategy or StrategyConfig(debug_checks=debug_checks_enabled())
+    strategy = strategy or StrategyConfig()
     times: dict[str, float] = {}
     t0 = time.perf_counter()
     gens = [normalize_content(g) for g in ideal.generators]
@@ -263,7 +262,6 @@ def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> Pi
             eliminant=UniPoly.one(ideal.field),
             inconsistent=True,
             base_ctx=ideal.ctx,
-            pseudo=pseudo,
         )
     else:
         t0 = time.perf_counter()

@@ -118,11 +118,7 @@ def lc_compatibility_check(chi_eps: UniPoly, basis, parts=None) -> list[LcVerdic
     """
     if chi_eps.is_constant:
         raise ConstantInputError("cannot check a constant")
-    lcs = []
-    for b in basis:
-        c = b.lc if isinstance(b.lc, UniPoly) else b.lc.rep
-        if not c.is_constant:
-            lcs.append(c)
+    lcs = [c for c in (b.lc.rep for b in basis) if not c.is_constant]
     verdicts: list[LcVerdict] = []
     if parts is None:
         parts = squarefree_decomposition(chi_eps.monic())

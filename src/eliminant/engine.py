@@ -16,12 +16,16 @@ adapter supplies only what differs:
 
 - `reduce` (one division of an S-polynomial, returning the remainder),
   `reduced` and `normalize`;
-- `sort_key`, the (leading monomial key, lc degree) of a basis element;
 - `rank` (which triangular candidate is tried first);
 - `excuse`: whether a pair with a given skip multiplier may be skipped, and
-  what that entails;
+  what that entails; a triangular candidate's rank comes along, so the
+  residue ring reads a unit off it;
 - `fold_univariate(run, r)` for a univariate member (False once the ideal is
   trivial) and `finish(run)`, which turns the drained run into an outcome.
+
+Coefficients of both rings offer `rep` and `lift()`, and `ctx.ring` offers
+`elem`, `zero_elem` and `one_elem`, so no caller asks which ring it holds and
+one `sort_key` orders the basis of both searches and of the basis ladder.
 
 `divide` is the one division loop.  Both searches divide with `lcm_step`,
 which differs between the rings only in the multipliers it admits;
@@ -30,6 +34,7 @@ assembly's gcd-division plugs its own step into the same loop.
 
 from __future__ import annotations
 
+import os
 from bisect import insort
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
@@ -40,6 +45,19 @@ from .unipoly import UniPoly, exact_div, lcm_cofactors, poly_gcd, poly_lcm
 
 class InvalidSPolyInput(ValueError):
     pass
+
+
+DEBUG_ENV = "ELIMINANT_DEBUG_CHECKS"
+
+
+def debug_checks_enabled() -> bool:
+    """Whether the debug checks run: the one switch is the ELIMINANT_DEBUG_CHECKS variable."""
+    return os.environ.get(DEBUG_ENV, "") not in ("", "0")
+
+
+def sort_key(f: MultiPoly):
+    """The basis order of both searches and the basis ladder: (order key of lm f, deg lc f)."""
+    return f.ctx.order.key(f.lm), f.lc.rep.degree
 
 
 # -- the pair formulas ------------------------------------------------------------
@@ -221,13 +239,15 @@ class Elimination:
     temporary eliminant), and the S-polynomial is formed from the current
     elements when the pair is popped.  Queue entries and basis entries carry
     a unique seq or slot first, so ties never compare polynomials and the pop
-    order is the (lcm key, seq) order.
+    order is the (lcm key, seq) order.  The debug switch is read once, when
+    the run starts.
     """
 
     def __init__(self, ring, order, strategy):
         self.ring = ring
         self.order = order
         self.strategy = strategy
+        self.check = debug_checks_enabled()
         self.arena: list = []           # slot -> polynomial, None once dropped
         self.basis: list = []           # (sort key, slot, polynomial), increasing
         self.queue: list = []           # heap of (lcm key, seq, slot, slot or K[x1] operand)
@@ -242,12 +262,12 @@ class Elimination:
         return sorted(slot for _, slot, _ in self.basis)
 
     def insert(self, f: MultiPoly, check_growth: bool = False) -> int:
-        if check_growth and self.strategy.debug_checks:
+        if check_growth and self.check:
             if not self.ring.reduced(f, self.polys()):
                 raise AssertionError("inserted element not reduced: lt ideal did not grow")
         slot = len(self.arena)
         self.arena.append(f)
-        insort(self.basis, (self.ring.sort_key(f), slot, f))
+        insort(self.basis, (sort_key(f), slot, f))
         return slot
 
     def push(self, key, i: int, j):
@@ -280,7 +300,7 @@ class Elimination:
                 moved.add(slot)
             else:
                 self.arena[slot] = g
-                basis.append((self.ring.sort_key(g), slot, g))
+                basis.append((sort_key(g), slot, g))
                 if g.lm != f.lm:
                     moved.add(slot)
         self.basis = sorted(basis)
@@ -342,10 +362,10 @@ class Elimination:
             lam = elem(_triangular_lift(m, h))
             candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])
-        for _, _, k, lam in candidates:
-            if not self.ring.excuse(lam):
+        for rank, _, k, lam in candidates:
+            if not self.ring.excuse(lam, rank):
                 continue
-            if self.strategy.debug_checks and not check_triangular_identity(f, g, self.arena[k]):
+            if self.check and not check_triangular_identity(f, g, self.arena[k]):
                 raise AssertionError("triangular identity failed to verify")
             return True
         return False
@@ -375,7 +395,7 @@ class Elimination:
         while self.queue and not self.inconsistent:
             _, _, i, j = heappop(self.queue)
             g = self.arena[j] if isinstance(j, int) else j
-            s = spoly(self.arena[i], g, self.strategy.debug_checks)
+            s = spoly(self.arena[i], g, self.check)
             if s.is_zero:
                 continue
             r = self.ring.reduce(s, self.polys())

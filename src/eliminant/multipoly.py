@@ -147,13 +147,9 @@ class VarContext:
         return mon_one(self.arity)
 
     def ring_zero(self):
-        if isinstance(self.ring, _PolyRingTag):
-            return UniPoly.zero(self.field)
         return self.ring.zero_elem()
 
     def ring_one(self):
-        if isinstance(self.ring, _PolyRingTag):
-            return UniPoly.one(self.field)
         return self.ring.one_elem()
 
     def with_ring(self, ring) -> "VarContext":
@@ -187,6 +183,12 @@ class _PolyRingTag:
     def elem(p: UniPoly) -> UniPoly:
         """The coefficient p of K[x1] itself, as a residue ring projects its lifts."""
         return p
+
+    def zero_elem(self) -> UniPoly:
+        return UniPoly.zero(self.field)
+
+    def one_elem(self) -> UniPoly:
+        return UniPoly.one(self.field)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, _PolyRingTag) and other.field == self.field
@@ -398,8 +400,7 @@ class MultiPoly:
         x1 = self.ctx.x1
         pieces = []
         for mon, c in self.terms:
-            cu = c if isinstance(c, UniPoly) else c.rep
-            cs = cu.fmt(x1)
+            cs = c.rep.fmt(x1)
             if mon_is_one(mon):
                 body, neg = cs, False
                 if body.startswith("-") and " " not in body:

@@ -195,7 +195,7 @@ def project_multipoly(
     ring: PqrCtx = target.ring
     out = []
     for mon, c in f.terms:
-        src = c.lift() if isinstance(c, PqrElem) else c
+        src = c.lift()
         rep = src % ring.modulus
         pref = src if keep_lifts and src != rep else None
         out.append((mon, PqrElem(ring, rep, pref)))
@@ -204,9 +204,7 @@ def project_multipoly(
 
 def lift_multipoly(f: MultiPoly, base: VarContext) -> MultiPoly:
     """Coefficient-wise injection of the canonical representatives; base keeps f's order."""
-    return MultiPoly.from_sorted(
-        base, [(mon, c.rep if isinstance(c, PqrElem) else c) for mon, c in f.terms]
-    )
+    return MultiPoly.from_sorted(base, [(mon, c.rep) for mon, c in f.terms])
 
 
 # -- proper division --------------------------------------------------------------
@@ -282,7 +280,7 @@ class _ResidueRing:
         self.start_ring = self.ring
         self.strategy = strategy
         self.e: UniPoly | None = None   # nonzero temporary eliminant (no base change)
-        self.behead_done: set = set()   # queued (slot, q or e); q and e only shrink
+        self.behead_done: set = set()   # tested (slot, q or e); q and e only shrink
 
     def current(self, f: MultiPoly) -> MultiPoly:
         """f re-projected into the current ring, whose modulus divides f's.
@@ -295,20 +293,20 @@ class _ResidueRing:
         out = [(m, PqrElem(ring, c.rep % ring.modulus, c.pref)) for m, c in f.terms]
         return MultiPoly.from_sorted(self.var_ctx, out)
 
-    def sort_key(self, f: MultiPoly):
-        return (self.var_ctx.order.key(f.lm), f.lc.rep.degree)
-
     def reduce(self, s: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
         if s.is_coeff:
             return s
         return proper_divide(s, basis).remainder
 
     def rank(self, lam: PqrElem):
+        """(deg gcd(lam, q), the rest of deg lam): lam is a unit exactly when rank[0] == 0."""
         st = poly_gcd(lam.rep, self.ring.modulus)
         return (st.degree, lam.rep.degree - st.degree)
 
-    def excuse(self, lam: PqrElem) -> bool:
-        return lam.is_unit() or (
+    def excuse(self, lam: PqrElem, rank=None) -> bool:
+        """Whether lam excuses a pair; a triangular candidate's `rank` already tells a unit."""
+        unit = lam.is_unit() if rank is None else rank[0] == 0
+        return unit or (
             self.strategy.chi_delta
             and not self.strategy.base_change
             and self.e is not None
@@ -366,13 +364,18 @@ class _ResidueRing:
         )
 
     def _behead_round(self, run: Elimination):
-        """Queue the pairs of the basis against the modulus or the temporary eliminant."""
+        """Queue the pairs of the basis against the modulus or the temporary eliminant.
+
+        Each (slot, against) is tested once: a slot's element changes only on
+        a rebase, and a rebase changes `against`, which never grows back.
+        """
         against = self.ring.modulus if self.e is None else self.e
         for _, slot, f in run.basis:
-            if (slot, against) in self.behead_done or poly_gcd(f.lc.rep, against).is_constant:
+            if (slot, against) in self.behead_done:
                 continue
             self.behead_done.add((slot, against))
-            run.push(run.order.key(f.lm), slot, against)
+            if not poly_gcd(f.lc.rep, against).is_constant:
+                run.push(run.order.key(f.lm), slot, against)
 
 
 def proper_eliminant(

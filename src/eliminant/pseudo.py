@@ -18,10 +18,10 @@ decides which factors of the result are trustworthy.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from .compat import poly_sort_key
+from .engine import DEBUG_ENV, debug_checks_enabled  # re-exported: the switch lives in engine
 from .engine import Division, Elimination, divide, lcm_step, reduced
 from .multipoly import MultiPoly, VarContext
 from .unipoly import UniPoly, content_scale, poly_gcd, squarefree_part
@@ -31,20 +31,14 @@ class NotZeroDimensionalError(ValueError):
     """No univariate combination was found; the ideal cannot be zero-dimensional."""
 
 
-DEBUG_ENV = "ELIMINANT_DEBUG_CHECKS"
-
-
-def debug_checks_enabled() -> bool:
-    return os.environ.get(DEBUG_ENV, "") not in ("", "0")
-
-
 @dataclass(frozen=True)
 class StrategyConfig:
+    """The paper's four strategy toggles; the debug checks have their own switch, `DEBUG_ENV`."""
+
     coprime_skip: bool = True
     triangular_skip: bool = True
     chi_delta: bool = True
     base_change: bool = True
-    debug_checks: bool = False
 
     @classmethod
     def from_toggles(cls, toggles: str) -> "StrategyConfig":
@@ -66,7 +60,7 @@ class StrategyConfig:
             if name not in mapping:
                 raise ValueError(f"unknown strategy toggle {raw!r}")
             kwargs[mapping[name]] = enable
-        return cls(**kwargs, debug_checks=debug_checks_enabled())
+        return cls(**kwargs)
 
 
 # -- normalization ------------------------------------------------------------
@@ -142,9 +136,6 @@ class _PseudoRing:
         self.f0 = UniPoly.zero(ctx.field)
         self.multipliers: dict = {}
 
-    def sort_key(self, f: MultiPoly):
-        return (self.ctx.order.key(f.lm), f.lc.degree)
-
     def normalize(self, f: MultiPoly) -> MultiPoly:
         return normalize_content(f)
 
@@ -156,7 +147,7 @@ class _PseudoRing:
     def rank(self, lam: UniPoly) -> int:
         return squarefree_part(lam).degree
 
-    def excuse(self, lam: UniPoly) -> bool:
+    def excuse(self, lam: UniPoly, rank=None) -> bool:
         self.record(lam)
         return True
 

@@ -200,6 +200,11 @@ class UniPoly:
         """This polynomial, as a coefficient of K[x1]; a residue lifts to K[x1] the same way."""
         return self
 
+    @property
+    def rep(self) -> "UniPoly":
+        """This polynomial, as the canonical representative a residue keeps in K[x1]."""
+        return self
+
     def _lc_inverse(self):
         """The field element that makes this polynomial monic."""
         if self.field.char:

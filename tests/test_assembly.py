@@ -36,7 +36,7 @@ from eliminant.pqr import (
     _unit_normalize,
 )
 from eliminant.pseudo import DEBUG_ENV, StrategyConfig, pseudo_eliminant, normalize_content
-from eliminant.unipoly import UniPoly, poly_gcd
+from eliminant.unipoly import UniPoly, exact_div, poly_gcd
 from util import (
     P,
     U,
@@ -843,6 +843,31 @@ def test_make_minimal_replacements_keep_their_standard_factor(field, monkeypatch
             assert len(replacements) == replaced
             assert [poly_gcd(b.lc.rep, ring.modulus).fmt() for b in minimal] == factors
             assert make_reduced(basis) == reference_make_reduced(basis)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=["GF2", "GF3", "GF5", "Q"])
+def test_coprime_adjust_builds_a_unit_lift(field):
+    """w*d == g mod q and gcd(w, q) == 1, also where g/d itself shares a factor with q.
+
+    g takes a factor of q to a higher power than q has, so g/d keeps it and
+    w needs the correction t*(q/d) with t != 0.
+    """
+    rng = random.Random(803)
+    corrected = 0
+    for _ in range(300):
+        factors = [random_unipoly(rng, field, max_deg=2, bound=3) for _ in range(rng.randint(1, 3))]
+        factors = [f.monic() for f in factors if not f.is_constant] or [U("z+1", field=field)]
+        q = UniPoly.one(field)
+        g = random_unipoly(rng, field, max_deg=2, bound=3, nonzero=True)
+        for f in factors:
+            q = q * f ** rng.randint(1, 2)
+            g = g * f ** rng.randint(0, 3)
+        d = poly_gcd(g, q)
+        w = assembly._coprime_adjust(g, d, q)
+        assert ((w * d - g) % q).is_zero
+        assert poly_gcd(w, q).is_constant
+        corrected += not poly_gcd(exact_div(g, d), q).is_constant
+    assert corrected >= 100
 
 
 def test_basis_sorted_breaks_ties_by_format():

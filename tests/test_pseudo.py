@@ -150,6 +150,32 @@ def test_debug_checks_catch_spoly_leading_terms_that_do_not_cancel(monkeypatch):
         run_pipeline(parse_ideal_file(MODULAR), StrategyConfig.from_toggles("no-triangular-skip"))
 
 
+def test_debug_checks_follow_one_switch_on_every_entry_point(monkeypatch):
+    # the environment variable is the only switch: a strategy passed in,
+    # or the search called directly, checks the triangular identity too
+    ideal = parse_ideal_file((FIXTURES / "modular.ideal").read_text())
+    calls = []
+    real = engine.check_triangular_identity
+
+    def counted(f, g, h):
+        calls.append(1)
+        return real(f, g, h)
+
+    monkeypatch.setattr(engine, "check_triangular_identity", counted)
+    entry_points = (
+        lambda: run_pipeline(ideal),
+        lambda: run_pipeline(ideal, StrategyConfig()),
+        lambda: pseudo_eliminant(ideal.generators),
+    )
+    for setting, expect in (("1", True), ("0", False)):
+        monkeypatch.setenv(DEBUG_ENV, setting)
+        for run in entry_points:
+            calls.clear()
+            run()
+            assert bool(calls) == expect
+    assert len(StrategyConfig.__dataclass_fields__) == 4
+
+
 def test_pseudo_divide_examples():
     gens = parse_ideal_file(SIMPLE).generators
     f, g, h = gens

@@ -268,10 +268,10 @@ def reference_try_triangular(run, i, j):
         if lam is not None:
             candidates.append((run.ring.rank(lam), pos, k, lam))
     candidates.sort(key=lambda t: t[:2])
-    for _, _, k, lam in candidates:
-        if not run.ring.excuse(lam):
+    for rank, _, k, lam in candidates:
+        if not run.ring.excuse(lam, rank):
             continue
-        if run.strategy.debug_checks and not check_triangular_identity(f, g, run.arena[k]):
+        if run.check and not check_triangular_identity(f, g, run.arena[k]):
             raise AssertionError("triangular identity failed to verify")
         return True
     return False
