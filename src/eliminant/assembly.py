@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, partial
 from itertools import groupby
+from operator import itemgetter
 
 from .compat import CompatSplit
 from .engine import Division, debug_checks_enabled, divide, sort_key
@@ -201,10 +202,14 @@ def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly], table: dict | None = Non
 
 
 def _basis_sorted(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Sorted by (leading monomial, lc degree); `fmt()` only breaks ties."""
+    """Sorted by (leading monomial, lc degree); `fmt()` only breaks ties.
+
+    Each element's sort key is computed once.
+    """
     out = []
-    for _, run in groupby(sorted(basis, key=sort_key), key=sort_key):
-        run = list(run)
+    keyed = sorted([(sort_key(b), b) for b in basis], key=itemgetter(0))
+    for _, run in groupby(keyed, key=itemgetter(0)):
+        run = [b for _, b in run]
         out.extend(sorted(run, key=MultiPoly.fmt) if len(run) > 1 else run)
     return out
 
@@ -255,7 +260,19 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     in B, which is irredundant.  The loop has each element's standard factor
     at hand, f_st when f is kept and d_st when it is replaced, and the
     duplicate check reads it from there; debug checks recompute it.
+
+    When no element is replaced, B is the result as it is.  Two elements f, g
+    of B with one leading monomial M cannot both be kept: both standard
+    factors would be s_M, so gcd(q, lc g) divides lc f and f was reducible
+    in B.  So B has no duplicates and no two elements share a leading
+    monomial; it is sorted by `sort_key` with no ties, which is
+    `_basis_sorted` order.
     """
+    return _make_minimal(basis, debug_checks_enabled())
+
+
+def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
+    """`make_minimal`, with the debug switch read by the caller."""
     out = make_irredundant(basis)
     if not out:
         return out
@@ -263,6 +280,7 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     ring: PqrCtx = ctx.ring
     replaced = []
     standard = {}  # id of each element of `replaced` -> its standard factor
+    swapped = False
     for f in out:
         hits = _eligible(out, f.lm)
         # f is among the hits, so d_st divides f_st; cofactors only on a mismatch
@@ -287,8 +305,10 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
         b = _unit_normalize(acc)
         replaced.append(b)
         standard[id(b)] = d_st
+        swapped = True
+    if not swapped:
+        return out
     # drop later duplicates whose leading terms agree up to a unit
-    check = debug_checks_enabled()
     kept = {}
     for b in _basis_sorted(replaced):
         st = standard[id(b)]
@@ -305,22 +325,32 @@ def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:
     every leading monomial and multiplies each leading coefficient only by a
     unit.  So gcd(q, eligible leading coefficients), and with it whether a
     term is reducible, stays fixed while later elements are replaced, and a
-    second pass would change nothing.  Debug checks run it to confirm.
+    second pass would change nothing.  Debug checks run it to confirm,
+    comparing every remainder.  The first pass keeps an element whose
+    gcd-division took no step: it is its own remainder, already normalized.
+    The basis is re-sorted only when the pass changed an element.
     """
-    out = make_minimal(basis)
+    check = debug_checks_enabled()
+    out = _make_minimal(basis, check)
     if len(out) <= 1:
         return out
-    for n in range(2 if debug_checks_enabled() else 1):
+    for n in range(2 if check else 1):
+        changed = False
         for i in range(len(out)):
             rest = out[:i] + out[i + 1 :]
-            r = _unit_normalize(gcd_reduce(out[i], rest).remainder)
+            division = gcd_reduce(out[i], rest)
+            if not n and not division.steps:
+                continue
+            r = _unit_normalize(division.remainder)
             if r.is_zero:
                 raise AssertionError("reduced-basis element vanished")
             if r != out[i]:
                 if n:
                     raise AssertionError("a second tail-reduction pass changed the basis")
                 out[i] = r
-        out = _basis_sorted(out)
+                changed = True
+        if changed:
+            out = _basis_sorted(out)
     return out
 
 

@@ -30,7 +30,6 @@ from .pseudo import (
     NotZeroDimensionalError,
     PseudoOutcome,
     StrategyConfig,
-    normalize_content,
     pseudo_eliminant,
 )
 from .unipoly import UniPoly, content_scale
@@ -253,8 +252,8 @@ def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> Pi
     strategy = strategy or StrategyConfig()
     times: dict[str, float] = {}
     t0 = time.perf_counter()
-    gens = [normalize_content(g) for g in ideal.generators]
-    pseudo = pseudo_eliminant(gens, strategy)
+    # both searches scale each generator they insert to its canonical form
+    pseudo = pseudo_eliminant(ideal.generators, strategy)
     times["pseudo"] = time.perf_counter() - t0
     if pseudo.inconsistent:
         split, verdicts = None, []
@@ -269,7 +268,7 @@ def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> Pi
         verdicts = lc_compatibility_check(pseudo.eliminant, pseudo.basis, split.squarefree_parts)
         times["split"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        originals = [g for g in gens if not g.is_coeff]
+        originals = [g for g in ideal.generators if not g.is_coeff]
         propers = {}
         for q in split.composite_divisors():
             propers[q] = proper_eliminant(originals, residue_context(ideal.ctx, q), strategy)

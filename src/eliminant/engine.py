@@ -29,7 +29,10 @@ one `sort_key` orders the basis of both searches and of the basis ladder.
 
 `divide` is the one division loop.  Both searches divide with `lcm_step`,
 which differs between the rings only in the multipliers it admits;
-assembly's gcd-division plugs its own step into the same loop.
+assembly's gcd-division plugs its own step into the same loop.  A step
+needs a multiplier only when the lift of the divisor's leading coefficient
+does not divide the lift of the term's coefficient; otherwise it divides,
+and the dividend is not rescaled.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 
 from .multipoly import MultiPoly, mon_coprime, mon_div, mon_divides, mon_lcm
-from .unipoly import UniPoly, exact_div, lcm_cofactors, poly_gcd, poly_lcm
+from .unipoly import UniPoly, divrem, exact_div, lcm_cofactors, poly_gcd, poly_lcm
 
 
 class InvalidSPolyInput(ValueError):
@@ -178,14 +181,48 @@ def lcm_step(divisors, mon, c, admits=None):
     monomial divides mon and whose interim multiplier
     lcm(lift c, lift lc b) / lift c the ring admits: `admits` is None when
     every multiplier is admitted, as over K[x1].
+
+    A step needs a multiplier only when lift(lc b) does not divide lift(c).
+    When it divides (a nonzero constant lc b always does, and c is scaled by
+    its inverse; otherwise one `divrem` tells) the step has multiplier one
+    and factor lift(c) / lift(lc b), so `divide` does not rescale the
+    dividend.  Only a step that does not divide calls `lcm_cofactors`.
+    On a dividend whose coefficients carry no preferred lifts, as no
+    S-polynomial does, this divides as taking the lcm cofactors at every
+    step would:
+
+    - the same divisor is chosen, because a divisible step's interim
+      multiplier lcm / lift c is a nonzero constant, which every ring
+      admits (a constant is a unit of K[x1]/(q));
+    - each remainder differs from the one the cofactors give only by a
+      nonzero constant, since the cofactors clear the same term with
+      multiplier 1 / lc(lift c) and that factor times it.  A constant does
+      not change which term is reducible nor against which divisor, and it
+      scales the interim multiplier of a later step that does not divide
+      by its inverse;
+    - so every non-constant multiplier is unchanged up to a constant, and
+      `pseudo.multipliers` (recorded monic), the units `admits` accepts and
+      the split are unchanged; `normalize_content` and `_unit_normalize`
+      remove the constant before a remainder is stored, and folding takes a
+      gcd or the monic part.
+
+    (A rescale drops preferred lifts, so on a dividend that carries them a
+    later step may read another lift than under the cofactor form.)
     """
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
-            elem = b.ctx.ring.elem
-            cu, cb = lcm_cofactors(c.lift(), b.lc.lift())
-            mu = elem(cu)
+            ring = b.ctx.ring
+            lb = b.lc.lift()
+            if lb.is_constant:
+                return ring.one_elem(), [(i, ring.elem(c.rep.scale(lb._lc_inverse())))]
+            lift = c.lift()
+            quo, rem = divrem(lift, lb)
+            if rem.is_zero:
+                return ring.one_elem(), [(i, ring.elem(quo))]
+            cu, cb = lcm_cofactors(lift, lb)
+            mu = ring.elem(cu)
             if admits is None or admits(mu):
-                return mu, [(i, elem(cb))]
+                return mu, [(i, ring.elem(cb))]
     return None
 
 

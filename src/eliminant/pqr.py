@@ -7,7 +7,8 @@ monic gcd of its lift with q.  Division in the tail variables is restricted
 to steps whose interim multiplier is a unit (term divisibility by the whole
 leading term), so remainders stay meaningful despite zero divisors; it is
 the shared lcm step `engine.lcm_step`, admitting unit multipliers only, in
-the loop `engine.divide`.
+the loop `engine.divide`.  A step whose leading-coefficient lift divides the
+term's lift has multiplier one.
 
 The eliminant search is `engine.Elimination`, the same one that runs over
 K[x1]; `_ResidueRing` adapts it.  S-polynomials and skip multipliers are

@@ -2,9 +2,12 @@
 
 Division here never inverts leading coefficients: a term with coefficient c
 is cleared against a divisor with leading coefficient l by scaling the whole
-dividend with the interim multiplier lcm(c, l)/c.  The accumulated multiplier
-stays a univariate polynomial, so no rational-function coefficients (and none
-of their size explosion) ever appear.  The division is the shared lcm step
+dividend with the interim multiplier lcm(c, l)/c.  When l divides c that
+multiplier is a constant, which the authenticity test ignores, so the step
+subtracts (c/l) times the divisor and leaves the dividend unscaled.  The
+accumulated multiplier stays a univariate polynomial, so no
+rational-function coefficients (and none of their size explosion) ever
+appear.  The division is the shared lcm step
 `engine.lcm_step`, which admits every multiplier here, in the loop
 `engine.divide`.
 

@@ -1,0 +1,48 @@
+"""Smoke test of `tools/ab_inprocess.py`: an A/A run, and a B side whose reports differ."""
+
+import json
+import os
+import pathlib
+import shutil
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "ab_inprocess.py"
+
+
+def _run(a, b, *options):
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(a), str(b), "--ideals", "3", "--rounds", "1", *options],
+        capture_output=True,
+        text=True,
+        timeout=300,
+        # the tool refuses to time the debug checks
+        env={k: v for k, v in os.environ.items() if k != "ELIMINANT_DEBUG_CHECKS"},
+    )
+
+
+def test_a_a_run_covers_every_workload_with_identical_reports():
+    done = _run(ROOT, ROOT)
+    assert done.returncode == 0, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert sorted(results) == ["compat_q", "member_q", "modular_gf"]
+    for res in results.values():
+        assert res["identical"] and res["ideals"] == 3
+        for kind in ("ideal", "probe"):
+            s = res[kind]
+            assert 0 < s["a_p50_ms"] <= s["a_p95_ms"] and 0 < s["b_p50_ms"] <= s["b_p95_ms"]
+            assert 0 < s["ratio_median"] < 100
+
+
+def test_a_changed_report_is_flagged(tmp_path):
+    other = tmp_path / "tree"
+    shutil.copytree(ROOT / "src" / "eliminant", other / "src" / "eliminant",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = other / "src" / "eliminant" / "cli.py"
+    cli.write_text(cli.read_text() + "\n_to_json = PipelineReport.to_json\n"
+                   "PipelineReport.to_json = lambda self: _to_json(self) + ' '\n")
+    done = _run(ROOT, other, "--workload", "compat_q")
+    assert done.returncode == 1, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert list(results) == ["compat_q"] and not results["compat_q"]["identical"]

@@ -25,6 +25,7 @@ from eliminant.assembly import (
 )
 from eliminant.cli import run_pipeline
 from eliminant.compat import compatible_split
+from eliminant.engine import divide
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
 from eliminant.parser import parse_ideal_file, parse_poly
@@ -46,6 +47,7 @@ from util import (
     random_unipoly,
     random_zero_dim_ideal,
     reference_component_remainder,
+    reference_gcd_step,
     reference_make_reduced,
     reference_normalize_content,
     reference_unit_normalize,
@@ -868,6 +870,65 @@ def test_coprime_adjust_builds_a_unit_lift(field):
         assert poly_gcd(w, q).is_constant
         corrected += not poly_gcd(exact_div(g, d), q).is_constant
     assert corrected >= 100
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "Q"])
+def test_unit_lifts_match_the_references_on_lifted_bases(field, monkeypatch):
+    """The ladder and gcd-division agree with their references where the unit lift matters.
+
+    Leading coefficients lift to a factor of q times a cofactor, plus a
+    multiple of q, so the gcd g of eligible lifts often has g/gcd(g, q) not
+    constant, and not coprime to q when a lift takes a factor of q to a
+    higher power than q has.  The references build their own unit lift, so a
+    wrong `_coprime_adjust` fails here as well as in its property test.
+    """
+    rng = random.Random(2104)
+    base = base_context(field, "z", ("y", "x"))
+    q = U("z^2*(z+1)*(z+2)", field=field)
+    ctx = residue_context(base, q)
+    heads = [
+        U(h, field=field)
+        for h in ("1", "z", "z+1", "z^3", "z^3*(z+1)", "z^3*(z+2)", "(z+1)^2*(z+2)", "z*(z+1)^2")
+    ]
+    extras = [U(h, field=field) for h in ("1", "z-1", "z+2", "z^2+2")]
+    shapes = {"x*y": ("y", "1"), "x": ("y", "1"), "x^2": ("x", "y"), "y^2": ("y", "1")}
+    calls = {"lifted": 0, "corrected": 0}
+    real = assembly._coprime_adjust
+
+    def counted(g, d, modulus):
+        a = exact_div(g, d)
+        calls["lifted"] += not a.is_constant
+        calls["corrected"] += not poly_gcd(a, modulus).is_constant
+        return real(g, d, modulus)
+
+    monkeypatch.setattr(assembly, "_coprime_adjust", counted)
+
+    def element(extra):
+        lm = rng.choice(list(shapes))
+        lift = rng.choice(heads) * extra
+        if rng.random() < 0.3:
+            lift = lift + q * random_unipoly(rng, field, max_deg=1)
+        terms = {P(lm, base).lm: lift}
+        for mon in shapes[lm]:
+            terms[P(mon, base).lm] = random_unipoly(rng, field, max_deg=2, bound=2)
+        return project_multipoly(MultiPoly(base, terms), ctx, keep_lifts=True)
+
+    for _ in range(400):
+        extra = rng.choice(extras)
+        basis = [b for b in (element(extra) for _ in range(rng.randint(2, 4))) if not b.is_coeff]
+        if not basis:
+            continue
+        got = make_reduced(basis)
+        assert got == reference_make_reduced(basis)
+        f = project_multipoly(random_multipoly(rng, base, max_total=3, terms=4), ctx)
+        if f.is_zero or not got:
+            continue
+        new = gcd_reduce(f, basis)
+        ref = divide(f, basis, reference_gcd_step)
+        assert new.remainder.scale(new.multiplier.inverse()) == ref.remainder.scale(
+            ref.multiplier.inverse()
+        )
+    assert calls["lifted"] >= 30 and calls["corrected"] >= 15, calls
 
 
 def test_basis_sorted_breaks_ties_by_format():

@@ -277,7 +277,45 @@ def reference_try_triangular(run, i, j):
     return False
 
 
-# -- reference gcd-division -------------------------------------------------------
+# -- reference division steps -----------------------------------------------------
+
+
+def reference_lcm_step(divisors, mon, c, admits=None):
+    """The lcm division step with lcm cofactors at every step, kept as an oracle.
+
+    Every step scales the dividend by lcm(lift c, lift lc b) / lift c, also
+    when that is a constant because lift lc b divides lift c.
+    """
+    from eliminant.multipoly import mon_divides
+    from eliminant.unipoly import lcm_cofactors
+
+    for i, b in enumerate(divisors):
+        if mon_divides(b.lm, mon):
+            elem = b.ctx.ring.elem
+            cu, cb = lcm_cofactors(c.lift(), b.lc.lift())
+            mu = elem(cu)
+            if admits is None or admits(mu):
+                return mu, [(i, elem(cb))]
+    return None
+
+
+def reference_coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
+    """A lift w with w*d_st = g mod q and w coprime to q, built apart from assembly's.
+
+    w = g/d_st when that is coprime to q, else g/d_st + t*q/d_st with t the
+    part of q coprime to both quotients, found by dividing out gcds with
+    their product.
+    """
+    from eliminant.unipoly import exact_div
+
+    a = exact_div(g, d_st)
+    if reference_poly_gcd(a, modulus).is_constant:
+        return a
+    b = exact_div(modulus, d_st)
+    t = modulus
+    while not (h := reference_poly_gcd(t, a * b)).is_constant:
+        t = exact_div(t, h)
+    return a + t * b
 
 
 def reference_gcd_step(divisors, mon, c):
@@ -286,7 +324,6 @@ def reference_gcd_step(divisors, mon, c):
     It recomputes the coefficient gcd, its cofactors and gcd(g, q) at every
     step, and always scales the dividend by lcm(lift c, g) / lift c.
     """
-    from eliminant.assembly import _coprime_adjust
     from eliminant.multipoly import mon_divides
     from eliminant.unipoly import exact_div, poly_gcd, poly_lcm, poly_multi_ext_gcd
 
@@ -305,7 +342,7 @@ def reference_gcd_step(divisors, mon, c):
         scale = ring.elem(exact_div(m, g))
     else:
         mu = ring.one_elem()
-        w = _coprime_adjust(g, d_st, ring.modulus)
+        w = reference_coprime_adjust(g, d_st, ring.modulus)
         scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
     parts = [(i, scale * ring.elem(cof)) for (i, _), cof in zip(hits, cofs)]
     return mu, [(i, factor) for i, factor in parts if not factor.is_zero]
@@ -396,7 +433,6 @@ def reference_make_reduced(basis):
     pass gets its gcd cofactors, the sort formats every element, and the
     redundancy pass restarts after each drop.
     """
-    from eliminant.assembly import _coprime_adjust
     from eliminant.engine import divide
     from eliminant.multipoly import mon_div, mon_divides
     from eliminant.unipoly import poly_gcd, poly_multi_ext_gcd
@@ -431,7 +467,7 @@ def reference_make_reduced(basis):
             if poly_gcd(f.lc.rep, ring.modulus) == d_st:
                 replaced.append(f)
                 continue
-            scale = ring.elem(_coprime_adjust(g, d_st, ring.modulus)).inverse()
+            scale = ring.elem(reference_coprime_adjust(g, d_st, ring.modulus)).inverse()
             acc = MultiPoly.zero(ctx)
             for i, cof in zip(hits, cofs):
                 factor = scale * ring.elem(cof)
