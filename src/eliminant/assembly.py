@@ -29,7 +29,10 @@ monomial.  That basis generates <x_i - r_i> with r_i = -t_i/u_i, so f
 reduces to the residue f(x1, r), which is the unique remainder and therefore
 the unit-free gcd-division remainder.  The first probe computes r, as it
 fills the step table of other components; a constant u_i scales t_i in the
-field, any other u_i is tested and inverted by one extended gcd with q.
+field, any other u_i is tested and inverted by one `poly_half_ext_gcd` with
+q, which tracks only the cofactor of u_i.  The unit multipliers of
+gcd-division (`PqrElem.inverse`) and the CRT data of normal forms are
+inverted by the same entry point.
 Probes keep what they build in the component's `images`: the powers of each
 r_i, reduced mod q, and the image r_1^a_1*...*r_n^a_n of each tail monomial
 they meet.  That is one image per distinct tail monomial probed, of degree
@@ -76,8 +79,8 @@ from .unipoly import (
     UniPoly,
     divrem,
     exact_div,
-    poly_ext_gcd,
     poly_gcd,
+    poly_half_ext_gcd,
     poly_multi_ext_gcd,
     sum_of_products,
 )
@@ -481,8 +484,9 @@ def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
 
     Each tail variable x_i leads exactly one element, t_i sits at the
     constant monomial, and r_i = -t_i/u_i is a residue.  A constant u_i is
-    inverted in the field; for any other, one extended gcd with q both tests
-    that u_i is a unit and gives its inverse.
+    inverted in the field; for any other, one `poly_half_ext_gcd` with q both
+    tests that u_i is a unit and gives its inverse.  r_i is built from t_i's
+    representative alone, the only part of it `_image` reads.
     """
     ring: PqrCtx = ctx.ring
     r = [None] * ctx.arity
@@ -495,9 +499,9 @@ def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
             return None
         t = rest[0][1] if rest else ctx.ring_zero()
         if u.rep.is_constant:
-            r[i] = t.scale_scalar(-u.rep._lc_inverse())
+            r[i] = PqrElem(ring, t.rep.scale(-u.rep._lc_inverse()))
             continue
-        d, inv, _ = poly_ext_gcd(u.rep, ring.modulus)
+        d, inv = poly_half_ext_gcd(u.rep, ring.modulus)
         if not d.is_constant:
             return None
         r[i] = ring.elem(-t.rep * inv)
@@ -592,7 +596,7 @@ def _crt_data(dec: Decomposition):
     combos = []
     for m in moduli:
         rest = exact_div(total, m)
-        _, u, _ = poly_ext_gcd(rest % m, m)
+        u = poly_half_ext_gcd(rest % m, m)[1]
         combos.append((rest * u) % total)
     return total, combos
 

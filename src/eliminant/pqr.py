@@ -32,7 +32,7 @@ from functools import partial
 from .engine import Division, Elimination, divide, lcm_step, reduced
 from .multipoly import MultiPoly, VarContext
 from .pseudo import StrategyConfig
-from .unipoly import UniPoly, content_scale, poly_gcd
+from .unipoly import UniPoly, content_scale, poly_gcd, poly_half_ext_gcd
 
 
 class NotAUnitError(ValueError):
@@ -141,15 +141,14 @@ class PqrElem:
         return poly_gcd(self.rep, self.ctx.modulus).is_constant
 
     def inverse(self) -> "PqrElem":
-        from .unipoly import poly_ext_gcd
-
+        """The inverse of a unit: 1/c for a constant, else u from `poly_half_ext_gcd` with q."""
         nums = self.rep.nums
         if not nums:
             raise NotAUnitError("zero has no inverse")
         if len(nums) == 1:
             # a nonzero constant is inverted in the field
             return PqrElem(self.ctx, UniPoly.one(self.ctx.field).scale(self.rep._lc_inverse()))
-        d, u, _ = poly_ext_gcd(self.rep, self.ctx.modulus)
+        d, u = poly_half_ext_gcd(self.rep, self.ctx.modulus)
         if not d.is_constant:
             raise NotAUnitError(f"{self.rep.fmt()} shares {d.fmt()} with the modulus")
         return self.ctx.elem(u)

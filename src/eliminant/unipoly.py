@@ -51,8 +51,18 @@ answer is the same canonical monic gcd either way.
 
 Over GF(p), `poly_gcd` runs one kernel, `_gf_gcd`: Euclid on a monic
 divisor, each remainder reduced in place on a copy of the dividend with no
-quotient list, and made monic in the same pass that reduces it mod p.  The
-extended gcds keep the Euclidean loop on `divrem`.
+quotient list, and made monic in the same pass that reduces it mod p.
+
+The extended gcd runs one kernel per field on the same lists, tracking one
+cofactor s with s*a congruent to the remainder mod b: `_gf_half_ext` beside
+`_gf_gcd`'s loop, and over Q `_q_half_ext`, the primitive remainder
+sequence (Geddes, Czapor & Labahn 1992, §7) with each pseudo-remainder and
+its cofactor divided by their common content and normalised once at the
+end.  `poly_half_ext_gcd` returns (d, u), all that an inverse mod g reads;
+`poly_ext_gcd` gets v from u by one exact division, (d - u*f)/g.  For
+nonzero f and g the cofactor u with deg u < deg g - deg d is unique, and
+the fraction-free sequence is the Euclidean one up to nonzero scalars, so
+both return the Euclidean cofactors.
 
 Constant operands, as most leading coefficients are after normalisation,
 skip the loops: a product with a constant is one scaling pass, `poly_gcd`
@@ -725,21 +735,123 @@ def poly_lcm(f: UniPoly, g: UniPoly) -> UniPoly:
     return f * lcm_cofactors(f, g)[0]
 
 
-def poly_ext_gcd(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
-    """(d, u, v) with u*f + v*g = d and d the monic gcd."""
+def _gf_half_ext(a: list, b: list, p: int) -> tuple[list, list]:
+    """(d, s) for residue lists of degree >= 1: d the monic gcd, s*a == d mod b.
+
+    The remainders run as in `_gf_gcd`, on a monic divisor with the dividend
+    reduced lazily; the quotient each round builds updates the one cofactor,
+    s_new = s_a - quot*s_b, which is made monic with its remainder.
+    """
+    if len(a) < len(b):
+        a, sa, b, sb = b, [], a, [1]
+    else:
+        sa, sb = [1], []
+    if b[-1] != 1:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        sb = [c * inv % p for c in sb]
+    while True:
+        db = len(b) - 1
+        low = b[:-1]
+        r = list(a)
+        nq = len(r) - db
+        s = sa + [0] * (nq + len(sb) - 1 - len(sa))
+        for k in range(nq - 1, -1, -1):
+            c = r[k + db] % p
+            if c:
+                for j, y in enumerate(low, k):
+                    r[j] -= c * y
+                for j, y in enumerate(sb, k):
+                    s[j] -= c * y
+        top = db - 1
+        while top >= 0 and not r[top] % p:
+            top -= 1
+        if top < 0:
+            return b, sb
+        inv = pow(r[top], -1, p)
+        s = [c * inv % p for c in s]
+        while not s[-1]:
+            s.pop()
+        if not top:
+            return [1], s    # a nonzero constant remainder: the operands are coprime
+        a, sa, b, sb = b, sb, [c * inv % p for c in r[: top + 1]], s
+
+
+def _q_half_ext(a: list, b: list) -> tuple[list, list]:
+    """(d, s) for integer lists of degree >= 1 with s*a == d mod b, d a multiple of the gcd.
+
+    The primitive remainder sequence, fraction-free: each round's
+    pseudo-remainder m*r_a - quot*r_b (`_q_divmod`) comes with the cofactor
+    m*s_a - quot*s_b, and both are divided by their common content.
+    """
+    if len(a) < len(b):
+        a, sa, b, sb = b, [], a, [1]
+    else:
+        sa, sb = [1], []
+    while True:
+        q, r, m = _q_divmod(a, b)
+        if not r:
+            return b, sb
+        s = [c * m for c in sa] if m != 1 else list(sa)
+        s += [0] * (len(q) + len(sb) - 1 - len(s))
+        for i, x in enumerate(q):
+            if x:
+                for j, y in enumerate(sb, i):
+                    s[j] -= x * y
+        while not s[-1]:
+            s.pop()
+        g = int_gcd(*r, *s)
+        if g != 1:
+            r = [c // g for c in r]
+            s = [c // g for c in s]
+        if len(r) == 1:
+            return r, s
+        a, sa, b, sb = b, sb, r, s
+
+
+def poly_half_ext_gcd(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+    """(d, u) with u*f congruent to d mod g, d the monic gcd: the u of `poly_ext_gcd`.
+
+    This is what an inverse mod g needs, and only one cofactor is tracked.
+    For nonzero f and g the cofactor u with u*f + v*g = d and deg u <
+    deg g - deg d is unique: two of them differ by a multiple of g/d of
+    lower degree than g/d, which is zero.  The Euclidean sequence gives that
+    u, and the fraction-free sequence over Q (`_q_half_ext`) is the Euclidean
+    one up to nonzero scalars, remainders and cofactors alike, so normalising
+    its last remainder once yields the same d and u.  With g zero, u is
+    1/lc f; with f zero, u is zero.
+    """
     if f.is_zero and g.is_zero:
         raise BothZeroError("ext_gcd(0, 0)")
     F = f.field
-    r0, r1 = f, g
-    u0, u1 = UniPoly.one(F), UniPoly.zero(F)
-    v0, v1 = UniPoly.zero(F), UniPoly.one(F)
-    while not r1.is_zero:
-        q, r = divrem(r0, r1)
-        r0, r1 = r1, r
-        u0, u1 = u1, u0 - q * u1
-        v0, v1 = v1, v0 - q * v1
-    c = r0._lc_inverse()
-    return r0.monic(), u0.scale(c), v0.scale(c)
+    if g.is_zero:
+        return f.monic(), _raw(F, [1]).scale(f._lc_inverse())
+    f._check(g)
+    a, b = f.nums, g.nums
+    if len(b) <= 1 or not a:
+        return g.monic() if not a else _raw(F, [1]), _raw(F, [])
+    if len(a) == 1:
+        return _raw(F, [1]), _constant_inverse(f)
+    p = F.char
+    if p:
+        d, s = _gf_half_ext(a, b, p)
+        return _raw(F, d), _raw(F, s)
+    c = int_gcd(*a)
+    d, s = _q_half_ext([x // c for x in a] if c != 1 else a, _int_primitive(list(b)))
+    # s*(f*den/c) == d mod g, and d over its leading entry is the monic gcd
+    return _q_make(F, d, d[-1]), _q_make(F, [x * f.den for x in s], c * d[-1])
+
+
+def poly_ext_gcd(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly, UniPoly]:
+    """(d, u, v) with u*f + v*g = d and d the monic gcd.
+
+    u is `poly_half_ext_gcd`'s, and v = (d - u*f)/g is one exact division
+    (zero when g is zero); both are the Euclidean cofactors.
+    """
+    d, u = poly_half_ext_gcd(f, g)
+    if g.is_zero:
+        return d, u, g
+    return d, u, exact_div(d - u * f, g)
 
 
 def poly_multi_ext_gcd(polys: list[UniPoly]) -> tuple[UniPoly, list[UniPoly]]:

@@ -29,10 +29,13 @@ def test_a_a_run_covers_every_workload_with_identical_reports():
     assert sorted(results) == ["compat_q", "member_q", "modular_gf"]
     for res in results.values():
         assert res["identical"] and res["ideals"] == 3
-        for kind in ("ideal", "probe"):
+        for kind in ("ideal", "probe", "per_probe"):
             s = res[kind]
             assert 0 < s["a_p50_ms"] <= s["a_p95_ms"] and 0 < s["b_p50_ms"] <= s["b_p95_ms"]
             assert 0 < s["ratio_median"] < 100
+        # a probe takes part of its ideal's summed probe time
+        for side in "ab":
+            assert res["per_probe"][f"{side}_p50_ms"] <= res["probe"][f"{side}_p95_ms"]
 
 
 def test_a_changed_report_is_flagged(tmp_path):

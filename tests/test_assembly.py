@@ -240,7 +240,7 @@ def test_normal_form_keeps_its_crt_data(src, monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(assembly, "poly_ext_gcd", spy(assembly.poly_ext_gcd))
+    monkeypatch.setattr(assembly, "poly_half_ext_gcd", spy(assembly.poly_half_ext_gcd))
     assert normal_form(probe, dec) == first
     assert calls == []
     assert dec.crt_data == assembly._crt_data(dec)
@@ -622,7 +622,7 @@ def test_shape_substitution_inverts_by_one_ext_gcd_or_in_the_field(monkeypatch):
             return fn(*args)
         return wrapped
 
-    monkeypatch.setattr(assembly, "poly_ext_gcd", spy("ext_gcd", assembly.poly_ext_gcd))
+    monkeypatch.setattr(assembly, "poly_half_ext_gcd", spy("ext_gcd", assembly.poly_half_ext_gcd))
     monkeypatch.setattr(assembly, "poly_gcd", spy("gcd", assembly.poly_gcd))
     monkeypatch.setattr(pqr, "poly_gcd", spy("gcd", pqr.poly_gcd))
     monkeypatch.setattr(PqrElem, "inverse", spy("inverse", PqrElem.inverse))
@@ -702,9 +702,9 @@ def test_repeated_probe_sums_in_one_pass(field, monkeypatch):
 def test_slow_q_fixture_probes_are_answered_quickly():
     """Each generator is a member and each generator + 1 is not, all within 5 s.
 
-    Gcd-division of these probes in the degree-10 compatible component does
-    not finish within 30 s each; substitution answers them.  The other
-    component (leading monomial x*y) is outside shape position.
+    Substitution answers these probes in the degree-10 compatible component,
+    where gcd-division takes seconds per probe (see the next test).  The
+    other component (leading monomial x*y) is outside shape position.
     """
     ideal = parse_ideal_file((FIXTURES / "slow_member_q.ideal").read_text())
     dec = run_pipeline(ideal).decomposition
@@ -715,6 +715,26 @@ def test_slow_q_fixture_probes_are_answered_quickly():
         assert not is_member(g + one, dec)
     assert time.perf_counter() - start < 5.0
     assert [comp.substitution is None for comp in dec.components] == [False, True]
+
+
+def test_slow_q_fixture_probe_by_gcd_division_finishes():
+    """Gcd-division of a generator in the degree-10 compatible component, within 30 s.
+
+    Its steps invert unit multipliers and combine leading coefficients by
+    extended gcds of lifts of over a thousand bits.  On the Euclidean loop
+    over UniPoly arithmetic this probe took about 65 s on a 2-vCPU VM; on
+    the half-extended kernel it takes 4-5 s.  The remainder is zero, as
+    substitution says.
+    """
+    ideal = parse_ideal_file((FIXTURES / "slow_member_q.ideal").read_text())
+    comp = run_pipeline(ideal).decomposition.components[0]
+    assert comp.modulus.degree == 10
+    g = ideal.generators[1]
+    start = time.perf_counter()
+    division = gcd_reduce(comp.project(g), comp.basis, comp.table)
+    assert time.perf_counter() - start < 30.0
+    assert division.remainder.is_zero
+    assert assembly._substituted(g, comp, comp.substitution).is_zero
 
 
 # -- the normalization ladder against the reference ladder ---------------------------

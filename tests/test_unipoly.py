@@ -15,6 +15,7 @@ from eliminant.unipoly import (
     lcm_cofactors,
     poly_ext_gcd,
     poly_gcd,
+    poly_half_ext_gcd,
     poly_lcm,
     poly_multi_ext_gcd,
     squarefree_decomposition,
@@ -371,6 +372,9 @@ def test_kernel_matches_reference_loops(p):
             same(d, rd)
             same(u, ru)
             same(v, rv)
+            d, u = poly_half_ext_gcd(fa, fb)
+            same(d, rd)
+            same(u, ru)
         family = [a, b] + [_ref_poly(rng, R, 4) for _ in range(rng.randint(0, 2))]
         if any(family):
             d, cofs = poly_multi_ext_gcd([up(x) for x in family])
@@ -378,6 +382,60 @@ def test_kernel_matches_reference_loops(p):
             same(d, rd)
             for got, ref in zip(cofs, rcofs):
                 same(got, ref)
+
+
+def _ext_gcd_edge_pairs(rng, F):
+    """(f, g) pairs: each divides the other, f = 2*g (zero over GF(2)),
+    deg f < deg g, a shared factor, negative leading integers with mixed
+    denominators, and degree-10 operands with 40-bit coefficients."""
+
+    def rand(deg, bits=6, negative=False):
+        if F.char:
+            cs = [rng.randrange(2**bits) % F.char for _ in range(deg)]
+            return UniPoly(F, cs + [rng.randrange(1, F.char)])
+        top = 2 ** min(bits, 6)    # denominators stay small: the reference runs on Fractions
+        cs = [Fraction(rng.randint(-(2**bits), 2**bits), rng.randint(1, top)) for _ in range(deg)]
+        lead = Fraction(rng.randint(1, 2**bits), rng.randint(1, top))
+        return UniPoly(F, cs + [-lead if negative or rng.random() < 0.5 else lead])
+
+    h = rand(rng.randint(1, 3))
+    g = rand(3)
+    yield g * rand(2), g
+    yield g, g * rand(2)
+    yield g.scale(F.one + F.one), g
+    yield rand(2), rand(5)
+    yield rand(0), rand(4)
+    yield rand(4) * h, rand(3) * h
+    yield rand(5) * h, h
+    yield rand(5, negative=True), rand(4, negative=True)
+    yield rand(10, 40), rand(10, 40)
+    yield rand(10, 40) * h, rand(9, 40) * h
+    yield rand(8, 40), rand(10, 40, negative=True)
+
+
+@pytest.mark.parametrize("p", [0, 2, 5, 32003])
+def test_ext_gcd_edge_cases_match_the_reference(p):
+    """Both extended gcds give the reference's Euclidean cofactors on seeded edge cases.
+
+    u is the cofactor with deg u < deg g - deg d, and v the one with
+    deg v < deg f - deg d unless g divides f, when u is 0 and v is 1/lc g.
+    """
+    rng = random.Random(2300 + p)
+    F = GF(p) if p else QQ
+    R = _RefField(p)
+    for _ in range(6):
+        for f, g in _ext_gcd_edge_pairs(rng, F):
+            rd, ru, rv = _ref_ext_gcd(R, list(f.coeffs), list(g.coeffs))
+            d, u, v = poly_ext_gcd(f, g)
+            assert [list(x.coeffs) for x in (d, u, v)] == [rd, ru, rv]
+            assert poly_half_ext_gcd(f, g) == (d, u)
+            assert all(_canonical(x) for x in (d, u, v))
+            assert u * f + v * g == d and d == poly_gcd(f, g)
+            assert u.degree < g.degree - d.degree
+            if d.degree < g.degree:
+                assert v.degree < f.degree - d.degree
+            else:
+                assert u.is_zero and v == UniPoly.one(F).scale(g._lc_inverse())
 
 
 def _canonical(f):

@@ -10,11 +10,13 @@ alternating order (A first for even ideal + round, B first otherwise): parse,
 `run_pipeline`, `to_json`, then its probes through `is_member`.
 
 Per workload it prints the p50 and p95 of the per-ideal best times (the
-minimum over rounds) of each side, the median per-ideal ratio B/A, the same
-three for the probe time of an ideal where the workload has probes, and
+minimum over rounds) of each side, the median per-ideal ratio B/A, and
 whether every JSON report and probe verdict is byte-identical between the
-sides.  The last line of standard output is one JSON object with those
-figures per workload.  An A/A run (one tree twice) shows the noise floor.
+sides.  Where the workload has probes it prints the same three for the
+summed probe time of an ideal (`probe`) and for each probe's own best time
+(`per_probe`), the figure that perfbench's `probe_*` metrics count.  The
+last line of standard output is one JSON object with those figures per
+workload.  An A/A run (one tree twice) shows the noise floor.
 """
 
 from __future__ import annotations
@@ -44,8 +46,8 @@ def load_side(tree: Path, name: str, into: Path):
     return pkg, importlib.import_module(f"{name}.cli")
 
 
-def run_case(side, case) -> tuple[float, float, str]:
-    """(ideal seconds, probe seconds, report and verdicts) of one pool case on one side."""
+def run_case(side, case) -> tuple[float, list[float], str]:
+    """(ideal seconds, each probe's seconds, report and verdicts) of one pool case on one side."""
     pkg, cli = side
     clock = time.perf_counter
     t0 = clock()
@@ -54,10 +56,12 @@ def run_case(side, case) -> tuple[float, float, str]:
     out = report.to_json()
     t1 = clock()
     probes = [pkg.parse_poly(text, ideal.ctx) for text, _ in case.probes]
-    t2 = clock()
-    verdicts = [pkg.is_member(p, report.decomposition) for p in probes]
-    t3 = clock()
-    return t1 - t0, t3 - t2, out + repr(verdicts)
+    verdicts, probe_s = [], []
+    for probe in probes:
+        t2 = clock()
+        verdicts.append(pkg.is_member(probe, report.decomposition))
+        probe_s.append(clock() - t2)
+    return t1 - t0, probe_s, out + repr(verdicts)
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -78,8 +82,10 @@ def summary(best_a: list[float], best_b: list[float]) -> dict:
 
 def compare(sides, workload, seed: int, ideals: int | None, rounds: int) -> dict:
     pool = [workload.case(seed, i) for i in range(ideals or workload.pool)]
-    # best[kind][side][i]: the least time of pool ideal i over the rounds
+    # best[kind][side][i]: the least time of pool ideal i over the rounds;
+    # best["per_probe"][side][i][k] that of its probe k
     best = {kind: [[float("inf")] * len(pool) for _ in sides] for kind in ("ideal", "probe")}
+    best["per_probe"] = [[[float("inf")] * len(case.probes) for case in pool] for _ in sides]
     identical = True
     for r in range(rounds):
         for i, case in enumerate(pool):
@@ -87,12 +93,16 @@ def compare(sides, workload, seed: int, ideals: int | None, rounds: int) -> dict
             for s in (0, 1) if (i + r) % 2 == 0 else (1, 0):
                 ideal_s, probe_s, outputs[s] = run_case(sides[s], case)
                 best["ideal"][s][i] = min(best["ideal"][s][i], ideal_s)
-                best["probe"][s][i] = min(best["probe"][s][i], probe_s)
+                best["probe"][s][i] = min(best["probe"][s][i], sum(probe_s))
+                each = best["per_probe"][s][i]
+                each[:] = map(min, each, probe_s)
             identical &= outputs[0] == outputs[1]
     out = {"ideals": len(pool), "rounds": rounds, "identical": identical}
     out["ideal"] = summary(*best["ideal"])
     if workload.probes_per_ideal:
         out["probe"] = summary(*best["probe"])
+        out["per_probe"] = summary(*[[t for each in side for t in each]
+                                     for side in best["per_probe"]])
     return out
 
 
@@ -128,10 +138,10 @@ def main(argv=None) -> int:
                                           args.rounds)
             print(f"{name}: {res['ideals']} ideals x {res['rounds']} rounds, reports "
                   f"{'identical' if res['identical'] else 'DIFFER'}")
-            for kind in ("ideal", "probe"):
+            for kind in ("ideal", "probe", "per_probe"):
                 if kind in res:
                     s = res[kind]
-                    print(f"  {kind:5}  A p50 {s['a_p50_ms']:.4f} ms  p95 {s['a_p95_ms']:.4f} ms"
+                    print(f"  {kind:9}  A p50 {s['a_p50_ms']:.4f} ms  p95 {s['a_p95_ms']:.4f} ms"
                           f"  |  B p50 {s['b_p50_ms']:.4f} ms  p95 {s['b_p95_ms']:.4f} ms"
                           f"  |  median B/A {s['ratio_median']:.4f}")
     print(json.dumps(results, sort_keys=True))
