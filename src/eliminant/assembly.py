@@ -322,7 +322,16 @@ def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
 
 
 def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Fully tail-reduced minimal basis; canonical up to the constant scale.
+    """Fully tail-reduced minimal basis, scaled by a constant, not canonical.
+
+    No term of an element is reducible by the others, and the leading
+    monomials are those of a minimal basis of the ideal.  Over K[x1]/(q) the
+    rest depends on the run's path: each leading coefficient keeps the unit
+    its run gave it, and a tail coefficient that is not a multiple of the
+    eligible leading coefficients' gcd keeps whatever the run left.  (At the
+    seed-701 `modular_gf` pool, `--strategy no-triangular-skip` gives other
+    bases in 14 of 798 components: 18 elements differ by a unit multiple and
+    10 in their tails, all with the same leading monomials.)
 
     One tail-reduction pass suffices.  The basis is minimal, so a pass keeps
     every leading monomial and multiplies each leading coefficient only by a

@@ -21,7 +21,9 @@ adapter supplies only what differs:
   what that entails; a triangular candidate's rank comes along, so the
   residue ring reads a unit off it;
 - `fold_univariate(run, r)` for a univariate member (False once the ideal is
-  trivial) and `finish(run)`, which turns the drained run into an outcome.
+  trivial) and `finish(run)`, which turns the drained run into an outcome;
+- `supersedes(h, g)`, or None: which elements a new element h retires from
+  the basis (the basis update of `Elimination`).
 
 Coefficients of both rings offer `rep` and `lift()`, and `ctx.ring` offers
 `elem`, `zero_elem` and `one_elem`, so no caller asks which ring it holds and
@@ -186,7 +188,9 @@ def lcm_step(divisors, mon, c, admits=None):
     When it divides (a nonzero constant lc b always does, and c is scaled by
     its inverse; otherwise one `divrem` tells) the step has multiplier one
     and factor lift(c) / lift(lc b), so `divide` does not rescale the
-    dividend.  Only a step that does not divide calls `lcm_cofactors`.
+    dividend.  Only a step that does not divide calls `lcm_cofactors`, with
+    the gcd continued from that `divrem`: gcd(lift c, lift lc b) is
+    gcd(lift lc b, remainder), so the cofactors are the same.
     On a dividend whose coefficients carry no preferred lifts, as no
     S-polynomial does, this divides as taking the lcm cofactors at every
     step would:
@@ -207,7 +211,8 @@ def lcm_step(divisors, mon, c, admits=None):
       gcd or the monic part.
 
     (A rescale drops preferred lifts, so on a dividend that carries them a
-    later step may read another lift than under the cofactor form.)
+    later step may read another lift than under the cofactor form;
+    `pqr.proper_divide` divides canonical representatives for that reason.)
     """
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
@@ -219,7 +224,7 @@ def lcm_step(divisors, mon, c, admits=None):
             quo, rem = divrem(lift, lb)
             if rem.is_zero:
                 return ring.one_elem(), [(i, ring.elem(quo))]
-            cu, cb = lcm_cofactors(lift, lb)
+            cu, cb = lcm_cofactors(lift, lb, poly_gcd(lb, rem))
             mu = ring.elem(cu)
             if admits is None or admits(mu):
                 return mu, [(i, ring.elem(cb))]
@@ -278,6 +283,22 @@ class Elimination:
     a unique seq or slot first, so ties never compare polynomials and the pop
     order is the (lcm key, seq) order.  The debug switch is read once, when
     the run starts.
+
+    The basis update (Gebauer & Möller 1988, JSC 6) runs under the
+    triangular criterion, for a ring whose adapter defines
+    `supersedes(h, g)`; over K[x1] it is None.  Once an inserted element h
+    has had its pairs decided, `retire` moves every element g that h
+    supersedes out of the basis into `superseded`.  g is then no longer a
+    divisor, a triangular candidate or a partner for new pairs, but queued
+    pairs that name it are still formed from `arena`.  The update is the
+    triangular criterion applied once, when h arrives: for each later f,
+    S(f, g) is the pair the criterion would excuse through h, and its
+    companion pairs point backwards, since (g, h) was decided when h was
+    inserted and (f, h) is decided when f arrives, or is itself excused
+    through the element that retired h.  `_ResidueRing` gives the argument
+    in its ring.  A rebase calls `restore` before `remap`: every retired
+    element returns to the basis with its earlier decisions, and `remap`
+    decides its pairs with the elements inserted after it was retired.
     """
 
     def __init__(self, ring, order, strategy):
@@ -291,6 +312,9 @@ class Elimination:
         self.seq = 0
         self.decided_pairs: set = set()
         self.inconsistent = False
+        self.superseded: set = set()    # slots `retire` moved out of the basis
+        self.restored: set = set()      # slots `restore` put back, read by the next `remap`
+        self.supersedes = ring.supersedes if strategy.triangular_skip else None
 
     def polys(self) -> list[MultiPoly]:
         return [f for _, _, f in self.basis]
@@ -324,7 +348,10 @@ class Elimination:
         monomial: the queued pairs and decisions that read the old one, or
         touch an element that left, are dropped, and those pairs decided
         again.  Every other queued pair is formed from the moved elements
-        when it is popped.
+        when it is popped.  An element `restore` put back keeps its
+        decisions and queued pairs, as any element whose leading monomial
+        did not move, and its pairs that were never decided, those with the
+        elements inserted after it was retired, are decided with the rest.
         """
         univariates = []
         basis = []
@@ -345,10 +372,13 @@ class Elimination:
             self.queue = [e for e in self.queue if e[2] not in moved and e[3] not in moved]
             heapify(self.queue)
             self.decided_pairs = {p for p in self.decided_pairs if not p & moved}
+        touched, self.restored = moved | self.restored, set()
+        if touched:
             ids = self.slots()
-            self.decide_batch(
-                [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :] if i in moved or j in moved]
-            )
+            self.decide_batch([
+                (i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]
+                if (i in touched or j in touched) and frozenset((i, j)) not in self.decided_pairs
+            ])
         return univariates
 
     # -- pair decisions
@@ -441,3 +471,26 @@ class Elimination:
                 continue
             slot = self.insert(self.ring.normalize(r), check_growth=True)
             self.decide_batch([(i, slot) for _, i, _ in self.basis if i != slot])
+            if self.supersedes is not None:
+                self.retire(slot)
+
+    # -- the basis update
+
+    def retire(self, slot: int):
+        """Move out of the basis every element that h, the element in `slot`, supersedes."""
+        h = self.arena[slot]
+        kept = []
+        for entry in self.basis:
+            if entry[1] != slot and self.supersedes(h, entry[2]):
+                self.superseded.add(entry[1])
+            else:
+                kept.append(entry)
+        self.basis = kept
+
+    def restore(self):
+        """Put every retired element back into the basis, for the next `remap` to project."""
+        for slot in self.superseded:
+            f = self.arena[slot]
+            insort(self.basis, (sort_key(f), slot, f))
+        self.restored |= self.superseded
+        self.superseded = set()

@@ -14,8 +14,8 @@ The eliminant search is `engine.Elimination`, the same one that runs over
 K[x1]; `_ResidueRing` adapts it.  S-polynomials and skip multipliers are
 the engine's, computed on lifts (never zero).  The adapter skips a pair
 only when the skip multiplier is a unit, ranks triangular candidates by the
-standard factor of their multiplier, and folds univariate remainders into a
-shrinking modulus.
+standard factor of their multiplier, retires the elements a new element
+supersedes, and folds univariate remainders into a shrinking modulus.
 By default the ring itself is rebased to the shrunken modulus (the basis
 re-projected; queued pairs are formed from it when popped), which both
 matches the mathematics and keeps coefficients small.  Its finish step
@@ -220,7 +220,15 @@ def proper_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
     interim multiplier lcm(lift c, lift lc b)/lift c projects to a unit,
     which is exactly divisibility of the term by the whole leading term of b.
     The multiplier of the result is therefore always a unit.
+
+    The canonical representatives of f are divided.  A step reads the lift
+    of the term's coefficient, and a rescale of the dividend drops preferred
+    lifts, so on a dividend that carries them the remainder would depend on
+    which earlier steps rescaled.  No S-polynomial carries them, so the
+    search's dividends are divided as they are.
     """
+    if any(c.pref is not None for _, c in f.terms):
+        f = MultiPoly.from_sorted(f.ctx, [(m, PqrElem(c.ctx, c.rep)) for m, c in f.terms])
     return divide(f, divisors, _proper_step)
 
 
@@ -269,6 +277,41 @@ class _ResidueRing:
     once `e` exists, of the basis elements whose leading coefficient is no
     unit, until nothing changes.  proper_divide is called through this
     module's globals, where perfbench's tracer binds its wrapper.
+
+    The basis update (see `engine.Elimination`): h supersedes g when lm h
+    divides lm g and the leading term of g has a proper step against h,
+    that is, H/gcd(G, H) is a unit mod q, where H, G and F are the lifts of
+    lc h, lc g and lc f that the steps read.  For a prime p dividing q,
+    A/gcd(B, A) is a unit at p exactly when v_p(A) <= v_p(B); so the test
+    is v_p(H) <= v_p(G) at every such p, and it is transitive.  Retiring g
+    is sound because:
+
+    (i) H/gcd(G, H) is a unit mod q, so any term c*m properly reducible by
+        g, with v_p(G) <= v_p(lift c), is properly reducible by h: the set
+        of reducible terms does not change when g stops being a divisor.
+    (ii) For every later f the triangular identity through h excuses
+        S(f, g): lm h divides lm g and so lcm(lm f, lm g), and the
+        multiplier lam = H/gcd(lcm(F, G), H) divides the unit H/gcd(G, H),
+        because gcd(G, H) divides gcd(lcm(F, G), H); so lam is a unit.  The
+        companion pair (g, h) was decided when h was inserted and (f, h) is
+        decided when f arrives (or, if h was retired first, excused in turn
+        through its superseder), so the rewrite chain points backwards.
+    (iii) The modulus pair of g: take a in ann(lc g) and write the proper
+        step of lt g against h as u*g = c*m*h + g', with u a unit and g' a
+        constant times S(g, h).  Then a*c*lc h = a*u*lc g = 0, so a*c lies
+        in ann(lc h), and a*g reduces through S(h, q) and S(g, h).  The
+        same holds against the temporary eliminant e, a divisor of q.
+
+    A rebase restores every retired element first: mod the new modulus a
+    superseder, or g itself, may lose its leading coefficient, so lm h may
+    no longer divide lm g and (i)-(iii) no longer hold.  A restored element
+    keeps its decisions, which stay valid as those of any element whose
+    leading monomial does not move, and the pairs it never had are decided
+    in the new ring.  (Dropping its decisions and deciding all its pairs
+    again lost a pair in a run that
+    `test_rebase_keeps_the_decisions_of_restored_elements` pins.)  Over
+    K[x1] nothing is retired, because every pair the search skips must
+    record its multiplier for the authenticity screen.
     """
 
     reduced = staticmethod(properly_reduced)
@@ -297,6 +340,11 @@ class _ResidueRing:
         if s.is_coeff:
             return s
         return proper_divide(s, basis).remainder
+
+    @staticmethod
+    def supersedes(h: MultiPoly, g: MultiPoly) -> bool:
+        """Whether the leading term of g has a proper step against h alone (see above)."""
+        return _proper_step([h], g.lm, g.lc) is not None
 
     def rank(self, lam: PqrElem):
         """(deg gcd(lam, q), the rest of deg lam): lam is a unit exactly when rank[0] == 0."""
@@ -334,6 +382,7 @@ class _ResidueRing:
         """Continue over the smaller ring modulo new_modulus."""
         self.ring = PqrCtx(new_modulus)
         self.var_ctx = self.var_ctx.with_ring(self.ring)
+        run.restore()
         for r in run.remap(self.current):
             if run.inconsistent:
                 return

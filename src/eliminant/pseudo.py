@@ -132,6 +132,7 @@ class _PseudoRing:
     """
 
     reduced = staticmethod(pseudo_reduced)
+    supersedes = None   # no basis update: a skipped pair must record its multiplier
 
     def __init__(self, ctx: VarContext, strategy: StrategyConfig):
         self.ctx = ctx

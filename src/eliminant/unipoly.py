@@ -709,19 +709,21 @@ def _constant_inverse(c: UniPoly) -> UniPoly:
     return _raw(c.field, [c.den if n > 0 else -c.den], abs(n))
 
 
-def lcm_cofactors(f: UniPoly, g: UniPoly) -> tuple[UniPoly, UniPoly]:
+def lcm_cofactors(f: UniPoly, g: UniPoly, d: UniPoly | None = None) -> tuple[UniPoly, UniPoly]:
     """(m / f, m / g) for the monic lcm m of f and g.
 
     With d the monic gcd, m = f * g / (d * lc f * lc g), so the cofactors
     are g / d and f / d scaled by 1 / (lc f * lc g): the product f * g and
-    m itself are never formed.
+    m itself are never formed.  A caller that already has the monic gcd,
+    say from the remainder of one operand by the other, passes it as `d`.
     """
     if f.is_zero or g.is_zero:
         raise BothZeroError("lcm with zero")
     if len(f.nums) == 1 == len(g.nums):    # m = 1: the cofactors are 1 / f and 1 / g
         f._check(g)
         return _constant_inverse(f), _constant_inverse(g)
-    d = poly_gcd(f, g)
+    if d is None:
+        d = poly_gcd(f, g)
     cf, cg = (g, f) if d.is_one else (exact_div(g, d), exact_div(f, d))
     p = f.field.char
     if p:

@@ -1,4 +1,4 @@
-"""Smoke test of `tools/ab_inprocess.py`: an A/A run, and a B side whose reports differ."""
+"""Smoke test of `tools/ab_inprocess.py`: an A/A run, and B sides whose reports differ."""
 
 import json
 import os
@@ -38,14 +38,41 @@ def test_a_a_run_covers_every_workload_with_identical_reports():
             assert res["per_probe"][f"{side}_p50_ms"] <= res["probe"][f"{side}_p95_ms"]
 
 
-def test_a_changed_report_is_flagged(tmp_path):
+def _changed_tree(tmp_path, patch: str):
+    """A copy of the package with `patch` appended to its `__init__.py`."""
     other = tmp_path / "tree"
     shutil.copytree(ROOT / "src" / "eliminant", other / "src" / "eliminant",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = other / "src" / "eliminant" / "cli.py"
-    cli.write_text(cli.read_text() + "\n_to_json = PipelineReport.to_json\n"
-                   "PipelineReport.to_json = lambda self: _to_json(self) + ' '\n")
+    init = other / "src" / "eliminant" / "__init__.py"
+    init.write_text(init.read_text() + patch)
+    return other
+
+
+def test_a_changed_report_is_flagged(tmp_path):
+    # the reports differ in their bytes only, in no JSON value
+    other = _changed_tree(tmp_path, (
+        "\nfrom . import cli\n_to_json = cli.PipelineReport.to_json\n"
+        "cli.PipelineReport.to_json = lambda self: _to_json(self) + ' '\n"))
     done = _run(ROOT, other, "--workload", "compat_q")
     assert done.returncode == 1, done.stderr
     results = json.loads(done.stdout.splitlines()[-1])
     assert list(results) == ["compat_q"] and not results["compat_q"]["identical"]
+    assert results["compat_q"]["differing"] == {"count": 3, "first": [0, 1, 2], "keys": ["formatting"]}
+
+
+def test_differing_pool_indices_and_keys_are_named(tmp_path):
+    # the order is renamed in every report and each verdict flipped: all 7
+    # ideals differ, the first 5 are named, with both keys
+    other = _changed_tree(tmp_path, (
+        "\nfrom . import cli\n_to_json = cli.PipelineReport.to_json\n"
+        "cli.PipelineReport.to_json = lambda self: _to_json(self).replace("
+        "'\"order\": \"lex\"', '\"order\": \"LEX\"')\n"
+        "_is_member = is_member\n"
+        "is_member = lambda f, dec: not _is_member(f, dec)\n"))
+    done = _run(ROOT, other, "--workload", "compat_q", "--ideals", "7")
+    assert done.returncode == 1, done.stderr
+    results = json.loads(done.stdout.splitlines()[-1])
+    assert list(results) == ["compat_q"] and not results["compat_q"]["identical"]
+    assert results["compat_q"]["differing"] == {
+        "count": 7, "first": [0, 1, 2, 3, 4], "keys": ["order", "verdicts"]}
+    assert "7 differ, first at pool indices 0, 1, 2, 3, 4; keys: order, verdicts" in done.stdout

@@ -1,9 +1,13 @@
 import pathlib
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from eliminant import engine
+from eliminant.assembly import Component, component_remainder, is_member, lift_component_basis
+from eliminant.buchberger import oracle_eliminant, oracle_member, reduced_groebner
 from eliminant.cli import run_pipeline
 from eliminant.engine import Elimination, check_triangular_identity, spoly, triangular_multiplier
 from eliminant.fields import GF, QQ
@@ -368,6 +372,154 @@ def test_rebase_moves_only_the_basis(monkeypatch):
     for queued, size, calls in seen:
         assert calls == size
         assert not any(isinstance(x, MultiPoly) for entry in queued for x in entry)
+
+
+# over GF(5) the composite divisor z^3 runs a residue ring in which
+# h = z^2*x*y arrives while g = z^2*x^2*y + 3*z^2*x is in the basis, with the
+# pair (g, h) queued: lm h divides lm g and lc h = lc g, so h supersedes g
+RETIRING_GF5 = """field GF 5
+vars z < y < x
+ideal:
+z^3
+2*y^2*x + 2*y
+4*z^2*x + 3*z^2*y*x^2
+"""
+
+
+def _agrees_with_oracle(ideal, dec, probes=()):
+    gb = reduced_groebner(ideal.generators)
+    assert dec.eliminant == oracle_eliminant(gb, ideal.field)
+    for text in probes:
+        probe = parse_poly(text, ideal.ctx)
+        assert is_member(probe, dec) == oracle_member(probe, gb), text
+
+
+def _spy_on_the_basis_update(monkeypatch):
+    """Log ("retired", g, queued pairs naming g) and ("formed", f, g) in run order."""
+    log = []
+    retire, form = Elimination.retire, engine.spoly
+
+    def spy_retire(run, slot):
+        before = set(run.superseded)
+        retire(run, slot)
+        for k in run.superseded - before:
+            g = run.arena[k]
+            assert all(f is not g for f in run.polys())
+            log.append(("retired", g, [e for e in run.queue if k in e[2:]]))
+
+    def spy_spoly(f, g, check=False):
+        log.append(("formed", f, g))
+        return form(f, g, check)
+
+    monkeypatch.setattr(Elimination, "retire", spy_retire)
+    monkeypatch.setattr(engine, "spoly", spy_spoly)
+    return log
+
+
+def test_residue_run_retires_superseded_elements(monkeypatch):
+    log = _spy_on_the_basis_update(monkeypatch)
+    ideal = parse_ideal_file(RETIRING_GF5)
+    dec = run_pipeline(ideal).decomposition
+    retired = [(n, g, queued) for n, (kind, g, queued) in enumerate(log) if kind == "retired"]
+    # the first retirement leaves the pair (g, h) queued; it is still formed
+    n, g, queued = retired[0]
+    assert g == parse_poly("z^2*y*x^2 + 3*z^2*x", g.ctx) and len(queued) == 1
+    assert any(kind == "formed" and g in ops for kind, *ops in log[n + 1 :])
+    _agrees_with_oracle(ideal, dec, ("z^2*x", "z^2*y", "z^2", "x*y^2 + y", "z^2*x*y + 1"))
+    # only the triangular criterion retires elements
+    log.clear()
+    assert run_pipeline(ideal, StrategyConfig(triangular_skip=False)).decomposition == dec
+    assert not any(kind == "retired" for kind, *_ in log)
+
+
+def test_rebase_restores_retired_elements(monkeypatch):
+    # the first rebase of this fixture finds five retired elements: they are
+    # put back into the basis and projected with it, and every pair of the
+    # basis it leaves is decided, also a pair of a retired element with one
+    # inserted after it was retired
+    restored = []
+    restore, remap = Elimination.restore, Elimination.remap
+
+    def spy_restore(run):
+        retired = set(run.superseded)
+        restore(run)
+        assert not run.superseded and run.restored == retired
+        assert retired <= set(run.slots())
+        restored.append(len(retired))
+
+    def spy_remap(run, move):
+        out = remap(run, move)
+        ids = run.slots()
+        pairs = [frozenset((i, j)) for a, i in enumerate(ids) for j in ids[a + 1 :]]
+        assert all(p in run.decided_pairs for p in pairs)
+        return out
+
+    monkeypatch.setattr(Elimination, "restore", spy_restore)
+    monkeypatch.setattr(Elimination, "remap", spy_remap)
+    path = pathlib.Path(__file__).parent / "fixtures" / "rebase" / "gf2_unit_a.ideal"
+    ideal = parse_ideal_file(path.read_text())
+    _agrees_with_oracle(ideal, run_pipeline(ideal).decomposition, ("y", "z*x + 1"))
+    assert restored[0] == 5
+
+
+def test_rebase_keeps_the_decisions_of_restored_elements():
+    # the run mod (z+3)^5 retires ten elements before it first rebases.  A
+    # rebase that dropped their decisions and queued pairs and decided all
+    # their pairs again stopped this run at (z+3)^2.  The eliminant is the
+    # Buchberger oracle's, which takes about a minute on this ideal.
+    ideal = parse_ideal_file(
+        "field GF 5\nvars z < y < x\nideal:\n"
+        "-1*z^2*y^2 + 2*y^2 + -2*z^1*y^1*x^2\n"
+        "-3*x^2 + -3*z^2*y^1 + -2*z^1 + 1*y^1*x^1\n"
+        "-1*z^1*x^2 + 1*z^2*y^2*x^2 + -2*z^2*x^2 + 1*y^2\n"
+    )
+    F = ideal.field
+    out = proper_eliminant(ideal.generators, residue_context(ideal.ctx, U("z^5+3", field=F)))
+    assert out.eliminant == U("z+3", field=F)
+    eliminant = run_pipeline(ideal).decomposition.eliminant
+    assert eliminant == U(
+        "z^20 + 4*z^19 + z^18 + 4*z^17 + 4*z^16 + z^15 + 2*z^14 + 2*z^13 + 4*z^11 + 4*z^10"
+        " + 4*z^9 + 4*z^8 + 3*z^7 + 2*z^6 + 2*z^5 + 3*z^4 + 4*z^3",
+        field=F,
+    )
+
+
+def _from_field_poly(g, ctx) -> MultiPoly:
+    """An oracle polynomial over ctx, its powers of x1 gathered into coefficients."""
+    F = ctx.field
+    coeffs = {}
+    for (k, *tail), c in g.items():
+        coeffs.setdefault(tuple(tail), {})[k] = c
+    terms = {m: [cs.get(k, F.zero) for k in range(max(cs) + 1)] for m, cs in coeffs.items()}
+    return MultiPoly(ctx, {m: UniPoly(F, cs) for m, cs in terms.items()})
+
+
+def test_component_bases_span_the_ideal_plus_their_modulus(monkeypatch):
+    # on pool ideals whose residue runs retire elements, each component's
+    # lifted basis, with its modulus, lies in I + (modulus), and every
+    # generator, and every element of the oracle's basis of I + (modulus),
+    # reduces to zero in the component
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    sys.modules.pop("gen", None)
+    import gen
+
+    log = _spy_on_the_basis_update(monkeypatch)
+    workload = gen.WORKLOADS["modular_gf"]
+    components = 0
+    for i in range(100):
+        ideal = parse_ideal_file(workload.case(701, i).text)
+        dec = run_pipeline(ideal).decomposition
+        for comp in dec.components:
+            if not isinstance(comp, Component):
+                continue
+            modulus = MultiPoly.from_coeff(ideal.ctx, comp.modulus)
+            gb = reduced_groebner(ideal.generators + [modulus])
+            assert all(oracle_member(b, gb) for b in lift_component_basis(comp, dec.base_ctx))
+            for g in ideal.generators + [_from_field_poly(b, ideal.ctx) for b in gb]:
+                assert component_remainder(g, comp).is_zero
+            components += 1
+    assert components > 150
+    assert sum(kind == "retired" for kind, *_ in log) > 50
 
 
 def test_proper_eliminant_unit_lc_guard():

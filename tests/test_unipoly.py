@@ -543,6 +543,8 @@ def test_lcm_cofactors_remainder_and_gcd_match_references(p):
         d = reference_poly_gcd(f, g)
         m = exact_div(f * g, d).monic()
         assert lcm_cofactors(f, g) == (exact_div(m, f), exact_div(m, g))
+        # the gcd a caller passes, continued from the remainder of f by g
+        assert lcm_cofactors(f, g, poly_gcd(g, f % g)) == lcm_cofactors(f, g)
         assert poly_lcm(f, g) == m
         shapes["equal"] += f == g
         shapes["divides"] += (f % g).is_zero

@@ -12,7 +12,8 @@ alternating order (A first for even ideal + round, B first otherwise): parse,
 Per workload it prints the p50 and p95 of the per-ideal best times (the
 minimum over rounds) of each side, the median per-ideal ratio B/A, and
 whether every JSON report and probe verdict is byte-identical between the
-sides.  Where the workload has probes it prints the same three for the
+sides; when they are not, the first few pool indices that differ and the
+top-level JSON keys (or `verdicts`) that differ there.  Where the workload has probes it prints the same three for the
 summed probe time of an ideal (`probe`) and for each probe's own best time
 (`per_probe`), the figure that perfbench's `probe_*` metrics count.  The
 last line of standard output is one JSON object with those figures per
@@ -34,6 +35,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEBUG_ENV = "ELIMINANT_DEBUG_CHECKS"
+SHOWN = 5                    # differing pool indices printed per workload
 
 
 def load_side(tree: Path, name: str, into: Path):
@@ -46,8 +48,8 @@ def load_side(tree: Path, name: str, into: Path):
     return pkg, importlib.import_module(f"{name}.cli")
 
 
-def run_case(side, case) -> tuple[float, list[float], str]:
-    """(ideal seconds, each probe's seconds, report and verdicts) of one pool case on one side."""
+def run_case(side, case) -> tuple[float, list[float], tuple[str, list]]:
+    """(ideal seconds, each probe's seconds, (JSON report, verdicts)) of one pool case on one side."""
     pkg, cli = side
     clock = time.perf_counter
     t0 = clock()
@@ -61,7 +63,19 @@ def run_case(side, case) -> tuple[float, list[float], str]:
         t2 = clock()
         verdicts.append(pkg.is_member(probe, report.decomposition))
         probe_s.append(clock() - t2)
-    return t1 - t0, probe_s, out + repr(verdicts)
+    return t1 - t0, probe_s, (out, verdicts)
+
+
+def differing_keys(a: tuple[str, list], b: tuple[str, list]) -> list[str]:
+    """The top-level JSON keys, and `verdicts`, in which two outputs of `run_case` differ.
+
+    Reports that differ only in their bytes, not in any value, give `formatting`.
+    """
+    ja, jb = json.loads(a[0]), json.loads(b[0])
+    keys = [k for k in sorted(ja.keys() | jb.keys()) if ja.get(k) != jb.get(k)]
+    if a[1] != b[1]:
+        keys.append("verdicts")
+    return keys or ["formatting"]
 
 
 def percentile(values: list[float], q: float) -> float:
@@ -86,7 +100,7 @@ def compare(sides, workload, seed: int, ideals: int | None, rounds: int) -> dict
     # best["per_probe"][side][i][k] that of its probe k
     best = {kind: [[float("inf")] * len(pool) for _ in sides] for kind in ("ideal", "probe")}
     best["per_probe"] = [[[float("inf")] * len(case.probes) for case in pool] for _ in sides]
-    identical = True
+    differ = {}                  # pool index -> differing keys, from the first round
     for r in range(rounds):
         for i, case in enumerate(pool):
             outputs = {}
@@ -96,8 +110,12 @@ def compare(sides, workload, seed: int, ideals: int | None, rounds: int) -> dict
                 best["probe"][s][i] = min(best["probe"][s][i], sum(probe_s))
                 each = best["per_probe"][s][i]
                 each[:] = map(min, each, probe_s)
-            identical &= outputs[0] == outputs[1]
-    out = {"ideals": len(pool), "rounds": rounds, "identical": identical}
+            if r == 0 and outputs[0] != outputs[1]:
+                differ[i] = differing_keys(outputs[0], outputs[1])
+    out = {"ideals": len(pool), "rounds": rounds, "identical": not differ}
+    if differ:
+        out["differing"] = {"count": len(differ), "first": sorted(differ)[:SHOWN],
+                            "keys": sorted({k for keys in differ.values() for k in keys})}
     out["ideal"] = summary(*best["ideal"])
     if workload.probes_per_ideal:
         out["probe"] = summary(*best["probe"])
@@ -138,6 +156,10 @@ def main(argv=None) -> int:
                                           args.rounds)
             print(f"{name}: {res['ideals']} ideals x {res['rounds']} rounds, reports "
                   f"{'identical' if res['identical'] else 'DIFFER'}")
+            if not res["identical"]:
+                d = res["differing"]
+                print(f"  {d['count']} differ, first at pool indices "
+                      f"{', '.join(map(str, d['first']))}; keys: {', '.join(d['keys'])}")
             for kind in ("ideal", "probe", "per_probe"):
                 if kind in res:
                     s = res[kind]
