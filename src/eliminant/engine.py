@@ -296,9 +296,10 @@ class Elimination:
     companion pairs point backwards, since (g, h) was decided when h was
     inserted and (f, h) is decided when f arrives, or is itself excused
     through the element that retired h.  `_ResidueRing` gives the argument
-    in its ring.  A rebase calls `restore` before `remap`: every retired
-    element returns to the basis with its earlier decisions, and `remap`
-    decides its pairs with the elements inserted after it was retired.
+    in its ring.
+
+    A rebase is one call, `remap`, which applies one rule to the whole run:
+    see there.
     """
 
     def __init__(self, ring, order, strategy):
@@ -312,8 +313,7 @@ class Elimination:
         self.seq = 0
         self.decided_pairs: set = set()
         self.inconsistent = False
-        self.superseded: set = set()    # slots `retire` moved out of the basis
-        self.restored: set = set()      # slots `restore` put back, read by the next `remap`
+        self.superseded: set = set()    # slots `retire` moved out of the basis, until a rebase
         self.supersedes = ring.supersedes if strategy.triangular_skip else None
 
     def polys(self) -> list[MultiPoly]:
@@ -340,23 +340,23 @@ class Elimination:
             self.inconsistent = True
 
     def remap(self, move) -> list:
-        """Apply `move`, a ring homomorphism such as a projection, to the basis.
+        """Rebase the run by `move`, a ring homomorphism such as a projection.
 
-        Elements that become univariate leave the run and are returned for
-        folding; the basis is re-sorted, since leading data may change.  A
-        kept element whose leading coefficient vanished has a new leading
-        monomial: the queued pairs and decisions that read the old one, or
-        touch an element that left, are dropped, and those pairs decided
-        again.  Every other queued pair is formed from the moved elements
-        when it is popped.  An element `restore` put back keeps its
-        decisions and queued pairs, as any element whose leading monomial
-        did not move, and its pairs that were never decided, those with the
-        elements inserted after it was retired, are decided with the rest.
+        The one rule of a rebase: every retired element returns to the
+        basis with its decisions and queued pairs, since in the new ring its
+        superseder may lose its leading coefficient; every element is moved,
+        and one that becomes univariate leaves the run and is returned for
+        folding; an element that left, or whose leading monomial moved,
+        loses the queued pairs and decisions that read it; and every basis
+        pair without a decision is decided.  Every other queued pair is
+        formed from the moved elements when it is popped.
         """
+        returned = [(sort_key(self.arena[k]), k, self.arena[k]) for k in self.superseded]
+        self.superseded = set()
         univariates = []
         basis = []
         moved = set()
-        for _, slot, f in self.basis:
+        for _, slot, f in sorted(self.basis + returned):
             g = move(f)
             if g.is_coeff:
                 self.arena[slot] = None
@@ -372,19 +372,21 @@ class Elimination:
             self.queue = [e for e in self.queue if e[2] not in moved and e[3] not in moved]
             heapify(self.queue)
             self.decided_pairs = {p for p in self.decided_pairs if not p & moved}
-        touched, self.restored = moved | self.restored, set()
-        if touched:
-            ids = self.slots()
-            self.decide_batch([
-                (i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]
-                if (i in touched or j in touched) and frozenset((i, j)) not in self.decided_pairs
-            ])
+        self.decide_undecided()
         return univariates
 
     # -- pair decisions
 
     def pair_key(self, i: int, j: int):
         return self.order.key(mon_lcm(self.arena[i].lm, self.arena[j].lm))
+
+    def decide_undecided(self):
+        """Decide every basis pair that has no decision yet."""
+        ids = self.slots()
+        self.decide_batch([
+            (i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]
+            if frozenset((i, j)) not in self.decided_pairs
+        ])
 
     def decide_batch(self, pairs: list[tuple[int, int]]):
         """Decide the pairs in (lcm key, i, j) order, each key computed once."""
@@ -453,8 +455,7 @@ class Elimination:
             else:
                 self.insert(self.ring.normalize(f))
         if not self.inconsistent:
-            ids = self.slots()
-            self.decide_batch([(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]])
+            self.decide_undecided()
             self.drain()
         return self.ring.finish(self)
 
@@ -486,11 +487,3 @@ class Elimination:
             else:
                 kept.append(entry)
         self.basis = kept
-
-    def restore(self):
-        """Put every retired element back into the basis, for the next `remap` to project."""
-        for slot in self.superseded:
-            f = self.arena[slot]
-            insort(self.basis, (sort_key(f), slot, f))
-        self.restored |= self.superseded
-        self.superseded = set()

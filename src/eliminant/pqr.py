@@ -16,9 +16,11 @@ the engine's, computed on lifts (never zero).  The adapter skips a pair
 only when the skip multiplier is a unit, ranks triangular candidates by the
 standard factor of their multiplier, retires the elements a new element
 supersedes, and folds univariate remainders into a shrinking modulus.
-By default the ring itself is rebased to the shrunken modulus (the basis
-re-projected; queued pairs are formed from it when popped), which both
-matches the mathematics and keeps coefficients small.  Its finish step
+By default the ring itself is rebased to the shrunken modulus, by the one
+rule of `Elimination.remap` (the retired elements return, the basis is
+re-projected, and every pair without a decision is decided; queued pairs
+are formed from the projected basis when popped), which both matches the
+mathematics and keeps coefficients small.  Its finish step
 queues the pairs of the basis against the modulus, whose S-polynomial is
 `engine.spoly(f, q)`, and the final answer is read back in the ring we
 started from.
@@ -271,11 +273,11 @@ class _ResidueRing:
 
     A pair is skipped only when its skip multiplier is a unit, or, without
     base change, coprime to the temporary eliminant (chi-delta).  With base
-    change a univariate member rebases the run to the smaller modulus and
-    re-projects the basis; without it the member shrinks the temporary
-    eliminant `e`.  The finish step queues the pairs (slot, q), or (slot, e)
-    once `e` exists, of the basis elements whose leading coefficient is no
-    unit, until nothing changes.  proper_divide is called through this
+    change a univariate member rebases the run to the smaller modulus (see
+    below); without it the member shrinks the temporary eliminant `e`.  The
+    finish step queues the pairs (slot, q), or (slot, e) once `e` exists,
+    of the basis elements whose leading coefficient is no unit, until
+    nothing changes.  proper_divide is called through this
     module's globals, where perfbench's tracer binds its wrapper.
 
     The basis update (see `engine.Elimination`): h supersedes g when lm h
@@ -302,16 +304,20 @@ class _ResidueRing:
         in ann(lc h), and a*g reduces through S(h, q) and S(g, h).  The
         same holds against the temporary eliminant e, a divisor of q.
 
-    A rebase restores every retired element first: mod the new modulus a
+    A rebase is `Elimination.remap`, one rule: the retired elements return,
+    every element is projected into the new ring (`project_multipoly`, which
+    drops preferred lifts), an element whose leading monomial moved loses
+    its pairs and decisions, and every basis pair without a decision is
+    decided.  The retired elements return because mod the new modulus a
     superseder, or g itself, may lose its leading coefficient, so lm h may
-    no longer divide lm g and (i)-(iii) no longer hold.  A restored element
+    no longer divide lm g and (i)-(iii) no longer hold.  A returned element
     keeps its decisions, which stay valid as those of any element whose
-    leading monomial does not move, and the pairs it never had are decided
-    in the new ring.  (Dropping its decisions and deciding all its pairs
-    again lost a pair in a run that
-    `test_rebase_keeps_the_decisions_of_restored_elements` pins.)  Over
-    K[x1] nothing is retired, because every pair the search skips must
-    record its multiplier for the authenticity screen.
+    leading monomial does not move, and its pairs with the elements
+    inserted after it was retired are decided in the new ring.  (Dropping
+    its decisions and deciding all its pairs again lost a pair in a run
+    that `test_rebase_keeps_the_decisions_of_restored_elements` pins.)
+    Over K[x1] nothing is retired, because every pair the search skips
+    must record its multiplier for the authenticity screen.
     """
 
     reduced = staticmethod(properly_reduced)
@@ -324,17 +330,6 @@ class _ResidueRing:
         self.strategy = strategy
         self.e: UniPoly | None = None   # nonzero temporary eliminant (no base change)
         self.behead_done: set = set()   # tested (slot, q or e); q and e only shrink
-
-    def current(self, f: MultiPoly) -> MultiPoly:
-        """f re-projected into the current ring, whose modulus divides f's.
-
-        Canonical representatives and preferred lifts both stay congruent.
-        """
-        if f.ctx == self.var_ctx:
-            return f
-        ring = self.ring
-        out = [(m, PqrElem(ring, c.rep % ring.modulus, c.pref)) for m, c in f.terms]
-        return MultiPoly.from_sorted(self.var_ctx, out)
 
     def reduce(self, s: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
         if s.is_coeff:
@@ -382,8 +377,7 @@ class _ResidueRing:
         """Continue over the smaller ring modulo new_modulus."""
         self.ring = PqrCtx(new_modulus)
         self.var_ctx = self.var_ctx.with_ring(self.ring)
-        run.restore()
-        for r in run.remap(self.current):
+        for r in run.remap(partial(project_multipoly, target=self.var_ctx)):
             if run.inconsistent:
                 return
             run.fold(r)
@@ -435,10 +429,12 @@ def proper_eliminant(
     """Modular eliminant/basis computation over a residue context.
 
     `generators` are polynomials over the base context (coefficients in
-    K[x1]); they are projected coefficient-wise before the run.
+    K[x1]); each is projected coefficient-wise, its coefficients kept as
+    preferred lifts, into the ring the run is in when it reads it: a
+    univariate generator may rebase the ring before the next is read.
     """
     strategy = strategy or StrategyConfig()
-    projected = [project_multipoly(g, var_ctx, keep_lifts=True) for g in generators]
     ring = _ResidueRing(var_ctx, strategy)
-    # read lazily: a univariate generator may rebase the ring before the next
-    return Elimination(ring, var_ctx.order, strategy).run(ring.current(f) for f in projected)
+    return Elimination(ring, var_ctx.order, strategy).run(
+        project_multipoly(g, ring.var_ctx, keep_lifts=True) for g in generators
+    )

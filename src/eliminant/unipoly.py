@@ -45,9 +45,12 @@ what make the answer exact: a wrong candidate never divides both operands,
 and a candidate of 1 needs none.
 A rejected point is followed by a larger one, xi*73794//27011 (about xi
 times 1 + sqrt 3); after `_HEU_POINTS` points the primitive remainder
-sequence answers.  The integer gcd and the evaluations run in C on one big
-integer each, where the remainder sequence swells in Python loops.  The
-answer is the same canonical monic gcd either way.
+sequence of the extended gcd, `_q_half_ext`, answers, its cofactor unread:
+the fraction-free sequence is the primitive one up to scalars, so the
+primitive part of its last remainder is the gcd.  The integer gcd and the
+evaluations run in C on one big integer each, where the remainder sequence
+swells in Python loops.  The answer is the same canonical monic gcd either
+way.
 
 Over GF(p), `poly_gcd` runs one kernel, `_gf_gcd`: Euclid on a monic
 divisor, each remainder reduced in place on a copy of the dividend with no
@@ -468,9 +471,10 @@ def sum_of_products(field, pairs) -> UniPoly:
 # end.  Over Q the loop is fraction-free: when the divisor's leading integer
 # does not divide the current leading entry, the remainder (and the quotient
 # built so far) is scaled by the smallest factor that makes it divide, so
-# s * a == quot * b + rem with one accumulated scale s > 0.  `%` and the Q
-# gcd loop call the kernels directly and keep only the remainder; the GF(p)
-# gcd has its own remainder-only kernel, `_gf_gcd`.
+# s * a == quot * b + rem with one accumulated scale s > 0.  `%` calls the
+# kernels directly and keeps only the remainder; GCDHEU's trial divisions and
+# `_q_half_ext` call `_q_divmod` too.  The GF(p) gcd has its own
+# remainder-only kernel, `_gf_gcd`.
 
 
 def _gf_divmod(a: list, b: list, p: int) -> tuple[list, list]:
@@ -581,10 +585,9 @@ def content_scale(field, polys, lead):
 
 # -- gcd family ---------------------------------------------------------------
 #
-# Over Q the heuristic gcd and the Euclidean loop it falls back to run on
-# primitive integer coefficient lists (the loop takes fraction-free
-# remainders with content stripped each round); the external contract is a
-# monic gcd.
+# Over Q the heuristic gcd and the remainder sequence it falls back to,
+# `_q_half_ext`, run on primitive integer coefficient lists; the external
+# contract is a monic gcd.
 
 
 def _int_primitive(cs: list[int]) -> list[int]:
@@ -690,15 +693,10 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     a = _int_primitive(list(a))
     b = _int_primitive(list(b))
     d = _heu_gcd(a, b)
-    if d is not None:
-        return _raw(F, d, d[-1])
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _q_divmod(a, b)[1]
-        a, b = b, _int_primitive(r) if r else []
-    # a is primitive with a positive leading entry: a / a[-1] is canonical
-    return _raw(F, a, a[-1])
+    if d is None:
+        d = _int_primitive(_q_half_ext(a, b)[0])
+    # d is primitive with a positive leading entry: d / d[-1] is canonical
+    return _raw(F, d, d[-1])
 
 
 def _constant_inverse(c: UniPoly) -> UniPoly:

@@ -349,7 +349,8 @@ def test_proper_eliminant_rebase_during_initialization():
 def test_rebase_moves_only_the_basis(monkeypatch):
     # this fixture rebases twice, the first time with pairs against other
     # slots and against the modulus queued; queued pairs are formed when
-    # popped, so the rebase projects each basis element once and nothing else
+    # popped, so the rebase projects each basis element once, retired ones
+    # included, and nothing else
     seen = []
     remap = Elimination.remap
 
@@ -360,18 +361,63 @@ def test_rebase_moves_only_the_basis(monkeypatch):
             moved.append(f)
             return move(f)
 
-        queued, size = list(run.queue), len(run.basis)
+        queued, retired = list(run.queue), [run.arena[k] for k in run.superseded]
+        elements = run.polys() + retired
         out = remap(run, counted_move)
-        seen.append((queued, size, len(moved)))
+        seen.append((queued, elements, moved, len(retired)))
         return out
 
     monkeypatch.setattr(Elimination, "remap", counted_remap)
     path = pathlib.Path(__file__).parent / "fixtures" / "rebase" / "gf2_unit_a.ideal"
     run_pipeline(parse_ideal_file(path.read_text()))
-    assert len(seen) == 2 and seen[0][0]
-    for queued, size, calls in seen:
-        assert calls == size
+    assert len(seen) == 2 and seen[0][0] and seen[0][3] == 5
+    for queued, elements, moved, _ in seen:
+        assert sorted(map(id, moved)) == sorted(map(id, elements))
         assert not any(isinstance(x, MultiPoly) for entry in queued for x in entry)
+
+
+# in the residue run of this Q ideal modulo z^2 the third generator projects
+# to 3*z, so the run rebases to z while it loads, with two generators read
+REBASE_WHILE_LOADING_Q = """field Q
+vars z < y < x
+ideal:
+-1*x^1 + 1*z^2*y^1*x^2 + -2*y^2*x^1
+1*z^2*y^2 + 3*z^1*x^2 + -2*z^1*y^2*x^2 + -2*y^2
+3*z^1 + 1*z^2*y^2*x^2
+"""
+
+
+def test_rebase_while_loading_decides_no_pair_twice(monkeypatch):
+    # the rebase decides the pairs of the generators read so far, and the
+    # first batch after loading decides only the pairs that have no decision
+    events = []
+    remap, decide_batch = Elimination.remap, Elimination.decide_batch
+
+    def spy_remap(run, move):
+        events.append((run, "remap", 0))
+        return remap(run, move)
+
+    def spy_batch(run, pairs):
+        again = sum(frozenset(p) in run.decided_pairs for p in pairs)
+        events.append((run, "batch", again))
+        decide_batch(run, pairs)
+
+    monkeypatch.setattr(Elimination, "remap", spy_remap)
+    monkeypatch.setattr(Elimination, "decide_batch", spy_batch)
+    ideal = parse_ideal_file(REBASE_WHILE_LOADING_Q)
+    eliminant = run_pipeline(ideal).decomposition.eliminant
+    runs = {}
+    for run, kind, again in events:
+        runs.setdefault(run, []).append((kind, again))
+    # some run rebases before it decides its first batch: while loading
+    assert any(log[0][0] == "remap" for log in runs.values())
+    assert all(again == 0 for log in runs.values() for _, again in log)
+    assert eliminant == U(
+        "z^11 - 4*z^9 + 2/3*z^8 + 4*z^7 + 40/3*z^6 + 1/9*z^5 + 56/3*z^4 - 100/9*z^3 + 2500/9*z"
+    )
+    assert run_pipeline(ideal, StrategyConfig(base_change=False)).decomposition.eliminant == (
+        eliminant
+    )
 
 
 # over GF(5) the composite divisor z^3 runs a residue ring in which
@@ -438,23 +484,20 @@ def test_rebase_restores_retired_elements(monkeypatch):
     # basis it leaves is decided, also a pair of a retired element with one
     # inserted after it was retired
     restored = []
-    restore, remap = Elimination.restore, Elimination.remap
-
-    def spy_restore(run):
-        retired = set(run.superseded)
-        restore(run)
-        assert not run.superseded and run.restored == retired
-        assert retired <= set(run.slots())
-        restored.append(len(retired))
+    remap = Elimination.remap
 
     def spy_remap(run, move):
+        retired = set(run.superseded)
         out = remap(run, move)
+        assert not run.superseded
+        # each is back in the basis, or left the run as a univariate member
+        assert all(k in run.slots() or run.arena[k] is None for k in retired)
         ids = run.slots()
         pairs = [frozenset((i, j)) for a, i in enumerate(ids) for j in ids[a + 1 :]]
         assert all(p in run.decided_pairs for p in pairs)
+        restored.append(len(retired))
         return out
 
-    monkeypatch.setattr(Elimination, "restore", spy_restore)
     monkeypatch.setattr(Elimination, "remap", spy_remap)
     path = pathlib.Path(__file__).parent / "fixtures" / "rebase" / "gf2_unit_a.ideal"
     ideal = parse_ideal_file(path.read_text())
