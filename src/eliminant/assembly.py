@@ -24,15 +24,14 @@ the dividend is not rescaled and the verdict is read off the remainder.
 
 Probes skip gcd-division in a component in shape position, the generic case
 by the Shape Lemma (Gianni & Mora 1987): its reduced basis is one element
-u_i*x_i + t_i per tail variable, with u_i a unit and t_i at the constant
-monomial.  That basis generates <x_i - r_i> with r_i = -t_i/u_i, so f
-reduces to the residue f(x1, r), which is the unique remainder and therefore
-the unit-free gcd-division remainder.  The first probe computes r, as it
-fills the step table of other components; a constant u_i scales t_i in the
-field, any other u_i is tested and inverted by one `poly_half_ext_gcd` with
-q, which tracks only the cofactor of u_i.  The unit multipliers of
-gcd-division (`PqrElem.inverse`) and the CRT data of normal forms are
-inverted by the same entry point.
+x_i + t_i per tail variable, with t_i at the constant monomial (a reduced
+basis scales every unit leading coefficient to one).  That basis generates
+<x_i - r_i> with r_i = -t_i, so f reduces to the residue f(x1, r), which is
+the unique remainder and therefore the gcd-division remainder.  The first
+probe reads r off the basis, as it fills the step table of other
+components.  Unit multipliers of gcd-division (`PqrElem.inverse`) and the
+CRT data of normal forms are inverted by `poly_half_ext_gcd` with q, which
+tracks only the one cofactor an inverse needs.
 Probes keep what they build in the component's `images`: the powers of each
 r_i, reduced mod q, and the image r_1^a_1*...*r_n^a_n of each tail monomial
 they meet.  That is one image per distinct tail monomial probed, of degree
@@ -52,7 +51,8 @@ elements only whether a step exists.  That needs no cofactors: a term is
 reducible exactly when some divisor is eligible and gcd(g, q), the gcd of
 the modulus and the eligible leading coefficients, divides its
 coefficient.  The minimal pass computes cofactors only for the elements it
-replaces.
+replaces.  Every element the ladder makes is brought to `standard_form`:
+its leading coefficient is the monic gcd of itself with the modulus.
 """
 
 from __future__ import annotations
@@ -69,7 +69,6 @@ from .pqr import (
     PqrCtx,
     PqrElem,
     ProperOutcome,
-    _unit_normalize,
     lift_multipoly,
     project_multipoly,
     residue_context,
@@ -126,10 +125,10 @@ def _eligible(divisors, mon) -> tuple:
 def _lc_gcd(divisors, hits, ring: PqrCtx):
     """(g, cofactors as residues, gcd(g, q)) for the divisors at `hits`.
 
-    g is the monic gcd of their leading-coefficient lifts and the cofactors
-    combine those lifts into g.
+    g is the monic gcd of their leading coefficients' representatives and
+    the cofactors combine those representatives into g.
     """
-    g, cofs = poly_multi_ext_gcd([divisors[i].lc.lift() for i in hits])
+    g, cofs = poly_multi_ext_gcd([divisors[i].lc.rep for i in hits])
     return g, [ring.elem(cof) for cof in cofs], poly_gcd(g, ring.modulus)
 
 
@@ -137,8 +136,7 @@ def _lc_content(divisors, hits, d: UniPoly) -> UniPoly:
     """Monic gcd of d and the leading coefficients of the divisors at `hits`.
 
     With d the modulus this is the d_st of `_lc_gcd`, found without g's
-    cofactors: gcd(g, q) = gcd(q, lc_1, ..., lc_k), and each lift may be
-    replaced by its canonical representative.
+    cofactors: gcd(g, q) = gcd(q, lc_1, ..., lc_k).
     """
     for i in hits:
         if d.is_one:
@@ -162,23 +160,22 @@ def _gcd_step(divisors, mon, c, table):
     g, cofs, d_st = entry
     if not d_st.is_constant and not (c.rep % d_st).is_zero:
         return None
-    # when g divides the coefficient's lift the step needs no multiplier
+    # when g divides the coefficient the step needs no multiplier
     mu = ring.one_elem()
     if g.is_one:
         scale = c
     else:
-        lift = c.lift()
-        quo, rem = divrem(lift, g)
+        quo, rem = divrem(c.rep, g)
         if rem.is_zero:
             scale = ring.elem(quo)
         else:
-            # lcm(lift, g) = lift * (g / d) with d = gcd(g, lift) = gcd(g, rem);
-            # both factors are scaled by 1/lc(lift), as the monic lcm would be
+            # lcm(c, g) = c * (g / d) with d = gcd(g, c) = gcd(g, rem); both
+            # factors are scaled by 1/lc(c), as the monic lcm would be
             d = poly_gcd(g, rem)
-            k = lift._lc_inverse()
+            k = c.rep._lc_inverse()
             interim = ring.elem(exact_div(g, d).scale(k))
             if interim.is_unit():
-                mu, scale = interim, ring.elem(exact_div(lift, d).scale(k))
+                mu, scale = interim, ring.elem(exact_div(c.rep, d).scale(k))
             else:
                 # coefficient gcd has a non-unit cofactor against this term:
                 # rescale the combination instead of the dividend
@@ -230,20 +227,48 @@ def _lt_reducible(b: MultiPoly, others: list[MultiPoly]) -> bool:
     return d_st.is_constant or (b.lc.rep % d_st).is_zero
 
 
+def standard_form(f: MultiPoly) -> MultiPoly:
+    """f times the unit that turns lc f into its standard factor gcd(lc f, q).
+
+    Every residue is a unit times its standard factor, so this is the normal
+    form of f up to units (Norton & Salagean 2001).  A constant lc is
+    inverted in the field, a unit lc by one `poly_half_ext_gcd` with q, and
+    any other lc, w*gcd(lc, q), through the unit lift w of `_coprime_adjust`.
+    An f already in this form is returned as it is.
+    """
+    lc = f.lc.rep
+    if lc.is_constant:
+        if lc.is_one:
+            return f
+        k = lc._lc_inverse()
+        return MultiPoly.from_sorted(f.ctx, [(m, c.scale_scalar(k)) for m, c in f.terms])
+    ring: PqrCtx = f.ctx.ring
+    d, inverse = poly_half_ext_gcd(lc, ring.modulus)
+    if d.is_constant:
+        unit = ring.elem(inverse)
+    elif d == lc:
+        return f
+    else:
+        unit = ring.elem(_coprime_adjust(lc, d, ring.modulus)).inverse()
+    return f.scale(unit)
+
+
 def make_irredundant(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Drop elements whose leading term the rest already covers.
+    """Drop elements whose leading term the rest already covers; bring the rest to `standard_form`.
 
     Candidates are tried most-complex-first so that of two elements with
-    mutually reducible leading terms the simpler one survives.
+    mutually reducible leading terms the simpler one survives.  Whether a
+    leading term is reducible depends only on standard factors, so the drop
+    pass reads the elements as they come, and only the survivors are scaled.
     """
-    out = [_unit_normalize(b) for b in _basis_sorted(basis) if not b.is_zero]
+    out = _basis_sorted([b for b in basis if not b.is_zero])
     # dropping an element only shrinks the divisor sets of the others, which
     # never makes a kept element reducible, so one pass from the end suffices
     for i in range(len(out) - 1, -1, -1):
         rest = out[:i] + out[i + 1 :]
         if rest and _lt_reducible(out[i], rest):
             del out[i]
-    return out
+    return _basis_sorted([standard_form(b) for b in out])
 
 
 def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
@@ -252,17 +277,20 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     The result is irredundant, so no redundancy pass follows.  Let B be the
     irredundant basis and s_M = gcd(q, lc c : c in B, lm c | M) for a
     monomial M.  Every f in B is replaced by an element with leading
-    monomial lm f whose leading coefficient has standard factor s_(lm f),
-    and one replacement is kept per leading monomial.  Take the kept b with
-    leading monomial M.  The other kept elements whose leading monomials
-    divide M stand for the elements of B whose monomials strictly divide M
-    (with none, b has no divisor), so b is reducible exactly when
+    monomial lm f whose leading coefficient is s_(lm f), and one replacement
+    is kept per leading monomial.  A replacement is built in standard form:
+    its leading coefficient is w^-1 * g = d_st, with g the gcd of the
+    eligible leading coefficients and w the unit `_coprime_adjust` builds.
+    Take the kept b with leading monomial M.  The other kept elements whose
+    leading monomials divide M stand for the elements of B whose monomials
+    strictly divide M (with none, b has no divisor), so b is reducible when
     d = gcd(q, lc c : c in B, lm c strictly divides M) divides s_M, that is,
     when d divides the leading coefficient of every f in B with lm f = M.
     Then the rest of B has gcd d at M for any such f, and f was reducible
     in B, which is irredundant.  The loop has each element's standard factor
     at hand, f_st when f is kept and d_st when it is replaced, and the
-    duplicate check reads it from there; debug checks recompute it.
+    duplicate check reads it from there; debug checks confirm that it is
+    the element's leading coefficient.
 
     When no element is replaced, B is the result as it is.  Two elements f, g
     of B with one leading monomial M cannot both be kept: both standard
@@ -305,64 +333,59 @@ def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
             acc = acc + b.mul_term(factor, mon_div(f.lm, b.lm))
         if acc.is_zero or acc.lm != f.lm:
             raise AssertionError("minimal-basis combination lost its leading term")
-        b = _unit_normalize(acc)
-        replaced.append(b)
-        standard[id(b)] = d_st
+        replaced.append(acc)
+        standard[id(acc)] = d_st
         swapped = True
     if not swapped:
         return out
-    # drop later duplicates whose leading terms agree up to a unit
+    # drop later duplicates, whose leading terms are equal
     kept = {}
     for b in _basis_sorted(replaced):
         st = standard[id(b)]
-        if check and st != poly_gcd(b.lc.rep, ring.modulus):
-            raise AssertionError("carried standard factor differs from gcd(lc, q)")
+        if check and b.lc.rep != st:
+            raise AssertionError("leading coefficient differs from the carried standard factor")
         kept.setdefault((b.lm, st), b)
     return list(kept.values())
 
 
 def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:
-    """Fully tail-reduced minimal basis, scaled by a constant, not canonical.
+    """Fully tail-reduced minimal basis, each leading coefficient its standard factor.
 
-    No term of an element is reducible by the others, and the leading
-    monomials are those of a minimal basis of the ideal.  Over K[x1]/(q) the
-    rest depends on the run's path: each leading coefficient keeps the unit
-    its run gave it, and a tail coefficient that is not a multiple of the
-    eligible leading coefficients' gcd keeps whatever the run left.  (At the
-    seed-701 `modular_gf` pool, `--strategy no-triangular-skip` gives other
-    bases in 14 of 798 components: 18 elements differ by a unit multiple and
-    10 in their tails, all with the same leading monomials.)
+    No term of an element is reducible by the others, the leading monomials
+    are those of a minimal basis of the ideal, and every leading coefficient
+    is the monic gcd of itself with q (`standard_form`), so no unit a run
+    gave an element survives.  Still open: a tail coefficient that is not a
+    multiple of the eligible leading coefficients' gcd is kept as it is, so
+    two runs may leave tails that differ by such a multiple, as strategies
+    do for 4 of the first 1200 ideals `test_differential.random_ideal_text`
+    draws from `random.Random(1)`.  Strong reduction (Kandri-Rody & Kapur
+    1988) would close that.
 
     One tail-reduction pass suffices.  The basis is minimal, so a pass keeps
-    every leading monomial and multiplies each leading coefficient only by a
-    unit.  So gcd(q, eligible leading coefficients), and with it whether a
-    term is reducible, stays fixed while later elements are replaced, and a
-    second pass would change nothing.  Debug checks run it to confirm,
-    comparing every remainder.  The first pass keeps an element whose
-    gcd-division took no step: it is its own remainder, already normalized.
-    The basis is re-sorted only when the pass changed an element.
+    every leading term: the eligible leading coefficients are monic divisors
+    of q, so a term is reducible only when their gcd divides its
+    coefficient, and the step has multiplier one.  So reducibility stays
+    fixed while later elements are replaced, and a second pass would change
+    nothing; debug checks run it to confirm, comparing every remainder.  The
+    first pass keeps an element whose gcd-division took no step.  No sort
+    key changes, and a minimal basis has no ties, so the basis stays sorted.
     """
     check = debug_checks_enabled()
     out = _make_minimal(basis, check)
     if len(out) <= 1:
         return out
     for n in range(2 if check else 1):
-        changed = False
         for i in range(len(out)):
             rest = out[:i] + out[i + 1 :]
             division = gcd_reduce(out[i], rest)
             if not n and not division.steps:
                 continue
-            r = _unit_normalize(division.remainder)
+            r = division.remainder
             if r.is_zero:
                 raise AssertionError("reduced-basis element vanished")
-            if r != out[i]:
-                if n:
-                    raise AssertionError("a second tail-reduction pass changed the basis")
-                out[i] = r
-                changed = True
-        if changed:
-            out = _basis_sorted(out)
+            if n and r != out[i]:
+                raise AssertionError("a second tail-reduction pass changed the basis")
+            out[i] = r
     return out
 
 
@@ -434,7 +457,7 @@ def assemble(
     trivial: list[TrivialComponent] = []
     if not split.compatible_part.is_constant:
         ctx_d = residue_context(base_ctx, split.compatible_part)
-        basis = [project_multipoly(b, ctx_d, keep_lifts=True) for b in pseudo.basis]
+        basis = [project_multipoly(b, ctx_d) for b in pseudo.basis]
         basis = [b for b in basis if not b.is_zero]
         if any(b.is_coeff for b in basis):
             raise AssertionError("pseudo-basis element projected to a nonzero residue")
@@ -458,11 +481,11 @@ def assemble(
         ctx_delta = residue_context(base_ctx, delta)
         if outcome.basis_var_ctx == ctx_delta:
             # already over the component's ring, as every basis is under base
-            # change: projecting again would return equal representatives and lifts
+            # change: projecting again would return equal representatives
             ctx_delta = outcome.basis_var_ctx
             basis = outcome.basis
         else:
-            basis = [project_multipoly(b, ctx_delta, keep_lifts=True) for b in outcome.basis]
+            basis = [project_multipoly(b, ctx_delta) for b in outcome.basis]
             basis = [b for b in basis if not b.is_zero]
         if any(b.is_coeff for b in basis):
             raise AssertionError("modular basis element projected to a nonzero residue")
@@ -489,31 +512,25 @@ def assemble(
 
 
 def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
-    """[r_1, ..., r_n] when basis is {u_i*x_i + t_i} with units u_i, else None.
+    """[r_1, ..., r_n] when basis is {x_i + t_i}, else None.
 
-    Each tail variable x_i leads exactly one element, t_i sits at the
-    constant monomial, and r_i = -t_i/u_i is a residue.  A constant u_i is
-    inverted in the field; for any other, one `poly_half_ext_gcd` with q both
-    tests that u_i is a unit and gives its inverse.  r_i is built from t_i's
-    representative alone, the only part of it `_image` reads.
+    Each tail variable x_i leads exactly one element, with leading
+    coefficient one, t_i sits at the constant monomial, and r_i = -t_i is a
+    residue.  A reduced basis in shape position has this form, since every
+    leading coefficient of a unit is one (`make_reduced`); any other basis
+    answers by gcd-division.
     """
-    ring: PqrCtx = ctx.ring
     r = [None] * ctx.arity
     for b in basis:
         (mon, u), *rest = b.terms
-        if sum(mon) != 1 or len(rest) > 1 or (rest and not mon_is_one(rest[0][0])):
+        if not u.is_one or sum(mon) != 1 or len(rest) > 1:
+            return None
+        if rest and not mon_is_one(rest[0][0]):
             return None
         i = mon.index(1)
         if r[i] is not None:
             return None
-        t = rest[0][1] if rest else ctx.ring_zero()
-        if u.rep.is_constant:
-            r[i] = PqrElem(ring, t.rep.scale(-u.rep._lc_inverse()))
-            continue
-        d, inv = poly_half_ext_gcd(u.rep, ring.modulus)
-        if not d.is_constant:
-            return None
-        r[i] = ring.elem(-t.rep * inv)
+        r[i] = -rest[0][1] if rest else ctx.ring_zero()
     return None if None in r else r
 
 
@@ -566,19 +583,15 @@ def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
 def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
     """Unit-free gcd-reduction remainder of f in the component's ring.
 
-    In shape position it is the residue f(x1, r).  Otherwise each step's
-    unit multiplier is inverted by itself, never their product, whose lifts
-    grow large over Q and are costly to invert.
+    In shape position it is the residue f(x1, r).  Otherwise it is the
+    gcd-division remainder itself: every leading coefficient of a reduced
+    basis is a monic divisor of q, so every step divides and has multiplier
+    one (see `make_reduced`).
     """
     r = comp.substitution
     if r is not None:
         return MultiPoly.from_coeff(comp.var_ctx, _substituted(f, comp, r))
-    division = gcd_reduce(comp.project(f), comp.basis, comp.table)
-    rem = division.remainder
-    for mu, _, _ in division.steps:
-        if not mu.is_one:
-            rem = rem.scale(mu.inverse())
-    return rem
+    return gcd_reduce(comp.project(f), comp.basis, comp.table).remainder
 
 
 def is_member(f: MultiPoly, dec: Decomposition) -> bool:

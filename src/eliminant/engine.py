@@ -3,11 +3,11 @@
 The method runs one Buchberger-style search twice: over K[x1] with
 pseudo-division (pseudo.py) and over residue rings K[x1]/(q), which have zero
 divisors, with proper division (pqr.py).  In both runs every multiplier is an
-lcm of leading-coefficient lifts divided by one of them, so the pair formulas
-(`spoly`, `coprime_multiplier`, `triangular_multiplier`,
+lcm of leading-coefficient representatives divided by one of them, so the
+pair formulas (`spoly`, `coprime_multiplier`, `triangular_multiplier`,
 `check_triangular_identity`) and the division step (`lcm_step`) are written
-once here: each computes on lifts in K[x1] (`lift()`) and projects the result
-with `f.ctx.ring.elem`, which is the identity over K[x1].
+once here: each computes on representatives in K[x1] (`rep`) and projects
+the result with `f.ctx.ring.elem`, which is the identity over K[x1].
 
 `Elimination` holds what the two runs share: the basis kept in order, the
 queue of pairs, whose S-polynomials are formed only when popped, the pair
@@ -25,16 +25,16 @@ adapter supplies only what differs:
 - `supersedes(h, g)`, or None: which elements a new element h retires from
   the basis (the basis update of `Elimination`).
 
-Coefficients of both rings offer `rep` and `lift()`, and `ctx.ring` offers
+Coefficients of both rings offer `rep`, and `ctx.ring` offers
 `elem`, `zero_elem` and `one_elem`, so no caller asks which ring it holds and
 one `sort_key` orders the basis of both searches and of the basis ladder.
 
 `divide` is the one division loop.  Both searches divide with `lcm_step`,
 which differs between the rings only in the multipliers it admits;
 assembly's gcd-division plugs its own step into the same loop.  A step
-needs a multiplier only when the lift of the divisor's leading coefficient
-does not divide the lift of the term's coefficient; otherwise it divides,
-and the dividend is not rescaled.
+needs a multiplier only when the representative of the divisor's leading
+coefficient does not divide that of the term's coefficient; otherwise it
+divides, and the dividend is not rescaled.
 """
 
 from __future__ import annotations
@@ -72,16 +72,17 @@ def spoly(f: MultiPoly, g, check: bool = False) -> MultiPoly:
     """S-polynomial of f and g, where g has tail variables or is a coefficient.
 
     Both leading terms are lifted to their least common multiple.  The
-    multipliers lcm(lift lc f, lift lc g) / lift are computed on lifts in
+    multipliers lcm(lc f, lc g) / lc are computed on representatives in
     K[x1] and then projected into the coefficient ring; in a residue ring
     they are never zero, even when the lcm of the leading coefficients
     vanishes there.  Against a coefficient g the S-polynomial is f's tail
     times f's multiplier.  g may also be a polynomial of K[x1] that vanishes
     in the ring, such as the modulus q: the S-polynomial is then
-    tail(f) * q / gcd(lift lc f, q), up to a constant.
+    tail(f) * q / gcd(lc f, q), up to a constant.
 
-    The leading terms cancel, on lifts and therefore in the ring, so they are
-    never formed; `check` (the debug checks) verifies that they would.
+    The leading terms cancel, on representatives and therefore in the ring,
+    so they are never formed; `check` (the debug checks) verifies that they
+    would.
     """
     if f.is_zero or f.is_coeff:
         raise InvalidSPolyInput("first operand must have tail variables")
@@ -92,9 +93,9 @@ def spoly(f: MultiPoly, g, check: bool = False) -> MultiPoly:
     if coeff and g.is_zero:
         raise InvalidSPolyInput("zero operand")
     lg = g if coeff else g.lc
-    cf, cg = lcm_cofactors(f.lc.lift(), lg.lift())
+    cf, cg = lcm_cofactors(f.lc.rep, lg.rep)
     cf = elem(cf)
-    if check and f.lc * cf != elem(lg.lift() * cg):
+    if check and f.lc * cf != elem(lg.rep * cg):
         raise AssertionError("S-polynomial leading terms do not cancel")
     if coeff:
         return f.tail().scale(cf)
@@ -107,19 +108,19 @@ def coprime_multiplier(f: MultiPoly, g: MultiPoly):
 
     When defined, d*S(f,g) = (f - lt f)*g - (g - lt g)*f, so S(f,g) reduces
     to zero by {f, g} with multiplier d and can be skipped when the ring
-    excuses d.  In a residue ring the gcd of the lifts is a unit exactly when
-    the gcd of the residues is.
+    excuses d.  In a residue ring the gcd of the representatives is a unit
+    exactly when the gcd of the residues is.
     """
     if f.is_coeff or g.is_coeff:
         raise InvalidSPolyInput("operands must have tail variables")
     if not mon_coprime(f.lm, g.lm):
         return None
-    return f.ctx.ring.elem(poly_gcd(f.lc.lift(), g.lc.lift()))
+    return f.ctx.ring.elem(poly_gcd(f.lc.rep, g.lc.rep))
 
 
 def _triangular_lift(m: UniPoly, h: MultiPoly) -> UniPoly:
-    """lam = lc h / gcd(m, lc h) on lifts, for the pair's m = lcm(lc f, lc g)."""
-    lh = h.lc.lift()
+    """lam = lc h / gcd(m, lc h) on representatives, for the pair's m = lcm(lc f, lc g)."""
+    lh = h.lc.rep
     return exact_div(lh, poly_gcd(m, lh))
 
 
@@ -130,7 +131,7 @@ def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
     """
     if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
         return None
-    return f.ctx.ring.elem(_triangular_lift(poly_lcm(f.lc.lift(), g.lc.lift()), h))
+    return f.ctx.ring.elem(_triangular_lift(poly_lcm(f.lc.rep, g.lc.rep), h))
 
 
 def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
@@ -138,19 +139,20 @@ def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
 
     lam*S(f,g) = c1*S(f,h) - c2*S(g,h) with c1 = lam*lcm(f,g)/lcm(f,h) and
     c2 = lam*lcm(f,g)/lcm(g,h), on leading coefficients and monomials alike.
-    The coefficient quotients are exact only on lifts, where lam*lcm(f,g) is
-    lcm(lc f, lc g, lc h); the identity itself is compared in the ring.
+    The coefficient quotients are exact only on representatives, where
+    lam*lcm(f,g) is lcm(lc f, lc g, lc h); the identity itself is compared
+    in the ring.
     """
     gamma = mon_lcm(f.lm, g.lm)
     if not mon_divides(h.lm, gamma):
         return False
     elem = f.ctx.ring.elem
-    m = poly_lcm(f.lc.lift(), g.lc.lift())
+    m = poly_lcm(f.lc.rep, g.lc.rep)
     lam = _triangular_lift(m, h)
     top = lam * m
-    lh = h.lc.lift()
-    c1 = elem(exact_div(top, poly_lcm(f.lc.lift(), lh)))
-    c2 = elem(exact_div(top, poly_lcm(g.lc.lift(), lh)))
+    lh = h.lc.rep
+    c1 = elem(exact_div(top, poly_lcm(f.lc.rep, lh)))
+    c2 = elem(exact_div(top, poly_lcm(g.lc.rep, lh)))
     rhs = spoly(f, h).mul_term(c1, mon_div(gamma, mon_lcm(f.lm, h.lm))) - spoly(
         g, h
     ).mul_term(c2, mon_div(gamma, mon_lcm(g.lm, h.lm)))
@@ -180,51 +182,44 @@ def lcm_step(divisors, mon, c, admits=None):
     """The lcm division step, a step rule for `divide`.
 
     The term c*mon is cleared against the first divisor b whose leading
-    monomial divides mon and whose interim multiplier
-    lcm(lift c, lift lc b) / lift c the ring admits: `admits` is None when
-    every multiplier is admitted, as over K[x1].
+    monomial divides mon and whose interim multiplier lcm(c, lc b) / c, on
+    representatives, the ring admits: `admits` is None when every multiplier
+    is admitted, as over K[x1].
 
-    A step needs a multiplier only when lift(lc b) does not divide lift(c).
-    When it divides (a nonzero constant lc b always does, and c is scaled by
-    its inverse; otherwise one `divrem` tells) the step has multiplier one
-    and factor lift(c) / lift(lc b), so `divide` does not rescale the
+    A step needs a multiplier only when lc b does not divide c, on
+    representatives.  When it divides (a nonzero constant lc b always does,
+    and c is scaled by its inverse; otherwise one `divrem` tells) the step
+    has multiplier one and factor c / lc b, so `divide` does not rescale the
     dividend.  Only a step that does not divide calls `lcm_cofactors`, with
-    the gcd continued from that `divrem`: gcd(lift c, lift lc b) is
-    gcd(lift lc b, remainder), so the cofactors are the same.
-    On a dividend whose coefficients carry no preferred lifts, as no
-    S-polynomial does, this divides as taking the lcm cofactors at every
-    step would:
+    the gcd continued from that `divrem`: gcd(c, lc b) is gcd(lc b,
+    remainder), so the cofactors are the same.  This divides as taking the
+    lcm cofactors at every step would:
 
     - the same divisor is chosen, because a divisible step's interim
-      multiplier lcm / lift c is a nonzero constant, which every ring
-      admits (a constant is a unit of K[x1]/(q));
+      multiplier lcm / c is a nonzero constant, which every ring admits (a
+      constant is a unit of K[x1]/(q));
     - each remainder differs from the one the cofactors give only by a
       nonzero constant, since the cofactors clear the same term with
-      multiplier 1 / lc(lift c) and that factor times it.  A constant does
-      not change which term is reducible nor against which divisor, and it
+      multiplier 1 / lc(c) and that factor times it.  A constant does not
+      change which term is reducible nor against which divisor, and it
       scales the interim multiplier of a later step that does not divide
       by its inverse;
     - so every non-constant multiplier is unchanged up to a constant, and
       `pseudo.multipliers` (recorded monic), the units `admits` accepts and
-      the split are unchanged; `normalize_content` and `_unit_normalize`
-      remove the constant before a remainder is stored, and folding takes a
-      gcd or the monic part.
-
-    (A rescale drops preferred lifts, so on a dividend that carries them a
-    later step may read another lift than under the cofactor form;
-    `pqr.proper_divide` divides canonical representatives for that reason.)
+      the split are unchanged; `normalize_content` and the residue ring's
+      `normalize` remove the constant before a remainder is stored, and
+      folding takes a gcd or the monic part.
     """
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
             ring = b.ctx.ring
-            lb = b.lc.lift()
+            lb = b.lc.rep
             if lb.is_constant:
                 return ring.one_elem(), [(i, ring.elem(c.rep.scale(lb._lc_inverse())))]
-            lift = c.lift()
-            quo, rem = divrem(lift, lb)
+            quo, rem = divrem(c.rep, lb)
             if rem.is_zero:
                 return ring.one_elem(), [(i, ring.elem(quo))]
-            cu, cb = lcm_cofactors(lift, lb, poly_gcd(lb, rem))
+            cu, cb = lcm_cofactors(c.rep, lb, poly_gcd(lb, rem))
             mu = ring.elem(cu)
             if admits is None or admits(mu):
                 return mu, [(i, ring.elem(cb))]
@@ -427,7 +422,7 @@ class Elimination:
             ):
                 continue
             if m is None:
-                m = poly_lcm(f.lc.lift(), g.lc.lift())
+                m = poly_lcm(f.lc.rep, g.lc.rep)
             lam = elem(_triangular_lift(m, h))
             candidates.append((self.ring.rank(lam), pos, k, lam))
         candidates.sort(key=lambda t: t[:2])

@@ -181,7 +181,7 @@ class _PolyRingTag:
 
     @staticmethod
     def elem(p: UniPoly) -> UniPoly:
-        """The coefficient p of K[x1] itself, as a residue ring projects its lifts."""
+        """The coefficient p of K[x1] itself, as a residue ring projects its representatives."""
         return p
 
     def zero_elem(self) -> UniPoly:

@@ -3,27 +3,28 @@
 Residues are kept as polynomials of degree below deg q with arithmetic
 reduced mod q.  Units are exactly the residues coprime to q; every nonzero
 residue factors as unit * standard factor, where the standard factor is the
-monic gcd of its lift with q.  Division in the tail variables is restricted
-to steps whose interim multiplier is a unit (term divisibility by the whole
-leading term), so remainders stay meaningful despite zero divisors; it is
-the shared lcm step `engine.lcm_step`, admitting unit multipliers only, in
-the loop `engine.divide`.  A step whose leading-coefficient lift divides the
-term's lift has multiplier one.
+monic gcd of its representative with q.  Division in the tail variables is
+restricted to steps whose interim multiplier is a unit (term divisibility by
+the whole leading term), so remainders stay meaningful despite zero divisors;
+it is the shared lcm step `engine.lcm_step`, admitting unit multipliers only,
+in the loop `engine.divide`.  A step whose leading coefficient divides the
+term's coefficient, on representatives, has multiplier one.
 
 The eliminant search is `engine.Elimination`, the same one that runs over
 K[x1]; `_ResidueRing` adapts it.  S-polynomials and skip multipliers are
-the engine's, computed on lifts (never zero).  The adapter skips a pair
-only when the skip multiplier is a unit, ranks triangular candidates by the
-standard factor of their multiplier, retires the elements a new element
-supersedes, and folds univariate remainders into a shrinking modulus.
-By default the ring itself is rebased to the shrunken modulus, by the one
-rule of `Elimination.remap` (the retired elements return, the basis is
-re-projected, and every pair without a decision is decided; queued pairs
-are formed from the projected basis when popped), which both matches the
-mathematics and keeps coefficients small.  Its finish step
-queues the pairs of the basis against the modulus, whose S-polynomial is
-`engine.spoly(f, q)`, and the final answer is read back in the ring we
-started from.
+the engine's, computed on representatives (never zero).  The adapter skips
+a pair only when the skip multiplier is a unit, ranks triangular candidates
+by the standard factor of their multiplier, retires the elements a new
+element supersedes, scales each element it inserts whose leading
+coefficient is a unit to leading coefficient one, and folds univariate
+remainders into a shrinking modulus.  By default the ring itself is
+rebased to the shrunken modulus, by the one rule of `Elimination.remap`
+(the retired elements return, the basis is re-projected, and every pair
+without a decision is decided; queued pairs are formed from the projected
+basis when popped), which both matches the mathematics and keeps
+coefficients small.  Its finish step queues the pairs of the basis against
+the modulus, whose S-polynomial is `engine.spoly(f, q)`, and the final
+answer is read back in the ring we started from.
 """
 
 from __future__ import annotations
@@ -83,30 +84,19 @@ class PqrCtx:
 class PqrElem:
     """A residue, stored by its canonical representative of degree < deg q.
 
-    A residue may carry a preferred lift: a congruent polynomial with a
-    simpler factored shape (typically the original coefficient it was
-    projected from).  Multiplier and lcm computations work on lifts, so a
-    good lift keeps skip decisions and reduction multipliers simple; it
-    never affects equality, which is on canonical representatives only.
+    Multiplier and lcm computations read the representative `rep`, the
+    residue's one lift to K[x1].
     """
 
-    __slots__ = ("ctx", "rep", "pref")
+    __slots__ = ("ctx", "rep")
 
-    def __init__(self, ctx: PqrCtx, rep: UniPoly, pref: UniPoly | None = None):
+    def __init__(self, ctx: PqrCtx, rep: UniPoly):
         self.ctx = ctx
         self.rep = rep
-        self.pref = pref
-
-    def lift(self) -> UniPoly:
-        return self.pref if self.pref is not None else self.rep
 
     def scale_scalar(self, k) -> "PqrElem":
-        """Multiply by a nonzero field constant, keeping the preferred lift aligned.
-
-        A constant times a reduced residue is already reduced.
-        """
-        pref = self.pref.scale(k) if self.pref is not None else None
-        return PqrElem(self.ctx, self.rep.scale(k), pref)
+        """Multiply by a nonzero field constant; a constant times a reduced residue is reduced."""
+        return PqrElem(self.ctx, self.rep.scale(k))
 
     @property
     def is_zero(self) -> bool:
@@ -185,23 +175,16 @@ def residue_context(base: VarContext, modulus: UniPoly) -> VarContext:
     return base.with_ring(PqrCtx(modulus))
 
 
-def project_multipoly(
-    f: MultiPoly, target: VarContext, keep_lifts: bool = False
-) -> MultiPoly:
+def project_multipoly(f: MultiPoly, target: VarContext) -> MultiPoly:
     """Apply the coefficient-wise projection into a residue context.
 
-    With keep_lifts, each source coefficient survives as the preferred lift
-    of its image whenever the projection actually reduced it.  target keeps
-    f's order (`residue_context` does), so the terms stay in order.
+    target keeps f's order (`residue_context` does), so the terms stay in order.
     """
     ring: PqrCtx = target.ring
-    out = []
-    for mon, c in f.terms:
-        src = c.lift()
-        rep = src % ring.modulus
-        pref = src if keep_lifts and src != rep else None
-        out.append((mon, PqrElem(ring, rep, pref)))
-    return MultiPoly.from_sorted(target, out)
+    modulus = ring.modulus
+    return MultiPoly.from_sorted(
+        target, [(mon, PqrElem(ring, c.rep % modulus)) for mon, c in f.terms]
+    )
 
 
 def lift_multipoly(f: MultiPoly, base: VarContext) -> MultiPoly:
@@ -219,18 +202,10 @@ def proper_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
     """Divide f in the residue ring, reducing only unit-multiplier steps.
 
     A term c*m reduces against a divisor b when lm(b) divides m and the
-    interim multiplier lcm(lift c, lift lc b)/lift c projects to a unit,
-    which is exactly divisibility of the term by the whole leading term of b.
-    The multiplier of the result is therefore always a unit.
-
-    The canonical representatives of f are divided.  A step reads the lift
-    of the term's coefficient, and a rescale of the dividend drops preferred
-    lifts, so on a dividend that carries them the remainder would depend on
-    which earlier steps rescaled.  No S-polynomial carries them, so the
-    search's dividends are divided as they are.
+    interim multiplier lcm(c, lc b)/c, on representatives, projects to a
+    unit, which is exactly divisibility of the term by the whole leading
+    term of b.  The multiplier of the result is therefore always a unit.
     """
-    if any(c.pref is not None for _, c in f.terms):
-        f = MultiPoly.from_sorted(f.ctx, [(m, PqrElem(c.ctx, c.rep)) for m, c in f.terms])
     return divide(f, divisors, _proper_step)
 
 
@@ -259,7 +234,7 @@ class ProperOutcome:
 
 
 def _unit_normalize(f: MultiPoly) -> MultiPoly:
-    """Constant-scale normalization; preferred lifts follow the scaling."""
+    """Constant-scale normalization: `content_scale` applied to every coefficient."""
     if f.is_zero:
         return f
     k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.nums[-1])
@@ -282,14 +257,14 @@ class _ResidueRing:
 
     The basis update (see `engine.Elimination`): h supersedes g when lm h
     divides lm g and the leading term of g has a proper step against h,
-    that is, H/gcd(G, H) is a unit mod q, where H, G and F are the lifts of
-    lc h, lc g and lc f that the steps read.  For a prime p dividing q,
+    that is, H/gcd(G, H) is a unit mod q, where H, G and F are the
+    representatives of lc h, lc g and lc f that the steps read.  For a prime p dividing q,
     A/gcd(B, A) is a unit at p exactly when v_p(A) <= v_p(B); so the test
     is v_p(H) <= v_p(G) at every such p, and it is transitive.  Retiring g
     is sound because:
 
     (i) H/gcd(G, H) is a unit mod q, so any term c*m properly reducible by
-        g, with v_p(G) <= v_p(lift c), is properly reducible by h: the set
+        g, with v_p(G) <= v_p(c), is properly reducible by h: the set
         of reducible terms does not change when g stops being a divisor.
     (ii) For every later f the triangular identity through h excuses
         S(f, g): lm h divides lm g and so lcm(lm f, lm g), and the
@@ -305,8 +280,8 @@ class _ResidueRing:
         same holds against the temporary eliminant e, a divisor of q.
 
     A rebase is `Elimination.remap`, one rule: the retired elements return,
-    every element is projected into the new ring (`project_multipoly`, which
-    drops preferred lifts), an element whose leading monomial moved loses
+    every element is projected into the new ring (`project_multipoly`), an
+    element whose leading monomial moved loses
     its pairs and decisions, and every basis pair without a decision is
     decided.  The retired elements return because mod the new modulus a
     superseder, or g itself, may lose its leading coefficient, so lm h may
@@ -321,7 +296,23 @@ class _ResidueRing:
     """
 
     reduced = staticmethod(properly_reduced)
-    normalize = staticmethod(_unit_normalize)
+
+    @staticmethod
+    def normalize(f: MultiPoly) -> MultiPoly:
+        """f times the inverse of lc f if that is a non-constant unit, then `_unit_normalize`d.
+
+        `is_unit` tests lc f by a gcd with q, and `inverse` inverts a unit.
+        The search may insert u*f for f: it generates the same ideal, has
+        leading monomial lm f and a leading coefficient that generates the
+        same ideal as lc f, so the leading-term ideal grows as with f; every
+        step against a leading coefficient of one divides, so it is proper;
+        and the pair criteria, the basis update (i)-(iii) and the finish step
+        read the elements as they are inserted.  Scaling leading coefficients
+        that are no unit as well changed no report, but slowed Q runs.
+        """
+        if not f.lc.rep.is_constant and f.lc.is_unit():
+            f = f.scale(f.lc.inverse())
+        return _unit_normalize(f)
 
     def __init__(self, var_ctx: VarContext, strategy: StrategyConfig):
         self.var_ctx = var_ctx
@@ -429,12 +420,12 @@ def proper_eliminant(
     """Modular eliminant/basis computation over a residue context.
 
     `generators` are polynomials over the base context (coefficients in
-    K[x1]); each is projected coefficient-wise, its coefficients kept as
-    preferred lifts, into the ring the run is in when it reads it: a
-    univariate generator may rebase the ring before the next is read.
+    K[x1]); each is projected coefficient-wise into the ring the run is in
+    when it reads it: a univariate generator may rebase the ring before the
+    next is read.
     """
     strategy = strategy or StrategyConfig()
     ring = _ResidueRing(var_ctx, strategy)
     return Elimination(ring, var_ctx.order, strategy).run(
-        project_multipoly(g, ring.var_ctx, keep_lifts=True) for g in generators
+        project_multipoly(g, ring.var_ctx) for g in generators
     )

@@ -209,10 +209,6 @@ class UniPoly:
         n = self.nums[k] if 0 <= k < len(self.nums) else 0
         return n if self.field.char else Fraction(n, self.den)
 
-    def lift(self) -> "UniPoly":
-        """This polynomial, as a coefficient of K[x1]; a residue lifts to K[x1] the same way."""
-        return self
-
     @property
     def rep(self) -> "UniPoly":
         """This polynomial, as the canonical representative a residue keeps in K[x1]."""

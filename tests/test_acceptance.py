@@ -23,7 +23,6 @@ from eliminant.fields import GF, QQ
 from eliminant.multipoly import mon_mul
 from eliminant.parser import parse_ideal_file, parse_poly
 from eliminant.pqr import (
-    _unit_normalize,
     project_multipoly,
     proper_divide,
     proper_eliminant,
@@ -45,6 +44,7 @@ from util import (
     random_multipoly,
     random_unipoly,
     random_zero_dim_ideal,
+    reference_standard_form,
 )
 
 SIMPLE = """
@@ -93,7 +93,8 @@ def full_pipeline(src_or_ideal):
 
 
 def proj_norm(text, comp, ctx):
-    return _unit_normalize(project_multipoly(parse_poly(text, ctx), comp.var_ctx))
+    """The paper's element, projected into the component and scaled to its standard form."""
+    return reference_standard_form(project_multipoly(parse_poly(text, ctx), comp.var_ctx))
 
 
 def report(num, name, ok, elapsed):

@@ -1,6 +1,6 @@
 """The lcm division step against its cofactor form, kept as `reference_lcm_step`.
 
-A step whose divisor's leading-coefficient lift divides the term's lift
+A step whose divisor's leading coefficient divides the term's coefficient
 needs no multiplier: it logs multiplier one and leaves the dividend as it
 is, where the cofactor form scales it by a nonzero constant.  Everything
 else the division decides is the same: the divisor at each step, every
@@ -20,7 +20,7 @@ from eliminant.engine import divide, lcm_step
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context
 from eliminant.parser import parse_ideal_file
-from eliminant.pqr import PqrElem, project_multipoly, proper_divide, residue_context
+from eliminant.pqr import PqrElem, project_multipoly, residue_context
 from eliminant.pseudo import pseudo_eliminant
 from eliminant.unipoly import divrem
 from util import U, quotients, random_multipoly, random_unipoly, reference_lcm_step
@@ -74,36 +74,31 @@ def _base_case(rng, ctx):
     return f, divisors
 
 
-def _residue_case(rng, base, ctx, heads, dividend_lifts=False):
+def _residue_case(rng, base, ctx, heads):
     """A dividend and divisors over K[x1]/(q) with zero-divisor leading coefficients.
 
-    Divisor coefficients often carry preferred lifts that differ from their
-    representatives by multiples of q, and leading coefficients lift to
-    products with a divisor of q.  The dividend carries no preferred lift,
-    as no S-polynomial does, unless `dividend_lifts` asks for them.
+    Leading coefficients are products with a divisor of q.
     """
-    q, F = ctx.ring.modulus, base.field
+    F = base.field
 
-    def lifted(max_total, terms, head, keep_lifts):
+    def projected(max_total, terms, head):
         f = random_multipoly(rng, base, max_total=max_total, terms=terms)
         if f.is_zero or f.is_coeff:
             return None
         out = dict(f.terms)
         out[f.lm] = head * random_unipoly(rng, F, max_deg=1, bound=2, nonzero=True)
-        if keep_lifts:
-            out = {m: c + q * random_unipoly(rng, F, max_deg=1, bound=2) for m, c in out.items()}
-        p = project_multipoly(MultiPoly(base, out), ctx, keep_lifts=keep_lifts)
+        p = project_multipoly(MultiPoly(base, out), ctx)
         return None if p.is_zero or p.is_coeff else p
 
     divisors = []
     for _ in range(rng.randint(1, 3)):
-        b = lifted(2, 3, rng.choice(heads), rng.random() < 0.6)
+        b = projected(2, 3, rng.choice(heads))
         if b is not None:
             divisors.append(b)
     # terms whose coefficients are multiples of the divisors' heads
-    f = lifted(4, 5, rng.choice(heads) * rng.choice(heads), dividend_lifts)
-    if f is not None and divisors and not dividend_lifts and rng.random() < 0.5:
-        f = f.scale(ctx.ring.elem(divisors[0].lc.lift()))
+    f = projected(4, 5, rng.choice(heads) * rng.choice(heads))
+    if f is not None and divisors and rng.random() < 0.5:
+        f = f.scale(divisors[0].lc)
     return f, divisors
 
 
@@ -123,7 +118,7 @@ def _check_division(f, divisors, new_step, ref_step, counts):
     assert same_up_to_constant(new.remainder, ref.remainder)
     for c, (mu, _, parts), (ref_mu, _, _) in zip(seen, new.steps, ref.steps):
         (i, _), = parts
-        _, rem = divrem(c.lift(), divisors[i].lc.lift())
+        _, rem = divrem(c.rep, divisors[i].lc.rep)
         if rem.is_zero:
             assert mu.is_one
             assert ref_mu.rep.is_constant
@@ -163,43 +158,15 @@ def test_lcm_step_matches_cofactor_step_over_residue_rings(field, modulus, heads
     new_step = partial(lcm_step, admits=PqrElem.is_unit)
     ref_step = partial(reference_lcm_step, admits=PqrElem.is_unit)
     counts = {"divides": 0, "non-constant": 0}
-    zero_divisors = lifts = 0
-    for _ in range(250):
+    zero_divisors = 0
+    for _ in range(320):
         f, divisors = _residue_case(rng, base, ctx, heads)
         if f is None or not divisors:
             continue
         zero_divisors += sum(not b.lc.is_unit() for b in divisors)
-        lifts += sum(b.lc.pref is not None for b in divisors)
         _check_division(f, divisors, new_step, ref_step, counts)
     assert counts["divides"] >= 50 and counts["non-constant"] >= 50, counts
-    assert zero_divisors >= 50 and lifts >= 100, (zero_divisors, lifts)
-
-
-def test_proper_divide_divides_the_canonical_representatives_of_a_lifted_dividend():
-    """`pqr.proper_divide` on a dividend whose coefficients carry preferred lifts.
-
-    Its remainder is that of the dividend's canonical representatives, and the
-    cofactor form gives it too, up to a constant.  Dividing the lifted
-    dividend as it is, each step reading its lifts until a rescale drops them,
-    gives another remainder in about a third of these cases.
-    """
-    F = GF(5)
-    rng = random.Random(2401)
-    base = base_context(F, "z", ("y", "x"))
-    ctx = residue_context(base, U("z^2*(z+1)", field=F))
-    heads = [U(h, field=F) for h in ("z^2", "z+1", "z", "z*(z+1)", "2")]
-    ref_step = partial(reference_lcm_step, admits=PqrElem.is_unit)
-    lifted = 0
-    for _ in range(300):
-        f, divisors = _residue_case(rng, base, ctx, heads, dividend_lifts=True)
-        if f is None or not divisors:
-            continue
-        canonical = MultiPoly.from_sorted(ctx, [(m, PqrElem(c.ctx, c.rep)) for m, c in f.terms])
-        remainder = proper_divide(f, divisors).remainder
-        assert remainder == proper_divide(canonical, divisors).remainder
-        assert same_up_to_constant(remainder, divide(canonical, divisors, ref_step).remainder)
-        lifted += any(c.pref is not None for _, c in f.terms)
-    assert lifted >= 250, lifted
+    assert zero_divisors >= 50, zero_divisors
 
 
 @pytest.mark.parametrize("workload", ["compat_q", "modular_gf", "member_q"])

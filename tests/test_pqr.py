@@ -138,7 +138,7 @@ def _modular_run_elements():
     """The residue images of the worked three-generator ideal over z^8."""
     ideal = parse_ideal_file(MODULAR_SRC)
     ctx8 = residue_context(ideal.ctx, U("z^8"))
-    f, g, h = (project_multipoly(p, ctx8, keep_lifts=True) for p in ideal.generators)
+    f, g, h = (project_multipoly(p, ctx8) for p in ideal.generators)
     d = project_multipoly(
         parse_poly("z^2*((-9*z^5-z^4+z^3+3*z^2+3*z+1)*y-2*z^5+z^4)", ideal.ctx), ctx8
     )
@@ -154,7 +154,7 @@ def test_spoly_q_examples():
     # modulus form over the rebased ring
     ideal = parse_ideal_file(MODULAR_SRC)
     ctx6 = residue_context(ideal.ctx, U("z^6"))
-    f6 = project_multipoly(ideal.generators[0], ctx6, keep_lifts=True)
+    f6 = project_multipoly(ideal.generators[0], ctx6)
     s6 = spoly(f6, ctx6.ring.modulus)
     assert up_to_unit_scalar(s6, parse_poly("z^4*y", ctx6))
 
@@ -179,7 +179,7 @@ def test_spoly_q_multipliers_nonzero():
             continue
         from eliminant.unipoly import exact_div, poly_lcm
 
-        lf, lg = f.lc.lift(), g.lc.lift()
+        lf, lg = f.lc.rep, g.lc.rep
         m_f = ring.elem(exact_div(poly_lcm(lf, lg), lf))
         m_g = ring.elem(exact_div(poly_lcm(lf, lg), lg))
         assert not m_f.is_zero and not m_g.is_zero
@@ -188,13 +188,12 @@ def test_spoly_q_multipliers_nonzero():
             assert ctx.order.compare(s.lm, mon_lcm(f.lm, g.lm)) < 0
 
 
-def _lifted(rng, base, ctx, heads):
-    """A residue-context polynomial whose lifts differ from its representatives.
+def _headed(rng, base, ctx, heads):
+    """A residue-context polynomial whose leading coefficient has a factor from `heads`.
 
-    Its leading coefficient lifts to a product with a factor from `heads`
-    (divisors of the modulus), so lcm(lc f, lc g) often vanishes mod q.
+    The factors divide the modulus, so lcm(lc f, lc g) often vanishes mod q.
     """
-    q, F = ctx.ring.modulus, base.field
+    F = base.field
     while True:
         f = random_multipoly(rng, base)
         if f.is_zero or f.is_coeff:
@@ -202,8 +201,7 @@ def _lifted(rng, base, ctx, heads):
         head = rng.choice(heads) * random_unipoly(rng, F, max_deg=1, bound=2, nonzero=True)
         terms = dict(f.terms)
         terms[f.lm] = head
-        lifted = {m: c + q * random_unipoly(rng, F, max_deg=1, bound=2) for m, c in terms.items()}
-        p = project_multipoly(MultiPoly(base, lifted), ctx, keep_lifts=True)
+        p = project_multipoly(MultiPoly(base, terms), ctx)
         if not p.is_coeff:
             return p
 
@@ -217,22 +215,21 @@ def _lifted(rng, base, ctx, heads):
     ids=["Q", "GF5"],
 )
 def test_spoly_matches_reference_in_residue_rings(field, modulus, heads):
-    """The one-pass S-polynomial equals the lcm-and-subtract form on lifts mod q."""
+    """The one-pass S-polynomial equals the lcm-and-subtract form on representatives mod q."""
     rng = random.Random(43)
     base = base_context(field, "z", ("y", "x"))
     ctx = residue_context(base, U(modulus, field=field))
     ring = ctx.ring
     heads = [U(h, field=field) for h in heads]
-    vanishing = lifted = 0
+    vanishing = 0
     for _ in range(200):
-        f, g = _lifted(rng, base, ctx, heads), _lifted(rng, base, ctx, heads)
+        f, g = _headed(rng, base, ctx, heads), _headed(rng, base, ctx, heads)
         assert spoly(f, g, check=True) == reference_spoly(f, g)
-        for c in (g.lc, ring.elem(g.lc.lift()), ring.elem(rng.choice(heads))):
+        for c in (g.lc, ring.elem(rng.choice(heads))):
             if not c.is_zero:
                 assert spoly(f, c, check=True) == reference_spoly(f, c)
-        vanishing += ring.elem(reference_poly_lcm(f.lc.lift(), g.lc.lift())).is_zero
-        lifted += f.lc.pref is not None and g.lc.pref is not None
-    assert vanishing >= 30 and lifted >= 100, (vanishing, lifted)
+        vanishing += ring.elem(reference_poly_lcm(f.lc.rep, g.lc.rep)).is_zero
+    assert vanishing >= 30, vanishing
 
 
 def test_proper_divide_examples():

@@ -27,7 +27,7 @@ CASES = {
     "modular.no-chi-delta": ("modular.ideal", "--strategy", "no-chi-delta"),
     "modular.no-base-change": ("modular.ideal", "--strategy", "no-base-change"),
     "simple.membership": ("simple.ideal", "--membership", str(FIXTURES / "probes.txt")),
-    # non-members whose reduction takes two or more unit steps in the compatible component
+    # probes of both components: substitution in the compatible one, gcd-division in the modular one
     "modular.membership": ("modular.ideal", "--membership", str(FIXTURES / "modular_probes.txt")),
     "twovars.lift-pseudo": ("twovars.ideal", "--lift", "pseudo"),
     # grevlex on the tail block, over GF(5), with two composite divisors

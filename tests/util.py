@@ -226,10 +226,10 @@ def reference_spoly(f: MultiPoly, g) -> MultiPoly:
     if isinstance(g, MultiPoly) and g.is_coeff:
         g = g.as_coeff()
     elem = f.ctx.ring.elem
-    lf = f.lc.lift()
+    lf = f.lc.rep
     if not isinstance(g, MultiPoly):
-        return f.tail().scale(elem(exact_div(reference_poly_lcm(lf, g.lift()), lf)))
-    lg = g.lc.lift()
+        return f.tail().scale(elem(exact_div(reference_poly_lcm(lf, g.rep), lf)))
+    lg = g.lc.rep
     m = reference_poly_lcm(lf, lg)
     gamma = mon_lcm(f.lm, g.lm)
     left = f.mul_term(elem(exact_div(m, lf)), mon_div(gamma, f.lm))
@@ -250,8 +250,8 @@ def reference_try_triangular(run, i, j):
     def triangular_multiplier(f, g, h):
         if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
             return None
-        m = reference_poly_lcm(f.lc.lift(), g.lc.lift())
-        lh = h.lc.lift()
+        m = reference_poly_lcm(f.lc.rep, g.lc.rep)
+        lh = h.lc.rep
         return f.ctx.ring.elem(exact_div(lh, reference_poly_gcd(m, lh)))
 
     f, g = run.arena[i], run.arena[j]
@@ -292,7 +292,7 @@ def reference_lcm_step(divisors, mon, c, admits=None):
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
             elem = b.ctx.ring.elem
-            cu, cb = lcm_cofactors(c.lift(), b.lc.lift())
+            cu, cb = lcm_cofactors(c.rep, b.lc.rep)
             mu = elem(cu)
             if admits is None or admits(mu):
                 return mu, [(i, elem(cb))]
@@ -331,13 +331,12 @@ def reference_gcd_step(divisors, mon, c):
     if not hits:
         return None
     ring = c.ctx
-    g, cofs = poly_multi_ext_gcd([b.lc.lift() for _, b in hits])
+    g, cofs = poly_multi_ext_gcd([b.lc.rep for _, b in hits])
     d_st = poly_gcd(g, ring.modulus)
     if not d_st.is_constant and not (c.rep % d_st).is_zero:
         return None
-    lift = c.lift()
-    m = poly_lcm(lift, g)
-    mu = ring.elem(exact_div(m, lift))
+    m = poly_lcm(c.rep, g)
+    mu = ring.elem(exact_div(m, c.rep))
     if mu.is_unit():
         scale = ring.elem(exact_div(m, g))
     else:
@@ -417,21 +416,48 @@ def reference_unit_normalize(f):
         return f
     ring, field = f.ctx.ring, f.ctx.field
     k = UniPoly.constant(field, content_scale(field, (c.rep for _, c in f.terms), f.lc.rep.lc))
-    return MultiPoly(
-        f.ctx,
-        {
-            m: PqrElem(ring, (c.rep * k) % ring.modulus, c.pref * k if c.pref is not None else None)
-            for m, c in f.terms
-        },
-    )
+    return MultiPoly(f.ctx, {m: PqrElem(ring, (c.rep * k) % ring.modulus) for m, c in f.terms})
+
+
+def reference_inverse(a: UniPoly, q: UniPoly) -> UniPoly:
+    """The inverse of a unit a mod q by the extended Euclidean loop on `divrem`."""
+    from eliminant.unipoly import divrem
+
+    field = q.field
+    r0, r1 = q, a % q
+    s0, s1 = UniPoly.zero(field), UniPoly.one(field)
+    while not r1.is_zero:
+        quo, rem = divrem(r0, r1)
+        r0, r1 = r1, rem
+        s0, s1 = s1, s0 - quo * s1
+    assert r0.is_constant, "not a unit"
+    return s0.scale(r0._lc_inverse()) % q
+
+
+def reference_standard_form(f):
+    """f scaled so that its leading coefficient is gcd(lc f, q), built apart from assembly's.
+
+    The scale is the inverse of the unit lift w of `reference_coprime_adjust`
+    with w*gcd(lc f, q) = lc f mod q: w is lc f itself when that is a unit.
+    """
+    from eliminant.pqr import PqrElem
+
+    if f.is_zero:
+        return f
+    ring = f.ctx.ring
+    q = ring.modulus
+    lc = f.lc.rep
+    unit = reference_inverse(reference_coprime_adjust(lc, reference_poly_gcd(lc, q), q), q)
+    return MultiPoly(f.ctx, {m: PqrElem(ring, (c.rep * unit) % q) for m, c in f.terms})
 
 
 def reference_make_reduced(basis):
     """The irredundant -> minimal -> reduced ladder before its shortcuts, kept as an oracle.
 
     Reducibility runs the whole reference step, every element of the minimal
-    pass gets its gcd cofactors, the sort formats every element, and the
-    redundancy pass restarts after each drop.
+    pass gets its gcd cofactors, the sort formats every element, the
+    redundancy pass restarts after each drop, and every element the ladder
+    makes is brought to `reference_standard_form`.
     """
     from eliminant.engine import divide
     from eliminant.multipoly import mon_div, mon_divides
@@ -441,7 +467,7 @@ def reference_make_reduced(basis):
         return sorted(elems, key=lambda b: (b.ctx.order.key(b.lm), b.lc.rep.degree, b.fmt()))
 
     def irredundant(elems):
-        out = [reference_unit_normalize(b) for b in ordered(elems) if not b.is_zero]
+        out = ordered([b for b in elems if not b.is_zero])
         changed = True
         while changed:
             changed = False
@@ -451,7 +477,7 @@ def reference_make_reduced(basis):
                     out.pop(i)
                     changed = True
                     break
-        return out
+        return ordered([reference_standard_form(b) for b in out])
 
     def minimal(elems):
         out = irredundant(elems)
@@ -462,7 +488,7 @@ def reference_make_reduced(basis):
         replaced = []
         for f in out:
             hits = [i for i, b in enumerate(out) if mon_divides(b.lm, f.lm)]
-            g, cofs = poly_multi_ext_gcd([out[i].lc.lift() for i in hits])
+            g, cofs = poly_multi_ext_gcd([out[i].lc.rep for i in hits])
             d_st = poly_gcd(g, ring.modulus)
             if poly_gcd(f.lc.rep, ring.modulus) == d_st:
                 replaced.append(f)
@@ -474,7 +500,7 @@ def reference_make_reduced(basis):
                 if not factor.is_zero:
                     acc = acc + out[i].mul_term(factor, mon_div(f.lm, out[i].lm))
             assert not acc.is_zero and acc.lm == f.lm
-            replaced.append(reference_unit_normalize(acc))
+            replaced.append(reference_standard_form(acc))
         seen = set()
         kept = []
         for b in ordered(replaced):
@@ -491,7 +517,7 @@ def reference_make_reduced(basis):
         changed = False
         for i in range(len(out)):
             rest = out[:i] + out[i + 1 :]
-            r = reference_unit_normalize(divide(out[i], rest, reference_gcd_step).remainder)
+            r = reference_standard_form(divide(out[i], rest, reference_gcd_step).remainder)
             assert not r.is_zero
             if r != out[i]:
                 changed = True
