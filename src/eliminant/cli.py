@@ -268,10 +268,11 @@ def run_pipeline(ideal: IdealFile, strategy: StrategyConfig | None = None) -> Pi
         verdicts = lc_compatibility_check(pseudo.eliminant, pseudo.basis, split.squarefree_parts)
         times["split"] = time.perf_counter() - t0
         t0 = time.perf_counter()
-        originals = [g for g in ideal.generators if not g.is_coeff]
         propers = {}
         for q in split.composite_divisors():
-            propers[q] = proper_eliminant(originals, residue_context(ideal.ctx, q), strategy)
+            propers[q] = proper_eliminant(
+                pseudo.basis, residue_context(ideal.ctx, q), strategy, pseudo.settled
+            )
         times["modular"] = time.perf_counter() - t0
         t0 = time.perf_counter()
         dec = assemble(pseudo, split, propers, ideal.ctx)

@@ -14,12 +14,14 @@ queue of pairs, whose S-polynomials are formed only when popped, the pair
 order, the coprime and triangular pair criteria and the drain loop.  A ring
 adapter supplies only what differs:
 
-- `reduce` (one division of an S-polynomial, returning the remainder),
-  `reduced` and `normalize`;
-- `rank` (which triangular candidate is tried first);
+- `reduce` (one division of an S-polynomial, returning the remainder and,
+  over K[x1], the division's multiplier, which the run records for the
+  pair in `reductions`), `reduced` and `normalize`;
+- `rank`, or None: which triangular candidate is tried first, a constant
+  multiplier ranking lowest; a ring without it takes any candidate it
+  excuses, cheapest first;
 - `excuse`: whether a pair with a given skip multiplier may be skipped, and
-  what that entails; a triangular candidate's rank comes along, so the
-  residue ring reads a unit off it;
+  what that entails;
 - `fold_univariate(run, r)` for a univariate member (False once the ideal is
   trivial) and `finish(run)`, which turns the drained run into an outcome;
 - `supersedes(h, g)`, or None: which elements a new element h retires from
@@ -293,6 +295,13 @@ class Elimination:
     through the element that retired h.  `_ResidueRing` gives the argument
     in its ring.
 
+    A run may start from the basis of an earlier run over a ring that maps
+    onto this one, the pseudo basis of a residue-ring run: `run` takes, once
+    the elements are loaded, the pairs whose reduction in the earlier run
+    still stands here (the ring's transfer test decides which), marks them
+    decided in `transferred`, decides every other pair and retires every
+    loaded element another loaded element supersedes.
+
     A rebase is one call, `remap`, which applies one rule to the whole run:
     see there.
     """
@@ -310,6 +319,8 @@ class Elimination:
         self.inconsistent = False
         self.superseded: set = set()    # slots `retire` moved out of the basis, until a rebase
         self.supersedes = ring.supersedes if strategy.triangular_skip else None
+        self.transferred: set = set()   # pairs an earlier run's reduction decided, until a rebase
+        self.reductions: dict = {}      # (i, j) -> multiplier of the division that reduced S(i, j)
 
     def polys(self) -> list[MultiPoly]:
         return [f for _, _, f in self.basis]
@@ -342,9 +353,15 @@ class Elimination:
         superseder may lose its leading coefficient; every element is moved,
         and one that becomes univariate leaves the run and is returned for
         folding; an element that left, or whose leading monomial moved,
-        loses the queued pairs and decisions that read it; and every basis
-        pair without a decision is decided.  Every other queued pair is
-        formed from the moved elements when it is popped.
+        loses the queued pairs and decisions that read it; every transferred
+        decision is forgotten and its pair queued, since the ring's transfer
+        test read the old modulus; and every basis pair without a decision
+        is decided.  Every other queued pair is formed from the moved
+        elements when it is popped.
+
+        A forgotten transfer is queued, not decided again by a criterion: a
+        pair excused through the triangular identity may have read it as a
+        companion, and that pair could then excuse it back.
         """
         returned = [(sort_key(self.arena[k]), k, self.arena[k]) for k in self.superseded]
         self.superseded = set()
@@ -367,6 +384,9 @@ class Elimination:
             self.queue = [e for e in self.queue if e[2] not in moved and e[3] not in moved]
             heapify(self.queue)
             self.decided_pairs = {p for p in self.decided_pairs if not p & moved}
+        forgotten, self.transferred = self.transferred, set()
+        for i, j in sorted(sorted(p) for p in forgotten if not p & moved):
+            self.push(self.pair_key(i, j), i, j)
         self.decide_undecided()
         return univariates
 
@@ -406,28 +426,52 @@ class Elimination:
         # a pair may be excused through h only when both of its companion
         # pairs were already decided: the rewrite chain then points strictly
         # backwards and can never lose an S-polynomial in a cycle.
-        # lcm(lc f, lc g) is computed once per search, when a first candidate
-        # passes the monomial test, and serves every candidate's multiplier.
+        # A candidate's multiplier lc h / gcd(lcm(lc f, lc g), lc h) is lc h
+        # itself when lc h is a constant; otherwise it reads lcm(lc f, lc g),
+        # which is computed once per search, when a first candidate needs it.
+        # A ring with `rank` records the multiplier it excuses, so the lowest
+        # (rank, basis position) goes first: the first constant multiplier in
+        # basis order, which ranks lowest, or else the least of all ranks.
+        # Without `rank` any candidate the ring excuses will do: they are
+        # tried by degree of lc h, the constants (whose multiplier is a unit)
+        # first, and each multiplier is computed only when its turn comes.
         f, g = self.arena[i], self.arena[j]
         gamma = mon_lcm(f.lm, g.lm)
+        candidates = [
+            (pos, k, h) for pos, (_, k, h) in enumerate(self.basis)
+            if k not in (i, j)
+            and mon_divides(h.lm, gamma)
+            and frozenset((i, k)) in self.decided_pairs
+            and frozenset((j, k)) in self.decided_pairs
+        ]
         elem = f.ctx.ring.elem
         m = None
-        candidates = []
-        for pos, (_, k, h) in enumerate(self.basis):
-            if (
-                k in (i, j)
-                or not mon_divides(h.lm, gamma)
-                or frozenset((i, k)) not in self.decided_pairs
-                or frozenset((j, k)) not in self.decided_pairs
-            ):
-                continue
+
+        def multiplier(h):
+            nonlocal m
+            if h.lc.rep.is_constant:
+                return h.lc
             if m is None:
                 m = poly_lcm(f.lc.rep, g.lc.rep)
-            lam = elem(_triangular_lift(m, h))
-            candidates.append((self.ring.rank(lam), pos, k, lam))
-        candidates.sort(key=lambda t: t[:2])
-        for rank, _, k, lam in candidates:
-            if not self.ring.excuse(lam, rank):
+            return elem(_triangular_lift(m, h))
+
+        rank = self.ring.rank
+        if rank is None:
+            candidates.sort(key=lambda t: (t[2].lc.rep.degree, t[0]))
+            tried = ((k, multiplier(h)) for _, k, h in candidates)
+        else:
+            ranked = []
+            for pos, k, h in candidates:
+                lam = multiplier(h)
+                if lam.rep.is_constant:
+                    tried = [(k, lam)]
+                    break
+                ranked.append((rank(lam), pos, k, lam))
+            else:
+                ranked.sort(key=lambda t: t[:2])
+                tried = [(k, lam) for _, _, k, lam in ranked]
+        for k, lam in tried:
+            if not self.ring.excuse(lam):
                 continue
             if self.check and not check_triangular_identity(f, g, self.arena[k]):
                 raise AssertionError("triangular identity failed to verify")
@@ -436,21 +480,35 @@ class Elimination:
 
     # -- the main loop
 
-    def run(self, generators):
-        """Load the generators, decide every pair, drain the queue, finish.
+    def run(self, generators, transfer=None):
+        """Load the generators, decide every pair, retire, drain the queue, finish.
 
         `generators` is read lazily, so a ring that changes while a univariate
         generator is folded can project each later one when it is read.
+        `transfer(run, slots)`, given the slot of each generator (None for
+        one folded), returns the slot pairs whose decision carries over from
+        an earlier run; they are marked decided before every other pair is
+        decided.  Then each loaded element, in load order, retires those it
+        supersedes, as an element the drain inserts does.
         """
+        slots = []
         for f in generators:
             if f.is_coeff:
+                slots.append(None)
                 self.fold(f.as_coeff())
                 if self.inconsistent:
                     break
             else:
-                self.insert(self.ring.normalize(f))
+                slots.append(self.insert(self.ring.normalize(f)))
         if not self.inconsistent:
+            if transfer is not None:
+                self.transferred = {frozenset(p) for p in transfer(self, slots)}
+                self.decided_pairs |= self.transferred
             self.decide_undecided()
+            if self.supersedes is not None:
+                for slot in self.slots():
+                    if slot not in self.superseded:
+                        self.retire(slot)
             self.drain()
         return self.ring.finish(self)
 
@@ -461,7 +519,9 @@ class Elimination:
             s = spoly(self.arena[i], g, self.check)
             if s.is_zero:
                 continue
-            r = self.ring.reduce(s, self.polys())
+            r, lam = self.ring.reduce(s, self.polys())
+            if lam is not None:
+                self.reductions[i, j] = lam
             if r.is_coeff:
                 self.fold(r.as_coeff())
                 continue

@@ -13,8 +13,8 @@ term's coefficient, on representatives, has multiplier one.
 The eliminant search is `engine.Elimination`, the same one that runs over
 K[x1]; `_ResidueRing` adapts it.  S-polynomials and skip multipliers are
 the engine's, computed on representatives (never zero).  The adapter skips
-a pair only when the skip multiplier is a unit, ranks triangular candidates
-by the standard factor of their multiplier, retires the elements a new
+a pair only when the skip multiplier is a unit, takes the first triangular
+candidate whose multiplier it excuses (any will do), retires the elements a new
 element supersedes, scales each element it inserts whose leading
 coefficient is a unit to leading coefficient one, and folds univariate
 remainders into a shrinking modulus.  By default the ring itself is
@@ -25,6 +25,21 @@ basis when popped), which both matches the mathematics and keeps
 coefficients small.  Its finish step queues the pairs of the basis against
 the modulus, whose S-polynomial is `engine.spoly(f, q)`, and the final
 answer is read back in the ring we started from.
+
+The pipeline starts each run from the pseudo basis, not from the
+generators: <pseudo basis> + (q) = I + (q), because the basis holds every
+generator of positive degree in the tail variables up to a constant and
+q divides the pseudo-eliminant, which divides every univariate generator.
+A pair whose S-polynomial the K[x1] search reduced with a multiplier that
+is a unit mod q needs no reduction here when both leading monomials survive
+projection and no prime power p^e exactly dividing q divides either
+leading coefficient: the run's S-polynomial is then a unit times the
+projection of the K[x1] one plus annihilator multiples, which the modulus
+pairs cover (the argument is in `_ResidueRing`; Möller 1988, "On the
+construction of Gröbner bases using syzygies", JSC 6, for lifting
+syzygies over rings).
+Every other pair is decided in the ring, as every pair of a run started
+from the generators is.
 """
 
 from __future__ import annotations
@@ -35,7 +50,7 @@ from functools import partial
 from .engine import Division, Elimination, divide, lcm_step, reduced
 from .multipoly import MultiPoly, VarContext
 from .pseudo import StrategyConfig
-from .unipoly import UniPoly, content_scale, poly_gcd, poly_half_ext_gcd
+from .unipoly import UniPoly, content_scale, poly_gcd, poly_half_ext_gcd, squarefree_part
 
 
 class NotAUnitError(ValueError):
@@ -292,7 +307,40 @@ class _ResidueRing:
     its decisions and deciding all its pairs again lost a pair in a run
     that `test_rebase_keeps_the_decisions_of_restored_elements` pins.)
     Over K[x1] nothing is retired, because every pair the search skips
-    must record its multiplier for the authenticity screen.
+    must record its multiplier for the authenticity screen.  The loaded
+    elements of a run retire the ones they supersede once all their pairs
+    are decided, as an inserted element does.
+
+    Transferred pairs (`transferred`).  The run loads the pseudo basis, and
+    for a pair (f, g) of it the K[x1] search divided mu*S(f, g) = sum
+    h_k*b_k + r, every lm(h_k)*lm(b_k) below gamma = lcm(lm f, lm g), r an
+    element of the basis, zero or univariate (then a multiple of the
+    pseudo-eliminant).  Projected, and with mu a unit mod q, this is a
+    representation of the projected S-polynomial below gamma over the
+    loaded elements (each a unit times the projection of its original, or
+    univariate and folded into the modulus or e).  The run's S(f, g) reads
+    the representatives F and G of the projected leading coefficients.
+    Take a prime power p^e of q with a = v_p(F) <= b = v_p(G), both below
+    e: then projection keeps both valuations, so at p the lcm cofactor of
+    G is a unit both on representatives and over K[x1].  Choosing the unit
+    w at p that equates the two cofactors of g, the run's S(f, g) minus w
+    times the projected one is c*(gamma/lm f)*f with c*F = 0 at p: an
+    annihilator multiple on the partner with the smaller valuation, which
+    equals c'*tail(f) and so a multiple of the modulus pair S(f, q).  By
+    the Chinese remainder theorem over the prime powers of q, the run's
+    S(f, g) is a unit times the projected one plus such multiples, so it
+    has a representation below gamma once the modulus pairs of f and g
+    have theirs.  The finish step queues those pairs for every basis
+    element whose leading coefficient is no unit, and a retired element's
+    goes through (iii) to its superseder, whose valuations are no larger;
+    where a transferred S(g, h) serves (iii), its annihilator multiple
+    falls on h, the partner with the smaller valuation, so the chain runs
+    toward smaller valuations and has no cycle.  If p^e divides G the two
+    syzygies can disagree at p (on representatives the cofactor of G need
+    not be a unit there), so `transferred` refuses the pair; with one
+    prime this only says that lm g survives.  A rebase lowers e, so it
+    forgets every transferred decision and queues its pair
+    (`Elimination.remap`).
     """
 
     reduced = staticmethod(properly_reduced)
@@ -322,25 +370,63 @@ class _ResidueRing:
         self.e: UniPoly | None = None   # nonzero temporary eliminant (no base change)
         self.behead_done: set = set()   # tested (slot, q or e); q and e only shrink
 
-    def reduce(self, s: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+    def reduce(self, s: MultiPoly, basis: list[MultiPoly]):
         if s.is_coeff:
-            return s
-        return proper_divide(s, basis).remainder
+            return s, None
+        return proper_divide(s, basis).remainder, None
+
+    def transferred(self, originals: list[MultiPoly], settled: dict, run: Elimination, slots):
+        """The slot pairs of `settled` whose K[x1] reduction stands in this ring.
+
+        `originals[n]` was loaded into `slots[n]`, and `settled` maps pairs of
+        positions to the multiplier of that reduction.  A pair stands when the
+        multiplier is a unit, both leading monomials survive projection and
+        for every prime power p^e exactly dividing q neither leading
+        coefficient is divisible by p^e: with r the radical of q, g*r
+        divides q for g = gcd(lc, q), which a unit leading coefficient
+        passes at once.
+        """
+        q = self.ring.modulus
+        radical = []                    # the radical of q, once a test needs it
+        stands = {}                     # position -> whether its element passes
+        units = {}                      # multiplier -> whether it is a unit mod q
+
+        def standing(n: int) -> bool:
+            if n not in stands:
+                f = None if slots[n] is None else run.arena[slots[n]]
+                ok = f is not None and f.lm == originals[n].lm
+                if ok and not f.lc.rep.is_constant:
+                    g = poly_gcd(f.lc.rep, q)
+                    if not g.is_constant:
+                        if not radical:
+                            radical.append(squarefree_part(q))
+                        ok = (q % (g * radical[0])).is_zero
+                stands[n] = ok
+            return stands[n]
+
+        def unit(lam: UniPoly) -> bool:
+            if lam.is_constant:
+                return True
+            if lam not in units:
+                units[lam] = poly_gcd(lam, q).is_constant
+            return units[lam]
+
+        return [
+            (slots[a], slots[b]) for (a, b), lam in settled.items()
+            if standing(a) and standing(b) and unit(lam)
+        ]
 
     @staticmethod
     def supersedes(h: MultiPoly, g: MultiPoly) -> bool:
         """Whether the leading term of g has a proper step against h alone (see above)."""
         return _proper_step([h], g.lm, g.lc) is not None
 
-    def rank(self, lam: PqrElem):
-        """(deg gcd(lam, q), the rest of deg lam): lam is a unit exactly when rank[0] == 0."""
-        st = poly_gcd(lam.rep, self.ring.modulus)
-        return (st.degree, lam.rep.degree - st.degree)
+    # any triangular candidate whose multiplier `excuse` accepts will do
+    rank = None
 
-    def excuse(self, lam: PqrElem, rank=None) -> bool:
-        """Whether lam excuses a pair; a triangular candidate's `rank` already tells a unit."""
-        unit = lam.is_unit() if rank is None else rank[0] == 0
-        return unit or (
+    def excuse(self, lam: PqrElem) -> bool:
+        """Whether lam excuses a pair: a unit, or, under chi-delta, coprime to e."""
+        return lam.is_unit() or (
             self.strategy.chi_delta
             and not self.strategy.base_change
             and self.e is not None
@@ -416,16 +502,21 @@ def proper_eliminant(
     generators: list[MultiPoly],
     var_ctx: VarContext,
     strategy: StrategyConfig | None = None,
+    settled: dict | None = None,
 ) -> ProperOutcome:
     """Modular eliminant/basis computation over a residue context.
 
     `generators` are polynomials over the base context (coefficients in
     K[x1]); each is projected coefficient-wise into the ring the run is in
     when it reads it: a univariate generator may rebase the ring before the
-    next is read.
+    next is read.  The pipeline passes the pseudo basis, with
+    `PseudoOutcome.settled` as `settled`: the pairs whose K[x1] reduction
+    stands in the ring (`_ResidueRing.transferred`) are decided without
+    being formed.  Without `settled` every pair is decided in the ring.
     """
     strategy = strategy or StrategyConfig()
     ring = _ResidueRing(var_ctx, strategy)
+    transfer = partial(ring.transferred, generators, settled) if settled else None
     return Elimination(ring, var_ctx.order, strategy).run(
-        project_multipoly(g, ring.var_ctx) for g in generators
+        (project_multipoly(g, ring.var_ctx) for g in generators), transfer
     )

@@ -16,12 +16,15 @@ of pqr.py; `_PseudoRing` adapts it to K[x1].  S-polynomials are processed
 smallest first, pairs with coprime leading monomials or with a usable
 triangular identity are pruned, and every non-constant multiplier used, by a
 division or by a pruned pair, is collected; those multipliers are what later
-decides which factors of the result are trustworthy.
+decides which factors of the result are trustworthy.  The multiplier of
+each division that reduced a pair is also kept, by the pair's positions in
+the basis (`PseudoOutcome.settled`): the residue-ring runs start from this
+basis and skip the pairs whose reduction still stands there (pqr.py).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .compat import poly_sort_key
 from .engine import DEBUG_ENV, debug_checks_enabled  # re-exported: the switch lives in engine
@@ -115,6 +118,8 @@ class PseudoOutcome:
     multipliers: list               # non-constant reduction multipliers, monic
     lc_gcds: list                   # gcd(lc b, eliminant) sweep, monic, non-constant
     inconsistent: bool = False
+    # (a, b) -> multiplier of the division that reduced S(basis[a], basis[b]), a < b
+    settled: dict = field(default_factory=dict)
 
     @property
     def screen_multipliers(self) -> list:
@@ -143,15 +148,16 @@ class _PseudoRing:
     def normalize(self, f: MultiPoly) -> MultiPoly:
         return normalize_content(f)
 
-    def reduce(self, s: MultiPoly, basis: list[MultiPoly]) -> MultiPoly:
+    def reduce(self, s: MultiPoly, basis: list[MultiPoly]):
         division = pseudo_divide(s, basis)
-        self.record(division.multiplier)
-        return division.remainder
+        lam = division.multiplier
+        self.record(lam)
+        return division.remainder, lam
 
     def rank(self, lam: UniPoly) -> int:
         return squarefree_part(lam).degree
 
-    def excuse(self, lam: UniPoly, rank=None) -> bool:
+    def excuse(self, lam: UniPoly) -> bool:
         self.record(lam)
         return True
 
@@ -186,11 +192,18 @@ class _PseudoRing:
             d = poly_gcd(b.lc, chi)
             if not d.is_constant:
                 lc_gcds[d.monic()] = None
+        # nothing leaves the basis over K[x1], so every reduced pair has its positions
+        position = {slot: n for n, (_, slot, _) in enumerate(run.basis)}
+        settled = {}
+        for (i, j), lam in run.reductions.items():
+            a, b = sorted((position[i], position[j]))
+            settled[a, b] = lam
         return PseudoOutcome(
             eliminant=chi,
             basis=basis,
             multipliers=multipliers,
             lc_gcds=sorted(lc_gcds, key=poly_sort_key),
+            settled=settled,
         )
 
 

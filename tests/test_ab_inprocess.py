@@ -76,3 +76,50 @@ def test_differing_pool_indices_and_keys_are_named(tmp_path):
     assert results["compat_q"]["differing"] == {
         "count": 7, "first": [0, 1, 2, 3, 4], "keys": ["order", "verdicts"]}
     assert "7 differ, first at pool indices 0, 1, 2, 3, 4; keys: order, verdicts" in done.stdout
+
+
+def _differential(a, b, ideals: int):
+    done = subprocess.run(
+        [sys.executable, str(TOOL), str(a), str(b), "--differential", "1", "--ideals", str(ideals)],
+        capture_output=True, text=True, timeout=300,
+        env={k: v for k, v in os.environ.items() if k != "ELIMINANT_DEBUG_CHECKS"},
+    )
+    return done, json.loads(done.stdout.splitlines()[-1])
+
+
+TOGGLE_SETS = ["default", "no-base-change", "no-chi-delta", "no-chi-delta,no-base-change",
+               "no-coprime-skip", "no-triangular-skip"]
+
+
+def test_differential_a_a_run_finds_no_difference():
+    done, results = _differential(ROOT, ROOT, 6)
+    assert done.returncode == 0, done.stderr
+    assert sorted(results) == TOGGLE_SETS
+    for classes in results.values():
+        assert sorted(classes) == ["components", "eliminant", "tails", "verdicts"]
+        assert all(c == {"count": 0, "first": []} for c in classes.values())
+
+
+def test_differential_sorts_differences_into_tails_and_verdicts(tmp_path):
+    # the printed bases change after their leading terms only: tails, which
+    # pass; flipped verdicts fail the run
+    tails = _changed_tree(tmp_path / "tails", (
+        "\nimport json as _json\nfrom . import cli\n_to_json = cli.PipelineReport.to_json\n"
+        "def _padded(self):\n"
+        "    report = _json.loads(_to_json(self))\n"
+        "    for comp in report.get('components', []):\n"
+        "        comp['basis'] = [b + ' + 0' for b in comp['basis']]\n"
+        "    return _json.dumps(report)\n"
+        "cli.PipelineReport.to_json = _padded\n"))
+    done, results = _differential(ROOT, tails, 6)
+    assert done.returncode == 0, done.stderr
+    for classes in results.values():
+        assert classes["tails"]["count"] > 0
+        assert all(classes[c]["count"] == 0 for c in ("eliminant", "components", "verdicts"))
+    flipped = _changed_tree(tmp_path / "flipped", (
+        "\n_is_member = is_member\nis_member = lambda f, dec: not _is_member(f, dec)\n"))
+    done, results = _differential(ROOT, flipped, 6)
+    assert done.returncode == 1, done.stderr
+    for classes in results.values():
+        assert classes["verdicts"]["count"] > 0 and classes["tails"]["count"] == 0
+    assert "verdicts" in done.stdout

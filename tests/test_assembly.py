@@ -39,6 +39,7 @@ from eliminant.pqr import (
 from eliminant.pseudo import DEBUG_ENV, StrategyConfig, pseudo_eliminant, normalize_content
 from eliminant.unipoly import UniPoly, exact_div, poly_gcd
 from util import (
+    STRATEGIES,
     P,
     U,
     quotients,
@@ -1054,10 +1055,6 @@ def test_proper_bases_over_their_component_ring_need_no_projection(monkeypatch):
 # -- one basis per component, whatever the strategy ----------------------------------
 
 
-STRATEGIES = (
-    "", "no-coprime-skip", "no-triangular-skip", "no-chi-delta", "no-base-change",
-    "no-chi-delta,no-base-change",
-)
 # seed-701 `modular_gf` pool ideals whose bases differed between strategies
 # while each leading coefficient kept the unit its run gave it
 STRATEGY_DEPENDENT = (90, 94, 182, 190, 194, 282, 290, 294, 382, 390, 394)

@@ -5,10 +5,17 @@ from fractions import Fraction
 
 import pytest
 
-from eliminant import engine
-from eliminant.assembly import Component, component_remainder, is_member, lift_component_basis
+from eliminant import engine, pqr
+from eliminant.assembly import (
+    Component,
+    assemble,
+    component_remainder,
+    is_member,
+    lift_component_basis,
+)
 from eliminant.buchberger import oracle_eliminant, oracle_member, reduced_groebner
 from eliminant.cli import run_pipeline
+from eliminant.compat import compatible_split
 from eliminant.engine import Elimination, check_triangular_identity, spoly, triangular_multiplier
 from eliminant.fields import GF, QQ
 from eliminant.multipoly import MultiPoly, base_context, mon_lcm, mon_mul
@@ -23,9 +30,11 @@ from eliminant.pqr import (
     properly_reduced,
     residue_context,
 )
-from eliminant.pseudo import StrategyConfig
+from eliminant.pseudo import NotZeroDimensionalError, StrategyConfig, pseudo_eliminant
 from eliminant.unipoly import UniPoly, poly_ext_gcd, poly_gcd
+from test_differential import random_ideal_text
 from util import (
+    STRATEGIES,
     P,
     U,
     ctx3,
@@ -417,9 +426,10 @@ def test_rebase_while_loading_decides_no_pair_twice(monkeypatch):
     )
 
 
-# over GF(5) the composite divisor z^3 runs a residue ring in which
-# h = z^2*x*y arrives while g = z^2*x^2*y + 3*z^2*x is in the basis, with the
-# pair (g, h) queued: lm h divides lm g and lc h = lc g, so h supersedes g
+# over GF(5) the composite divisor z^3 runs a residue ring that starts from
+# the pseudo basis, in which h = z^2*y supersedes g = z^2*x*y: lm h divides
+# lm g and lc h = lc g.  The pair (g, h) was not reduced over K[x1], so it is
+# decided, and queued, before the loaded elements retire the ones they supersede
 RETIRING_GF5 = """field GF 5
 vars z < y < x
 ideal:
@@ -466,7 +476,7 @@ def test_residue_run_retires_superseded_elements(monkeypatch):
     retired = [(n, g, queued) for n, (kind, g, queued) in enumerate(log) if kind == "retired"]
     # the first retirement leaves the pair (g, h) queued; it is still formed
     n, g, queued = retired[0]
-    assert g == parse_poly("z^2*y*x^2 + 3*z^2*x", g.ctx) and len(queued) == 1
+    assert g == parse_poly("z^2*y*x", g.ctx) and len(queued) == 1
     assert any(kind == "formed" and g in ops for kind, *ops in log[n + 1 :])
     _agrees_with_oracle(ideal, dec, ("z^2*x", "z^2*y", "z^2", "x*y^2 + y", "z^2*x*y + 1"))
     # only the triangular criterion retires elements
@@ -602,3 +612,166 @@ def test_incompatible_multiplicity_consequence():
     chi = oracle_eliminant(reduced_groebner(ideal.generators), QQ)
     assert multiplicity(U("z"), chi) == 6
     assert multiplicity(U("z+1"), chi) == 0
+
+
+# -- residue runs that start from the pseudo basis ------------------------------------
+
+
+FIXTURES = pathlib.Path(__file__).parent / "fixtures"
+
+
+def _warm_and_cold(ideal, strategy):
+    """(residue runs, decomposition) with every run started warm, then cold; None if refused.
+
+    A warm run starts from the pseudo basis with the pairs it settled, as
+    the pipeline starts it; a cold run starts from the generators with
+    nothing settled.
+    """
+    try:
+        pseudo = pseudo_eliminant(ideal.generators, strategy)
+    except NotZeroDimensionalError:
+        return None
+    if pseudo.inconsistent:
+        return None
+    split = compatible_split(pseudo.eliminant, pseudo.screen_multipliers)
+    originals = [g for g in ideal.generators if not g.is_coeff]
+    starts = ((pseudo.basis, pseudo.settled), (originals, None))
+    out = []
+    for gens, settled in starts:
+        runs = {
+            q: proper_eliminant(gens, residue_context(ideal.ctx, q), strategy, settled)
+            for q in split.composite_divisors()
+        }
+        out.append((runs, assemble(pseudo, split, runs, ideal.ctx)))
+    return out
+
+
+def _warm_matches_cold(text: str, toggles: str) -> bool:
+    """Check that warm and cold runs agree; False when the ideal is refused or trivial."""
+    ideal = parse_ideal_file(text)
+    out = _warm_and_cold(ideal, StrategyConfig.from_toggles(toggles))
+    if out is None:
+        return False
+    (warm_runs, warm), (cold_runs, cold) = out
+    codes = [{q: run.eliminant_code for q, run in runs.items()} for runs in (warm_runs, cold_runs)]
+    assert codes[0] == codes[1]
+    assert [c.modulus for c in warm.components] == [c.modulus for c in cold.components]
+    assert [t.source_modulus for t in warm.trivial] == [t.source_modulus for t in cold.trivial]
+    for a, b in zip(warm.components, cold.components):
+        for mine, other in ((a, b), (b, a)):
+            for f in lift_component_basis(mine, ideal.ctx):
+                assert component_remainder(f, other).is_zero, (toggles, f.fmt())
+    return True
+
+
+@pytest.mark.parametrize("toggles", STRATEGIES, ids=lambda t: t or "default")
+@pytest.mark.parametrize(
+    "path", sorted(FIXTURES.rglob("*.ideal")), ids=lambda p: f"{p.parent.name}/{p.name}"
+)
+def test_warm_run_matches_cold_run_on_fixtures(path, toggles):
+    _warm_matches_cold(path.read_text(), toggles)
+
+
+def test_warm_run_matches_cold_run_on_random_ideals():
+    rng = random.Random(1)
+    texts = [random_ideal_text(rng) for _ in range(200)]
+    compared = sum(_warm_matches_cold(text, toggles) for text in texts for toggles in STRATEGIES)
+    assert compared > 500, compared
+
+
+def test_warm_run_divides_less(monkeypatch):
+    # the pseudo run reduced every pair this GF(5) fixture's residue runs
+    # need, with unit multipliers: the warm runs divide nothing
+    calls = []
+    divide = pqr.proper_divide
+
+    def counted(f, divisors):
+        calls.append(f)
+        return divide(f, divisors)
+
+    monkeypatch.setattr(pqr, "proper_divide", counted)
+    ideal = parse_ideal_file((FIXTURES / "grevlex_gf5.ideal").read_text())
+    pseudo = pseudo_eliminant(ideal.generators)
+    divisors = compatible_split(pseudo.eliminant, pseudo.screen_multipliers).composite_divisors()
+    counts = []
+    for gens, settled in ((pseudo.basis, pseudo.settled), (ideal.generators, None)):
+        for q in divisors:
+            proper_eliminant(gens, residue_context(ideal.ctx, q), None, settled)
+        counts.append(len(calls))
+        calls.clear()
+    assert len(divisors) == 2 and counts == [0, 4]
+
+
+# over GF(5) the composite divisor is z^2*(z+1)^2.  The pseudo run reduced
+# S(f, g) for f = x + 3*z*(z+1)^2*y and g = z^2*(z+1)*x^2 + ... with
+# multiplier one, but lc g is divisible by z^2, the full power of z in q, so
+# the run's S-polynomial need not be a unit times the projected one at z
+GUARDED_GF5 = """field GF 5
+vars z < y < x
+ideal:
+z^2*(z+1)^2
+x + 3*z*(z+1)^2*y
+2*z*y^2*x + y^2 + 3*z^2*(z+1)*x^2
+"""
+
+
+def test_transfer_guard_decides_a_pair_with_a_full_prime_power_afresh(monkeypatch):
+    ideal = parse_ideal_file(GUARDED_GF5)
+    pseudo = pseudo_eliminant(ideal.generators)
+    q = U("z^2*(z+1)^2", field=ideal.field)
+    assert compatible_split(pseudo.eliminant, pseudo.screen_multipliers).composite_divisors() == [q]
+    (a, b), lam = next(iter(pseudo.settled.items()))
+    assert len(pseudo.settled) == 1 and lam.is_one
+    f, g = pseudo.basis[a], pseudo.basis[b]
+    assert f.lc.is_constant and g.lc == U("z^2*(z+1)", field=ideal.field)
+    decided = []
+    decide_pair = Elimination.decide_pair
+
+    def spy_decide(run, i, j, key):
+        h, k = run.arena[i], run.arena[j]
+        if isinstance(h.ctx.ring, PqrCtx) and (h.lm, k.lm) == (f.lm, g.lm):
+            decided.append(len(run.queue))
+            decide_pair(run, i, j, key)
+            decided.append(len(run.queue))
+        else:
+            decide_pair(run, i, j, key)
+
+    monkeypatch.setattr(Elimination, "decide_pair", spy_decide)
+    dec = run_pipeline(ideal).decomposition
+    # no transfer: the pair is decided in the ring, and queued there
+    assert len(decided) == 2 and decided[1] == decided[0] + 1
+    _agrees_with_oracle(ideal, dec, ("x*y", "y^2", "x + 1", "z^2*(z+1)*y", "z*(z+1)^2*x*y"))
+
+
+def test_rebase_forgets_transferred_decisions(monkeypatch):
+    # a rebase drops every transferred decision before it decides the pairs
+    # without one, and queues its pair (or decides it afresh, when an element
+    # of it moved): the transfer test read the old modulus
+    seen = []
+    remap, decide_undecided = Elimination.remap, Elimination.decide_undecided
+
+    def spy_remap(run, move):
+        transferred = set(run.transferred)
+        run.checked = None
+        out = remap(run, move)
+        assert run.checked is not None, "the rebase decided no pairs"
+        alive = {p for p in transferred if all(run.arena[k] is not None for k in p)}
+        queued = {frozenset(e[2:]) for e in run.queue}
+        assert not run.transferred and alive <= queued | run.checked
+        seen.append(len(transferred))
+        return out
+
+    def spy_decide_undecided(run):
+        if getattr(run, "checked", False) is None:
+            # the pairs this call decides: of elements whose leading monomial moved
+            assert not run.transferred
+            ids = run.slots()
+            pairs = {frozenset((i, j)) for a, i in enumerate(ids) for j in ids[a + 1 :]}
+            run.checked = pairs - run.decided_pairs
+        decide_undecided(run)
+
+    monkeypatch.setattr(Elimination, "remap", spy_remap)
+    monkeypatch.setattr(Elimination, "decide_undecided", spy_decide_undecided)
+    for path in sorted((FIXTURES / "rebase").glob("*.ideal")):
+        run_pipeline(parse_ideal_file(path.read_text()))
+    assert sum(n > 0 for n in seen) >= 3, seen

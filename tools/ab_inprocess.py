@@ -18,6 +18,22 @@ summed probe time of an ideal (`probe`) and for each probe's own best time
 (`per_probe`), the figure that perfbench's `probe_*` metrics count.  The
 last line of standard output is one JSON object with those figures per
 workload.  An A/A run (one tree twice) shows the noise floor.
+
+    python3 tools/ab_inprocess.py PARENT_TREE CHANGED_TREE --differential 1
+
+`--differential SEED` times nothing.  It compares the full reports of the
+first `--ideals` (default 1200) texts that `tests/test_differential.py`'s
+`random_ideal_text` draws from `random.Random(SEED)`, each under the six
+toggle sets of `STRATEGIES`, with two probes per text built from its
+generator lines as that test's `random_probe` builds them.  A refusal is a
+report too.  Each differing (text, toggle set) goes into the first class
+that applies: `eliminant` (a refusal, or any report key outside the
+components), `components` (a component's kind, moduli, proper eliminant or
+the leading terms of its basis, or the trivial components), `verdicts`, and
+`tails` (only the tails of basis elements).  It prints the count per toggle
+set and class with the first few text indices, and the last line is one
+JSON object of the same; the exit status is 1 when anything but tails
+differs.
 """
 
 from __future__ import annotations
@@ -26,6 +42,7 @@ import argparse
 import importlib
 import json
 import os
+import random
 import shutil
 import statistics
 import sys
@@ -36,6 +53,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 DEBUG_ENV = "ELIMINANT_DEBUG_CHECKS"
 SHOWN = 5                    # differing pool indices printed per workload
+STRATEGIES = ("", "no-coprime-skip", "no-triangular-skip", "no-chi-delta", "no-base-change",
+              "no-chi-delta,no-base-change")
+CLASSES = ("eliminant", "components", "verdicts", "tails")
+PROBE_FACTORS = ("1", "z", "y", "z+1", "2*y-z")
 
 
 def load_side(tree: Path, name: str, into: Path):
@@ -124,6 +145,71 @@ def compare(sides, workload, seed: int, ideals: int | None, rounds: int) -> dict
     return out
 
 
+def probe_texts(rng: random.Random, text: str, count: int = 2) -> list[str]:
+    """Probe texts as `test_differential.random_probe` builds probes, from the generator lines."""
+    gens = text.split("ideal:\n", 1)[1].splitlines()
+    out = []
+    for _ in range(count):
+        parts = [f"({rng.choice(PROBE_FACTORS)})*({g})" for g in gens if rng.random() < 0.7]
+        member = " + ".join(parts) or "0"
+        out.append(member + " + 1" if rng.random() < 0.5 else member)
+    return out
+
+
+def full_report(side, text: str, toggles: str, probes: list[str]) -> dict:
+    """What a text gives on one side: the report's JSON, the components' heads, the verdicts."""
+    pkg, cli = side
+    ideal = pkg.parse_ideal_file(text)
+    try:
+        report = cli.run_pipeline(ideal, pkg.StrategyConfig.from_toggles(toggles))
+    except pkg.NotZeroDimensionalError:
+        return {"refused": True}
+    dec = report.decomposition
+    return {
+        "json": json.loads(report.to_json()),
+        "heads": [(comp.kind, comp.modulus.fmt(), [(b.lm, b.lc.rep.fmt()) for b in comp.basis])
+                  for comp in dec.components],
+        "verdicts": [pkg.is_member(pkg.parse_poly(t, ideal.ctx), dec) for t in probes],
+    }
+
+
+def difference_class(a: dict, b: dict) -> str | None:
+    """The first class of `CLASSES` in which two `full_report`s differ, or None."""
+    if a == b:
+        return None
+    if "refused" in a or "refused" in b:
+        return "eliminant"
+    ja, jb = a["json"], b["json"]
+    outside = ("components", "trivial_components")
+    if any(ja.get(k) != jb.get(k) for k in ja.keys() | jb.keys() if k not in outside):
+        return "eliminant"
+    if a["heads"] != b["heads"] or ja.get("trivial_components") != jb.get("trivial_components"):
+        return "components"
+    if a["verdicts"] != b["verdicts"]:
+        return "verdicts"
+    return "tails"
+
+
+def differential(sides, seed: int, ideals: int) -> dict:
+    sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
+    from test_differential import random_ideal_text
+
+    rng = random.Random(seed)
+    found = {t: {c: [] for c in CLASSES} for t in STRATEGIES}
+    for i in range(ideals):
+        text = random_ideal_text(rng)
+        probes = probe_texts(random.Random(f"{seed}:{i}"), text)
+        for toggles in STRATEGIES:
+            kind = difference_class(*(full_report(side, text, toggles, probes) for side in sides))
+            if kind is not None:
+                found[toggles][kind].append(i)
+    return {
+        toggles or "default": {c: {"count": len(seen), "first": seen[:SHOWN]}
+                               for c, seen in found[toggles].items()}
+        for toggles in STRATEGIES
+    }
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("a", type=Path, help="source tree of side A (the parent)")
@@ -133,6 +219,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seed", type=int, default=701)
     ap.add_argument("--ideals", type=int, default=None, help="pool prefix (default whole pool)")
     ap.add_argument("--rounds", type=int, default=3)
+    ap.add_argument("--differential", type=int, metavar="SEED", help="compare the reports of "
+                    "random ideals under every toggle set instead of timing the pools")
     args = ap.parse_args(argv)
     if os.environ.get(DEBUG_ENV, "") not in ("", "0"):
         print(f"refusing to run: {DEBUG_ENV} turns on expansion checks, which change the cost",
@@ -151,6 +239,15 @@ def main(argv=None) -> int:
         sys.path.insert(0, tmp)
         sides = [load_side(args.a.resolve(), "ab_a", Path(tmp)),
                  load_side(args.b.resolve(), "ab_b", Path(tmp))]
+        if args.differential is not None:
+            results = differential(sides, args.differential, args.ideals or 1200)
+            for toggles, res in results.items():
+                print(f"{toggles}: " + ", ".join(
+                    f"{c} {r['count']}" + (f" (first {', '.join(map(str, r['first']))})"
+                                           if r["count"] else "")
+                    for c, r in res.items()))
+            print(json.dumps(results, sort_keys=True))
+            return int(any(r[c]["count"] for r in results.values() for c in CLASSES[:3]))
         for name in names:
             res = results[name] = compare(sides, gen.WORKLOADS[name], args.seed, args.ideals,
                                           args.rounds)
