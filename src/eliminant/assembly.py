@@ -9,18 +9,18 @@ normal forms, recombine by the Chinese remainder theorem over the pairwise
 coprime moduli.
 
 Reduction here is gcd-division: a term is reducible when its coefficient
-lies in the ideal generated by the gcd of the eligible leading coefficients,
-and the reduction combines all eligible divisors through that gcd's
-cofactors.  This is the membership-grade reduction; the eliminant engines
-never use it because the cofactors are where coefficient swell hides.
+lies in the ideal generated by g = gcd(q, eligible leading coefficients),
+that is, when g divides it, and the reduction combines all eligible divisors
+through the cofactors of g against the modulus.  Every step has multiplier
+one, so the verdict is read off the remainder.  This is the
+membership-grade reduction; the eliminant engines never use it because the
+cofactors are where coefficient swell hides.
 
-The gcd, its cofactors and its gcd with the modulus depend only on which
-divisors are eligible, so a step looks them up in a table keyed by the
-tuple of eligible indices.  Each gcd-division builds its own table, and each
-component owns one for its basis, which never changes after assembly; the
-component's first probe fills it, so assembly itself never pays for it.
-When the gcd divides the term's coefficient the step needs no multiplier:
-the dividend is not rescaled and the verdict is read off the remainder.
+The gcd and its cofactors depend only on which divisors are eligible, so a
+step looks them up in a table keyed by the tuple of eligible indices.  Each
+gcd-division builds its own table, and each component owns one for its
+basis, which never changes after assembly; the component's first probe
+fills it, so assembly itself never pays for it.
 
 Probes skip gcd-division in a component in shape position, the generic case
 by the Shape Lemma (Gianni & Mora 1987): its reduced basis is one element
@@ -29,9 +29,8 @@ basis scales every unit leading coefficient to one).  That basis generates
 <x_i - r_i> with r_i = -t_i, so f reduces to the residue f(x1, r), which is
 the unique remainder and therefore the gcd-division remainder.  The first
 probe reads r off the basis, as it fills the step table of other
-components.  Unit multipliers of gcd-division (`PqrElem.inverse`) and the
-CRT data of normal forms are inverted by `poly_half_ext_gcd` with q, which
-tracks only the one cofactor an inverse needs.
+components.  The CRT data of normal forms are inverted by
+`poly_half_ext_gcd`, which tracks only the one cofactor an inverse needs.
 Probes keep what they build in the component's `images`: the powers of each
 r_i, reduced mod q, and the image r_1^a_1*...*r_n^a_n of each tail monomial
 they meet.  That is one image per distinct tail monomial probed, of degree
@@ -48,11 +47,11 @@ as every one is under base change, is used as it is.
 
 The basis ladder (irredundant, then minimal, then reduced) asks of most
 elements only whether a step exists.  That needs no cofactors: a term is
-reducible exactly when some divisor is eligible and gcd(g, q), the gcd of
-the modulus and the eligible leading coefficients, divides its
-coefficient.  The minimal pass computes cofactors only for the elements it
-replaces.  Every element the ladder makes is brought to `standard_form`:
-its leading coefficient is the monic gcd of itself with the modulus.
+reducible exactly when some divisor is eligible and g, the gcd of the
+modulus and the eligible leading coefficients, divides its coefficient.
+The minimal pass computes cofactors only for the elements it replaces.
+Every element the ladder makes is brought to `standard_form`: its leading
+coefficient is the monic gcd of itself with the modulus.
 """
 
 from __future__ import annotations
@@ -123,20 +122,22 @@ def _eligible(divisors, mon) -> tuple:
 
 
 def _lc_gcd(divisors, hits, ring: PqrCtx):
-    """(g, cofactors as residues, gcd(g, q)) for the divisors at `hits`.
+    """(g, cofactors as residues) for the divisors at `hits`.
 
-    g is the monic gcd of their leading coefficients' representatives and
-    the cofactors combine those representatives into g.
+    g = gcd(q, lc_1, ..., lc_k) is monic, and the cofactors a_i give
+    a_1*lc_1 + ... + a_k*lc_k = g mod q: q's own cofactor is dropped.  When
+    the leading coefficients are monic divisors of q, as in every reduced
+    basis, their gcd already divides q, and appending q changes neither g
+    nor the cofactors.
     """
-    g, cofs = poly_multi_ext_gcd([divisors[i].lc.rep for i in hits])
-    return g, [ring.elem(cof) for cof in cofs], poly_gcd(g, ring.modulus)
+    g, cofs = poly_multi_ext_gcd([divisors[i].lc.rep for i in hits] + [ring.modulus])
+    return g, [ring.elem(cof) for cof in cofs[:-1]]
 
 
 def _lc_content(divisors, hits, d: UniPoly) -> UniPoly:
     """Monic gcd of d and the leading coefficients of the divisors at `hits`.
 
-    With d the modulus this is the d_st of `_lc_gcd`, found without g's
-    cofactors: gcd(g, q) = gcd(q, lc_1, ..., lc_k).
+    With d the modulus this is the g of `_lc_gcd`, found without cofactors.
     """
     for i in hits:
         if d.is_one:
@@ -146,10 +147,11 @@ def _lc_content(divisors, hits, d: UniPoly) -> UniPoly:
 
 
 def _gcd_step(divisors, mon, c, table):
-    # the term is reducible when c lies in the ideal of the gcd g of all
-    # eligible leading coefficients; the step combines the eligible divisors
-    # through g's cofactors.  `_lc_gcd` depends only on which divisors are
-    # eligible, so `table` keeps it by the tuple of eligible indices.
+    # the term is reducible when g = gcd(q, eligible leading coefficients)
+    # divides c; then (c/g)*sum(a_i*lc_i) = c mod q, so the step subtracts
+    # (c/g)*a_i times each eligible divisor with multiplier one.  `_lc_gcd`
+    # depends only on which divisors are eligible, so `table` keeps it by
+    # the tuple of eligible indices.
     hits = _eligible(divisors, mon)
     if not hits:
         return None
@@ -157,43 +159,25 @@ def _gcd_step(divisors, mon, c, table):
     entry = table.get(hits)
     if entry is None:
         entry = table[hits] = _lc_gcd(divisors, hits, ring)
-    g, cofs, d_st = entry
-    if not d_st.is_constant and not (c.rep % d_st).is_zero:
-        return None
-    # when g divides the coefficient the step needs no multiplier
-    mu = ring.one_elem()
+    g, cofs = entry
     if g.is_one:
         scale = c
     else:
         quo, rem = divrem(c.rep, g)
-        if rem.is_zero:
-            scale = ring.elem(quo)
-        else:
-            # lcm(c, g) = c * (g / d) with d = gcd(g, c) = gcd(g, rem); both
-            # factors are scaled by 1/lc(c), as the monic lcm would be
-            d = poly_gcd(g, rem)
-            k = c.rep._lc_inverse()
-            interim = ring.elem(exact_div(g, d).scale(k))
-            if interim.is_unit():
-                mu, scale = interim, ring.elem(exact_div(c.rep, d).scale(k))
-            else:
-                # coefficient gcd has a non-unit cofactor against this term:
-                # rescale the combination instead of the dividend
-                w = _coprime_adjust(g, d_st, ring.modulus)
-                scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
+        if not rem.is_zero:
+            return None
+        scale = ring.elem(quo)
     parts = [(i, scale * cof) for i, cof in zip(hits, cofs)]
-    return mu, [(i, factor) for i, factor in parts if not factor.is_zero]
+    return ring.one_elem(), [(i, factor) for i, factor in parts if not factor.is_zero]
 
 
 def gcd_reduce(f: MultiPoly, divisors: list[MultiPoly], table: dict | None = None) -> Division:
     """Full gcd-division of f by the divisor list over a residue context.
 
-    The overall multiplier is always a unit: a reduction step has no
-    multiplier when the coefficient gcd divides the term, a unit interim
-    multiplier otherwise, or is replaced by a combination scaled through a
-    coprime adjustment of the coefficient gcd.  `table` is the step table of
-    this exact divisor list (see `Component.table`); without one, the call
-    builds its own.
+    Every step has multiplier one, for any divisors, so the multiplier of
+    the division is one and f - remainder lies in the ideal of the divisors.
+    `table` is the step table of this exact divisor list (see
+    `Component.table`); without one, the call builds its own.
     """
     return divide(f, divisors, partial(_gcd_step, table={} if table is None else table))
 
@@ -217,14 +201,14 @@ def _basis_sorted(basis: list[MultiPoly]) -> list[MultiPoly]:
 def _lt_reducible(b: MultiPoly, others: list[MultiPoly]) -> bool:
     """Whether `_gcd_step` has a step for b's leading term, without its cofactors.
 
-    It has one exactly when some divisor is eligible and d_st = gcd(g, q)
-    divides lc(b).
+    It has one exactly when some divisor is eligible and g, the gcd of q and
+    their leading coefficients, divides lc(b).
     """
     hits = _eligible(others, b.lm)
     if not hits:
         return False
-    d_st = _lc_content(others, hits, b.ctx.ring.modulus)
-    return d_st.is_constant or (b.lc.rep % d_st).is_zero
+    g = _lc_content(others, hits, b.ctx.ring.modulus)
+    return g.is_constant or (b.lc.rep % g).is_zero
 
 
 def standard_form(f: MultiPoly) -> MultiPoly:
@@ -278,19 +262,18 @@ def make_minimal(basis: list[MultiPoly]) -> list[MultiPoly]:
     irredundant basis and s_M = gcd(q, lc c : c in B, lm c | M) for a
     monomial M.  Every f in B is replaced by an element with leading
     monomial lm f whose leading coefficient is s_(lm f), and one replacement
-    is kept per leading monomial.  A replacement is built in standard form:
-    its leading coefficient is w^-1 * g = d_st, with g the gcd of the
-    eligible leading coefficients and w the unit `_coprime_adjust` builds.
-    Take the kept b with leading monomial M.  The other kept elements whose
-    leading monomials divide M stand for the elements of B whose monomials
-    strictly divide M (with none, b has no divisor), so b is reducible when
+    is kept per leading monomial.  B is in standard form, so each lc f is
+    its own standard factor, and so is a replacement's: its leading
+    coefficient is the g of `_lc_gcd`, which is s_(lm f).  Take the kept b
+    with leading monomial M.  The other kept elements whose leading
+    monomials divide M stand for the elements of B whose monomials strictly
+    divide M (with none, b has no divisor), so b is reducible when
     d = gcd(q, lc c : c in B, lm c strictly divides M) divides s_M, that is,
     when d divides the leading coefficient of every f in B with lm f = M.
     Then the rest of B has gcd d at M for any such f, and f was reducible
-    in B, which is irredundant.  The loop has each element's standard factor
-    at hand, f_st when f is kept and d_st when it is replaced, and the
-    duplicate check reads it from there; debug checks confirm that it is
-    the element's leading coefficient.
+    in B, which is irredundant.  So every element's leading coefficient is
+    its standard factor, and the duplicate check reads it there; debug
+    checks confirm it for each replacement.
 
     When no element is replaced, B is the result as it is.  Two elements f, g
     of B with one leading monomial M cannot both be kept: both standard
@@ -310,41 +293,33 @@ def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
     ctx = out[0].ctx
     ring: PqrCtx = ctx.ring
     replaced = []
-    standard = {}  # id of each element of `replaced` -> its standard factor
     swapped = False
     for f in out:
         hits = _eligible(out, f.lm)
-        # f is among the hits, so d_st divides f_st; cofactors only on a mismatch
-        f_st = poly_gcd(f.lc.rep, ring.modulus)
-        d_st = _lc_content(out, hits, f_st)
-        if f_st == d_st:
+        # f is among the hits, so d divides lc f; cofactors only on a mismatch
+        d = _lc_content(out, hits, f.lc.rep)
+        if d == f.lc.rep:
             replaced.append(f)
-            standard[id(f)] = f_st
             continue
-        g, cofs, _ = _lc_gcd(out, hits, ring)
-        w = _coprime_adjust(g, d_st, ring.modulus)
+        g, cofs = _lc_gcd(out, hits, ring)
         acc = MultiPoly.zero(ctx)
-        scale = ring.elem(w).inverse()
         for i, cof in zip(hits, cofs):
-            factor = scale * cof
-            if factor.is_zero:
+            if cof.is_zero:
                 continue
             b = out[i]
-            acc = acc + b.mul_term(factor, mon_div(f.lm, b.lm))
+            acc = acc + b.mul_term(cof, mon_div(f.lm, b.lm))
         if acc.is_zero or acc.lm != f.lm:
             raise AssertionError("minimal-basis combination lost its leading term")
+        if check and (acc.lc.rep != g or g != d):
+            raise AssertionError("replacement's leading coefficient is not its standard factor")
         replaced.append(acc)
-        standard[id(acc)] = d_st
         swapped = True
     if not swapped:
         return out
     # drop later duplicates, whose leading terms are equal
     kept = {}
     for b in _basis_sorted(replaced):
-        st = standard[id(b)]
-        if check and b.lc.rep != st:
-            raise AssertionError("leading coefficient differs from the carried standard factor")
-        kept.setdefault((b.lm, st), b)
+        kept.setdefault((b.lm, b.lc.rep), b)
     return list(kept.values())
 
 
@@ -362,13 +337,13 @@ def make_reduced(basis: list[MultiPoly]) -> list[MultiPoly]:
     reduction (Kandri-Rody & Kapur 1988) would close that.
 
     One tail-reduction pass suffices.  The basis is minimal, so a pass keeps
-    every leading term: the eligible leading coefficients are monic divisors
-    of q, so a term is reducible only when their gcd divides its
-    coefficient, and the step has multiplier one.  So reducibility stays
-    fixed while later elements are replaced, and a second pass would change
-    nothing; debug checks run it to confirm, comparing every remainder.  The
-    first pass keeps an element whose gcd-division took no step.  No sort
-    key changes, and a minimal basis has no ties, so the basis stays sorted.
+    every leading term: a term is reducible only when the gcd of q and the
+    eligible leading coefficients divides its coefficient, and every step
+    has multiplier one.  So reducibility stays fixed while later elements
+    are replaced, and a second pass would change nothing; debug checks run
+    it to confirm, comparing every remainder.  The first pass keeps an
+    element whose gcd-division took no step.  No sort key changes, and a
+    minimal basis has no ties, so the basis stays sorted.
     """
     check = debug_checks_enabled()
     out = _make_minimal(basis, check)
@@ -581,12 +556,9 @@ def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
 
 
 def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
-    """Unit-free gcd-reduction remainder of f in the component's ring.
+    """gcd-division remainder of f in the component's ring, with multiplier one.
 
-    In shape position it is the residue f(x1, r).  Otherwise it is the
-    gcd-division remainder itself: every leading coefficient of a reduced
-    basis is a monic divisor of q, so every step divides and has multiplier
-    one (see `make_reduced`).
+    In shape position it is the residue f(x1, r), the unique remainder.
     """
     r = comp.substitution
     if r is not None:
@@ -597,9 +569,8 @@ def component_remainder(f: MultiPoly, comp: Component) -> MultiPoly:
 def is_member(f: MultiPoly, dec: Decomposition) -> bool:
     """Membership in the original ideal, component by component.
 
-    The multiplier of a gcd-division is a unit, so the remainder is zero
-    exactly when the unit-free remainder is; in shape position that is the
-    residue f(x1, r).
+    Every gcd-division step has multiplier one, so the verdict is read off
+    the remainder itself; in shape position that is the residue f(x1, r).
     """
     if dec.inconsistent:
         return True

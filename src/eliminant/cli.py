@@ -25,7 +25,7 @@ from .buchberger import groebner_self_check, oracle_eliminant, reduced_groebner
 from .compat import compatible_split, lc_compatibility_check
 from .multipoly import MultiPoly
 from .parser import IdealFile, ParseError, parse_ideal_file, parse_probe_file
-from .pqr import NotAUnitError, ZeroElementError, proper_eliminant, residue_context
+from .pqr import NotAUnitError, proper_eliminant, residue_context
 from .pseudo import (
     NotZeroDimensionalError,
     PseudoOutcome,
@@ -375,7 +375,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except (AssertionError, ArithmeticError, NotAUnitError, ZeroElementError) as exc:
+    except (AssertionError, ArithmeticError, NotAUnitError) as exc:
         print(f"internal invariant violated: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -57,10 +57,6 @@ class NotAUnitError(ValueError):
     pass
 
 
-class ZeroElementError(ValueError):
-    pass
-
-
 class PqrCtx:
     """The ring of residues modulo a fixed monic non-constant q."""
 
@@ -159,12 +155,6 @@ class PqrElem:
         if not d.is_constant:
             raise NotAUnitError(f"{self.rep.fmt()} shares {d.fmt()} with the modulus")
         return self.ctx.elem(u)
-
-    def standard_factor(self) -> "PqrElem":
-        """Monic divisor of q carrying this residue up to a unit."""
-        if self.rep.is_zero:
-            raise ZeroElementError("standard factor of zero")
-        return self.ctx.elem(poly_gcd(self.rep, self.ctx.modulus))
 
     def __eq__(self, other) -> bool:
         return (

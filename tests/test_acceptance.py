@@ -44,6 +44,7 @@ from util import (
     random_multipoly,
     random_unipoly,
     random_zero_dim_ideal,
+    reference_gcd_step,
     reference_standard_form,
 )
 
@@ -299,7 +300,8 @@ def test_criterion_5_division_contracts():
         if f.is_zero or not divisors:
             continue
         division = gcd_reduce(f, divisors)
-        ok &= division.multiplier.is_unit()
+        ok &= division.multiplier.is_one
+        ok &= all(mu.is_one for mu, _, _ in division.steps)
         lhs = f.scale(division.multiplier)
         rhs = division.remainder
         qs = quotients(division)
@@ -307,6 +309,7 @@ def test_criterion_5_division_contracts():
             rhs = rhs + q * b
         ok &= lhs == rhs
         ok &= gcd_reduce(division.remainder, divisors).remainder == division.remainder
+        ok &= all(reference_gcd_step(divisors, m, c) is None for m, c in division.remainder.terms)
         ok &= _check_lm_condition(
             f, qs, divisors, division.remainder, order, residue=True
         )

@@ -22,6 +22,7 @@ from eliminant.assembly import (
     make_minimal,
     make_reduced,
     normal_form,
+    standard_form,
 )
 from eliminant.cli import run_pipeline
 from eliminant.compat import compatible_split
@@ -37,7 +38,7 @@ from eliminant.pqr import (
     _unit_normalize,
 )
 from eliminant.pseudo import DEBUG_ENV, StrategyConfig, pseudo_eliminant, normalize_content
-from eliminant.unipoly import UniPoly, exact_div, poly_gcd
+from eliminant.unipoly import UniPoly, exact_div, poly_gcd, poly_multi_ext_gcd
 from util import (
     STRATEGIES,
     P,
@@ -464,11 +465,15 @@ def test_step_tables_stay_with_their_decomposition():
     assert [bool(comp.images) for comp in second.components] == [True, False]
     for comp in second.components:
         ring = comp.var_ctx.ring
-        for hits, (g, cofs, d_st) in comp.table.items():
+        for hits, (g, cofs) in comp.table.items():
             assert max(hits) < len(comp.basis)
             assert len(cofs) == len(hits)
             assert all(cof.ctx == ring for cof in cofs)
-            assert d_st == poly_gcd(g, ring.modulus)
+            assert (ring.modulus % g).is_zero
+            combo = ring.zero_elem()
+            for i, cof in zip(hits, cofs):
+                combo = combo + cof * comp.basis[i].lc
+            assert combo == ring.elem(g)
 
 
 # -- membership by substitution in shape position -------------------------------------
@@ -836,21 +841,23 @@ def test_make_reduced_confirms_its_one_pass_under_debug_checks(monkeypatch):
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=["Q", "GF5"])
 def test_make_minimal_replacements_keep_their_standard_factor(field, monkeypatch):
-    """Elements the minimal pass replaces are deduplicated by the factor the loop carries.
+    """Elements the minimal pass replaces are deduplicated by their standard factors.
 
     Over q = z^2*(z+1), z*x*y + x is irredundant beside (z+1)*x + 1 but not
     minimal: the local gcd at x*y is 1.  With (z+1)*x*y + y in its place both
-    elements at x*y are replaced and only the first is kept.  Debug checks
-    recompute each carried factor; the ladder matches the reference.
+    elements at x*y are replaced and only the first is kept.  Each
+    replacement takes the cofactors of one `_lc_gcd` call; debug checks
+    confirm that its leading coefficient is its standard factor, and the
+    ladder matches the reference.
     """
     replacements = []
-    real = assembly._coprime_adjust
+    real = assembly._lc_gcd
 
     def counted(*args):
         replacements.append(1)
         return real(*args)
 
-    monkeypatch.setattr(assembly, "_coprime_adjust", counted)
+    monkeypatch.setattr(assembly, "_lc_gcd", counted)
     monkeypatch.setenv(DEBUG_ENV, "1")
     base = base_context(field, "z", ("y", "x"))
     ctx = residue_context(base, U("z^2*(z+1)", field=field))
@@ -867,6 +874,43 @@ def test_make_minimal_replacements_keep_their_standard_factor(field, monkeypatch
             assert len(replacements) == replaced
             assert [poly_gcd(b.lc.rep, ring.modulus).fmt() for b in minimal] == factors
             assert make_reduced(basis) == reference_make_reduced(basis)
+
+
+@pytest.mark.parametrize("field", [GF(3), GF(5), QQ], ids=["GF3", "GF5", "Q"])
+def test_lc_gcd_on_standard_divisors_ignores_the_modulus(field):
+    """On standard-form divisors `_lc_gcd` is the gcd of the leading coefficients alone.
+
+    Their leading coefficients are monic divisors of q, so their gcd already
+    divides q and appending q changes neither g nor the cofactors: every
+    step on a reduced basis is the one the leading coefficients alone give.
+    """
+    rng = random.Random(2805)
+    base = base_context(field, "z", ("y", "x"))
+    q = U("z^2*(z+1)*(z+2)", field=field)
+    ctx = residue_context(base, q)
+    ring = ctx.ring
+    heads = [U(h, field=field) for h in ("1", "z", "z^2+z", "z^3", "z^2*(z+2)", "(z+1)^2", "z-1")]
+    shapes = {"x*y": "y + x", "x": "y + 1", "y^2": "y + z"}
+    proper = 0
+    for _ in range(300):
+        divisors = []
+        for _ in range(rng.randint(1, 4)):
+            lm = rng.choice(list(shapes))
+            b = P(lm, base).scale(rng.choice(heads)) + P(shapes[lm], base).scale(
+                random_unipoly(rng, field, max_deg=2, bound=2)
+            )
+            b = project_multipoly(b, ctx)
+            if not b.is_zero and not b.is_coeff:
+                divisors.append(standard_form(b))
+        hits = tuple(i for i in range(len(divisors)) if rng.random() < 0.7)
+        if not hits:
+            continue
+        g, cofs = assembly._lc_gcd(divisors, hits, ring)
+        expected, lc_cofs = poly_multi_ext_gcd([divisors[i].lc.rep for i in hits])
+        assert g == expected
+        assert cofs == [ring.elem(cof) for cof in lc_cofs]
+        proper += not g.is_one
+    assert proper >= 80, proper
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3), GF(5), QQ], ids=["GF2", "GF3", "GF5", "Q"])
@@ -898,11 +942,15 @@ def test_coprime_adjust_builds_a_unit_lift(field):
 def test_unit_lifts_match_the_references_on_lifted_bases(field, monkeypatch):
     """The ladder and gcd-division agree with their references where the unit lift matters.
 
-    Leading coefficients are a factor of q times a cofactor, so the gcd g of
-    eligible representatives often has g/gcd(g, q) not constant, and not
-    coprime to q when a representative takes a factor of q to a higher
-    power than q has.  The references build their own unit lift, so a
-    wrong `_coprime_adjust` fails here as well as in its property test.
+    Leading coefficients are a factor of q times a cofactor, so lc/gcd(lc, q)
+    is often not constant, and not coprime to q when lc takes a factor of q
+    to a higher power than q has.  The reference ladder builds its own unit
+    lift, so a wrong `_coprime_adjust` in `standard_form` fails here as well
+    as in its property test.  On standard-form divisors (built by the
+    reference, so the counts stay the ladder's) gcd-division gives the
+    reference step's remainder exactly.  On the raw divisors, where a
+    remainder is not unique, it is checked by its contract: multiplier one,
+    the division identity, and no reference step left on the remainder.
     """
     rng = random.Random(2104)
     base = base_context(field, "z", ("y", "x"))
@@ -942,11 +990,18 @@ def test_unit_lifts_match_the_references_on_lifted_bases(field, monkeypatch):
         f = project_multipoly(random_multipoly(rng, base, max_total=3, terms=4), ctx)
         if f.is_zero or not got:
             continue
-        new = gcd_reduce(f, basis)
-        ref = divide(f, basis, reference_gcd_step)
-        assert new.remainder.scale(new.multiplier.inverse()) == ref.remainder.scale(
-            ref.multiplier.inverse()
-        )
+        standard = [reference_standard_form(b) for b in basis]
+        new = gcd_reduce(f, standard)
+        ref = divide(f, standard, reference_gcd_step)
+        assert new.multiplier.is_one
+        assert new.remainder == ref.remainder.scale(ref.multiplier.inverse())
+        raw = gcd_reduce(f, basis)
+        assert all(mu.is_one for mu, _, _ in raw.steps)
+        rhs = raw.remainder
+        for quo, b in zip(quotients(raw), basis):
+            rhs = rhs + quo * b
+        assert rhs == f
+        assert all(reference_gcd_step(basis, mon, c) is None for mon, c in raw.remainder.terms)
     assert calls["lifted"] >= 30 and calls["corrected"] >= 15, calls
 
 

@@ -18,7 +18,7 @@ from eliminant.cli import (
     run_pipeline,
 )
 from eliminant.parser import parse_ideal_file, parse_poly
-from eliminant.pqr import NotAUnitError, ZeroElementError
+from eliminant.pqr import NotAUnitError
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 
@@ -217,7 +217,7 @@ def test_main_entry_direct(capsys):
 
 @pytest.mark.parametrize(
     "exc",
-    [NotAUnitError("no inverse"), ZeroElementError("gcd(0, 0)"), ArithmeticError("inexact")],
+    [NotAUnitError("no inverse"), ArithmeticError("inexact")],
     ids=lambda e: type(e).__name__,
 )
 def test_internal_arithmetic_failure_exits_4(exc, monkeypatch, capsys):
