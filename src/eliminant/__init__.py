@@ -22,13 +22,7 @@ from .engine import spoly
 from .fields import GF, QQ
 from .multipoly import ElimOrder, MultiPoly, VarContext, base_context
 from .parser import IdealFile, ParseError, parse_ideal_file, parse_poly
-from .pqr import (
-    PqrCtx,
-    PqrElem,
-    proper_divide,
-    proper_eliminant,
-    residue_context,
-)
+from .pqr import PqrCtx, proper_divide, proper_eliminant, residue_context
 from .pseudo import (
     NotZeroDimensionalError,
     PseudoOutcome,
@@ -49,7 +43,6 @@ __all__ = [
     "NotZeroDimensionalError",
     "ParseError",
     "PqrCtx",
-    "PqrElem",
     "PseudoOutcome",
     "QQ",
     "StrategyConfig",

@@ -64,17 +64,11 @@ from operator import itemgetter
 from .compat import CompatSplit
 from .engine import Division, debug_checks_enabled, divide, sort_key
 from .multipoly import MultiPoly, VarContext, mon_div, mon_divides, mon_is_one
-from .pqr import (
-    PqrCtx,
-    PqrElem,
-    ProperOutcome,
-    lift_multipoly,
-    project_multipoly,
-    residue_context,
-)
+from .pqr import PqrCtx, ProperOutcome, lift_multipoly, project_multipoly, residue_context
 from .pseudo import PseudoOutcome
 from .unipoly import (
     UniPoly,
+    coprime_part,
     divrem,
     exact_div,
     poly_gcd,
@@ -89,13 +83,6 @@ class MissingComponentError(ValueError):
 
 
 # -- gcd-term reduction ---------------------------------------------------------
-
-
-def _coprime_part(t: UniPoly, a: UniPoly) -> UniPoly:
-    """The largest divisor of t coprime to a: divide out gcd(t, a) until it is constant."""
-    while not (h := poly_gcd(t, a)).is_constant:
-        t = exact_div(t, h)
-    return t
 
 
 def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
@@ -113,7 +100,7 @@ def _coprime_adjust(g: UniPoly, d_st: UniPoly, modulus: UniPoly) -> UniPoly:
     if poly_gcd(a, modulus).is_constant:
         return a
     b = exact_div(modulus, d_st)
-    return a + _coprime_part(_coprime_part(modulus, a), b) * b
+    return a + coprime_part(coprime_part(modulus, a), b) * b
 
 
 def _eligible(divisors, mon) -> tuple:
@@ -130,7 +117,7 @@ def _lc_gcd(divisors, hits, ring: PqrCtx):
     basis, their gcd already divides q, and appending q changes neither g
     nor the cofactors.
     """
-    g, cofs = poly_multi_ext_gcd([divisors[i].lc.rep for i in hits] + [ring.modulus])
+    g, cofs = poly_multi_ext_gcd([divisors[i].lc for i in hits] + [ring.modulus])
     return g, [ring.elem(cof) for cof in cofs[:-1]]
 
 
@@ -142,7 +129,7 @@ def _lc_content(divisors, hits, d: UniPoly) -> UniPoly:
     for i in hits:
         if d.is_one:
             break
-        d = poly_gcd(divisors[i].lc.rep, d)
+        d = poly_gcd(divisors[i].lc, d)
     return d
 
 
@@ -155,7 +142,7 @@ def _gcd_step(divisors, mon, c, table):
     hits = _eligible(divisors, mon)
     if not hits:
         return None
-    ring: PqrCtx = c.ctx
+    ring: PqrCtx = divisors[hits[0]].ctx.ring
     entry = table.get(hits)
     if entry is None:
         entry = table[hits] = _lc_gcd(divisors, hits, ring)
@@ -163,11 +150,10 @@ def _gcd_step(divisors, mon, c, table):
     if g.is_one:
         scale = c
     else:
-        quo, rem = divrem(c.rep, g)
+        scale, rem = divrem(c, g)
         if not rem.is_zero:
             return None
-        scale = ring.elem(quo)
-    parts = [(i, scale * cof) for i, cof in zip(hits, cofs)]
+    parts = [(i, ring.mul(scale, cof)) for i, cof in zip(hits, cofs)]
     return ring.one_elem(), [(i, factor) for i, factor in parts if not factor.is_zero]
 
 
@@ -208,7 +194,7 @@ def _lt_reducible(b: MultiPoly, others: list[MultiPoly]) -> bool:
     if not hits:
         return False
     g = _lc_content(others, hits, b.ctx.ring.modulus)
-    return g.is_constant or (b.lc.rep % g).is_zero
+    return g.is_constant or (b.lc % g).is_zero
 
 
 def standard_form(f: MultiPoly) -> MultiPoly:
@@ -220,12 +206,12 @@ def standard_form(f: MultiPoly) -> MultiPoly:
     any other lc, w*gcd(lc, q), through the unit lift w of `_coprime_adjust`.
     An f already in this form is returned as it is.
     """
-    lc = f.lc.rep
+    lc = f.lc
     if lc.is_constant:
         if lc.is_one:
             return f
         k = lc._lc_inverse()
-        return MultiPoly.from_sorted(f.ctx, [(m, c.scale_scalar(k)) for m, c in f.terms])
+        return MultiPoly.from_sorted(f.ctx, [(m, c.scale(k)) for m, c in f.terms])
     ring: PqrCtx = f.ctx.ring
     d, inverse = poly_half_ext_gcd(lc, ring.modulus)
     if d.is_constant:
@@ -233,7 +219,7 @@ def standard_form(f: MultiPoly) -> MultiPoly:
     elif d == lc:
         return f
     else:
-        unit = ring.elem(_coprime_adjust(lc, d, ring.modulus)).inverse()
+        unit = ring.inverse(ring.elem(_coprime_adjust(lc, d, ring.modulus)))
     return f.scale(unit)
 
 
@@ -297,8 +283,8 @@ def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
     for f in out:
         hits = _eligible(out, f.lm)
         # f is among the hits, so d divides lc f; cofactors only on a mismatch
-        d = _lc_content(out, hits, f.lc.rep)
-        if d == f.lc.rep:
+        d = _lc_content(out, hits, f.lc)
+        if d == f.lc:
             replaced.append(f)
             continue
         g, cofs = _lc_gcd(out, hits, ring)
@@ -310,7 +296,7 @@ def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
             acc = acc + b.mul_term(cof, mon_div(f.lm, b.lm))
         if acc.is_zero or acc.lm != f.lm:
             raise AssertionError("minimal-basis combination lost its leading term")
-        if check and (acc.lc.rep != g or g != d):
+        if check and (acc.lc != g or g != d):
             raise AssertionError("replacement's leading coefficient is not its standard factor")
         replaced.append(acc)
         swapped = True
@@ -319,7 +305,7 @@ def _make_minimal(basis: list[MultiPoly], check: bool) -> list[MultiPoly]:
     # drop later duplicates, whose leading terms are equal
     kept = {}
     for b in _basis_sorted(replaced):
-        kept.setdefault((b.lm, b.lc.rep), b)
+        kept.setdefault((b.lm, b.lc), b)
     return list(kept.values())
 
 
@@ -505,7 +491,7 @@ def shape_substitution(basis: list[MultiPoly], ctx: VarContext) -> list | None:
         i = mon.index(1)
         if r[i] is not None:
             return None
-        r[i] = -rest[0][1] if rest else ctx.ring_zero()
+        r[i] = -rest[0][1] if rest else ctx.ring.zero_elem()
     return None if None in r else r
 
 
@@ -527,7 +513,7 @@ def _image(mon: tuple, comp: Component, r: list) -> UniPoly:
         if e:
             pw = images.get(i)
             if pw is None:
-                pw = images[i] = [UniPoly.one(modulus.field), r[i].rep]
+                pw = images[i] = [UniPoly.one(modulus.field), r[i]]
             while len(pw) <= e:
                 pw.append(pw[-1] * pw[1] % modulus)
             image = pw[e] if image is None else image * pw[e]
@@ -537,7 +523,7 @@ def _image(mon: tuple, comp: Component, r: list) -> UniPoly:
     return image
 
 
-def _substituted(f: MultiPoly, comp: Component, r: list) -> PqrElem:
+def _substituted(f: MultiPoly, comp: Component, r: list) -> UniPoly:
     """f(x1, r) in the component's ring, f over K[x1], on representatives in K[x1].
 
     Each term c*r_1^a_1*...*r_n^a_n is c times its monomial's image, kept
@@ -611,7 +597,7 @@ def normal_form(f: MultiPoly, dec: Decomposition):
     )
     out = []
     for mon in mons:
-        pairs = [(r.coeff_at(mon).rep, combo) for r, combo in zip(remainders, combos)]
+        pairs = [(r.coeff_at(mon), combo) for r, combo in zip(remainders, combos)]
         out.append((mon, sum_of_products(dec.base_ctx.field, pairs) % total))
     combined = MultiPoly.from_sorted(dec.base_ctx, out)
     return combined, remainders

@@ -160,7 +160,7 @@ def to_field_poly(f: MultiPoly) -> FieldPoly:
     field = f.ctx.field
     out: FieldPoly = {}
     for mon, c in f.terms:
-        for k, a in enumerate(c.rep.coeffs):
+        for k, a in enumerate(c.coeffs):
             if field.is_zero(a):
                 continue
             fp_add_term(out, field, (k,) + tuple(mon), a)

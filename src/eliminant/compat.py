@@ -46,27 +46,32 @@ def _sorted_multipliers(multipliers) -> list[UniPoly]:
     return sorted({m.monic() for m in multipliers if not m.is_constant}, key=poly_sort_key)
 
 
-def _refine_into(bucket: list[UniPoly], d: UniPoly) -> None:
-    """Insert the squarefree d into the bucket, splitting until coprime.
+def _refined(part: UniPoly, polys) -> list[UniPoly]:
+    """The gcds of the squarefree part with each of polys, split until pairwise coprime.
 
-    Bucket entries stay squarefree, monic and pairwise coprime throughout.
+    Each gcd d goes into the bucket in turn; an entry w that shares g with d
+    is replaced by g and w/g, and d goes on as d/g.  Bucket entries stay
+    squarefree, monic and pairwise coprime throughout.
     """
-    k = 0
-    while k < len(bucket) and not d.is_constant:
-        g = poly_gcd(d, bucket[k])
-        if g.is_constant:
-            k += 1
-            continue
-        w = bucket[k]
-        cof = exact_div(w, g).monic()
-        repl = [g.monic()]
-        if not cof.is_constant:
-            repl.append(cof)
-        bucket[k : k + 1] = repl
-        d = exact_div(d, g).monic()
-        k += len(repl)
-    if not d.is_constant:
-        bucket.append(d.monic())
+    bucket: list[UniPoly] = []
+    for p in polys:
+        d = poly_gcd(p, part)
+        k = 0
+        while k < len(bucket) and not d.is_constant:
+            g = poly_gcd(d, bucket[k])
+            if g.is_constant:
+                k += 1
+                continue
+            cof = exact_div(bucket[k], g).monic()
+            repl = [g.monic()]
+            if not cof.is_constant:
+                repl.append(cof)
+            bucket[k : k + 1] = repl
+            d = exact_div(d, g).monic()
+            k += len(repl)
+        if not d.is_constant:
+            bucket.append(d.monic())
+    return bucket
 
 
 def compatible_split(chi_eps: UniPoly, multipliers) -> CompatSplit:
@@ -84,11 +89,7 @@ def compatible_split(chi_eps: UniPoly, multipliers) -> CompatSplit:
     lams = _sorted_multipliers(multipliers)
     omega: dict[int, list[UniPoly]] = {}
     for qi, i in parts:
-        bucket: list[UniPoly] = []
-        for lam in lams:
-            d = poly_gcd(lam, qi)
-            if not d.is_constant:
-                _refine_into(bucket, d)
+        bucket = _refined(qi, lams)
         if bucket:
             omega[i] = sorted(bucket, key=poly_sort_key)
     divisors = sorted((w**i for i, ws in omega.items() for w in ws), key=poly_sort_key)
@@ -118,18 +119,13 @@ def lc_compatibility_check(chi_eps: UniPoly, basis, parts=None) -> list[LcVerdic
     """
     if chi_eps.is_constant:
         raise ConstantInputError("cannot check a constant")
-    lcs = [c for c in (b.lc.rep for b in basis) if not c.is_constant]
+    lcs = [b.lc for b in basis if not b.lc.is_constant]
     verdicts: list[LcVerdict] = []
     if parts is None:
         parts = squarefree_decomposition(chi_eps.monic())
     for qi, i in parts:
-        bucket: list[UniPoly] = []
-        for c in lcs:
-            d = poly_gcd(c, qi)
-            if not d.is_constant:
-                _refine_into(bucket, d)
         rest = qi
-        for w in bucket:
+        for w in _refined(qi, lcs):
             verdicts.append(LcVerdict(factor=w, exponent=i, coprime_to_lcs=False))
             rest = exact_div(rest, w).monic()
         if not rest.is_constant:

@@ -2,12 +2,13 @@
 
 The method runs one Buchberger-style search twice: over K[x1] with
 pseudo-division (pseudo.py) and over residue rings K[x1]/(q), which have zero
-divisors, with proper division (pqr.py).  In both runs every multiplier is an
-lcm of leading-coefficient representatives divided by one of them, so the
-pair formulas (`spoly`, `coprime_multiplier`, `triangular_multiplier`,
-`check_triangular_identity`) and the division step (`lcm_step`) are written
-once here: each computes on representatives in K[x1] (`rep`) and projects
-the result with `f.ctx.ring.elem`, which is the identity over K[x1].
+divisors, with proper division (pqr.py).  The coefficients of both are
+`UniPoly`s: a residue is its representative of degree below deg q.  In both
+runs every multiplier is an lcm of leading coefficients divided by one of
+them, so the pair formulas (`spoly`, `coprime_multiplier`,
+`triangular_multiplier`, `check_triangular_identity`) and the division step
+(`lcm_step`) are written once here: each computes in K[x1] and projects the
+result with `f.ctx.ring.elem`, which is the identity over K[x1].
 
 `Elimination` holds what the two runs share: the basis kept in order, the
 queue of pairs, whose S-polynomials are formed only when popped, the pair
@@ -27,9 +28,10 @@ adapter supplies only what differs:
 - `supersedes(h, g)`, or None: which elements a new element h retires from
   the basis (the basis update of `Elimination`).
 
-Coefficients of both rings offer `rep`, and `ctx.ring` offers
-`elem`, `zero_elem` and `one_elem`, so no caller asks which ring it holds and
-one `sort_key` orders the basis of both searches and of the basis ladder.
+`ctx.ring` offers `elem`, `mul`, `zero_elem` and `one_elem` for both rings,
+and a residue ring also `is_unit` and `inverse`, so no caller asks which ring
+it holds and one `sort_key` orders the basis of both searches and of the
+basis ladder.
 
 `divide` is the one division loop.  Both searches divide with `lcm_step`,
 which differs between the rings only in the multipliers it admits;
@@ -64,7 +66,7 @@ def debug_checks_enabled() -> bool:
 
 def sort_key(f: MultiPoly):
     """The basis order of both searches and the basis ladder: (order key of lm f, deg lc f)."""
-    return f.ctx.order.key(f.lm), f.lc.rep.degree
+    return f.ctx.order.key(f.lm), f.lc.degree
 
 
 # -- the pair formulas ------------------------------------------------------------
@@ -90,14 +92,15 @@ def spoly(f: MultiPoly, g, check: bool = False) -> MultiPoly:
         raise InvalidSPolyInput("first operand must have tail variables")
     if isinstance(g, MultiPoly) and g.is_coeff:
         g = g.as_coeff()
-    elem = f.ctx.ring.elem
+    ring = f.ctx.ring
+    elem = ring.elem
     coeff = not isinstance(g, MultiPoly)
     if coeff and g.is_zero:
         raise InvalidSPolyInput("zero operand")
     lg = g if coeff else g.lc
-    cf, cg = lcm_cofactors(f.lc.rep, lg.rep)
+    cf, cg = lcm_cofactors(f.lc, lg)
     cf = elem(cf)
-    if check and f.lc * cf != elem(lg.rep * cg):
+    if check and ring.mul(f.lc, cf) != elem(lg * cg):
         raise AssertionError("S-polynomial leading terms do not cancel")
     if coeff:
         return f.tail().scale(cf)
@@ -117,12 +120,12 @@ def coprime_multiplier(f: MultiPoly, g: MultiPoly):
         raise InvalidSPolyInput("operands must have tail variables")
     if not mon_coprime(f.lm, g.lm):
         return None
-    return f.ctx.ring.elem(poly_gcd(f.lc.rep, g.lc.rep))
+    return f.ctx.ring.elem(poly_gcd(f.lc, g.lc))
 
 
 def _triangular_lift(m: UniPoly, h: MultiPoly) -> UniPoly:
     """lam = lc h / gcd(m, lc h) on representatives, for the pair's m = lcm(lc f, lc g)."""
-    lh = h.lc.rep
+    lh = h.lc
     return exact_div(lh, poly_gcd(m, lh))
 
 
@@ -133,7 +136,7 @@ def triangular_multiplier(f: MultiPoly, g: MultiPoly, h: MultiPoly):
     """
     if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
         return None
-    return f.ctx.ring.elem(_triangular_lift(poly_lcm(f.lc.rep, g.lc.rep), h))
+    return f.ctx.ring.elem(_triangular_lift(poly_lcm(f.lc, g.lc), h))
 
 
 def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
@@ -149,12 +152,12 @@ def check_triangular_identity(f: MultiPoly, g: MultiPoly, h: MultiPoly) -> bool:
     if not mon_divides(h.lm, gamma):
         return False
     elem = f.ctx.ring.elem
-    m = poly_lcm(f.lc.rep, g.lc.rep)
+    m = poly_lcm(f.lc, g.lc)
     lam = _triangular_lift(m, h)
     top = lam * m
-    lh = h.lc.rep
-    c1 = elem(exact_div(top, poly_lcm(f.lc.rep, lh)))
-    c2 = elem(exact_div(top, poly_lcm(g.lc.rep, lh)))
+    lh = h.lc
+    c1 = elem(exact_div(top, poly_lcm(f.lc, lh)))
+    c2 = elem(exact_div(top, poly_lcm(g.lc, lh)))
     rhs = spoly(f, h).mul_term(c1, mon_div(gamma, mon_lcm(f.lm, h.lm))) - spoly(
         g, h
     ).mul_term(c2, mon_div(gamma, mon_lcm(g.lm, h.lm)))
@@ -173,10 +176,11 @@ class Division:
     @property
     def multiplier(self):
         """The product of the step multipliers: in K[x1], or a unit of the residue ring."""
-        lam = self.remainder.ctx.ring_one()
+        ring = self.remainder.ctx.ring
+        lam = ring.one_elem()
         for mu, _, _ in self.steps:
             if not mu.is_one:
-                lam = lam * mu
+                lam = ring.mul(lam, mu)
         return lam
 
 
@@ -184,9 +188,11 @@ def lcm_step(divisors, mon, c, admits=None):
     """The lcm division step, a step rule for `divide`.
 
     The term c*mon is cleared against the first divisor b whose leading
-    monomial divides mon and whose interim multiplier lcm(c, lc b) / c, on
-    representatives, the ring admits: `admits` is None when every multiplier
-    is admitted, as over K[x1].
+    monomial divides mon and whose interim multiplier mu = lcm(c, lc b) / c,
+    on representatives, the ring admits, `admits(ring, mu)` (such as
+    `PqrCtx.is_unit`): `admits` is None when every multiplier is admitted,
+    as over K[x1].  The multiplier and the factor divide lc b and c, so in a
+    residue ring they are representatives already and are not reduced.
 
     A step needs a multiplier only when lc b does not divide c, on
     representatives.  When it divides (a nonzero constant lc b always does,
@@ -215,16 +221,15 @@ def lcm_step(divisors, mon, c, admits=None):
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
             ring = b.ctx.ring
-            lb = b.lc.rep
+            lb = b.lc
             if lb.is_constant:
-                return ring.one_elem(), [(i, ring.elem(c.rep.scale(lb._lc_inverse())))]
-            quo, rem = divrem(c.rep, lb)
+                return ring.one_elem(), [(i, c.scale(lb._lc_inverse()))]
+            quo, rem = divrem(c, lb)
             if rem.is_zero:
-                return ring.one_elem(), [(i, ring.elem(quo))]
-            cu, cb = lcm_cofactors(c.rep, lb, poly_gcd(lb, rem))
-            mu = ring.elem(cu)
-            if admits is None or admits(mu):
-                return mu, [(i, ring.elem(cb))]
+                return ring.one_elem(), [(i, quo)]
+            mu, cb = lcm_cofactors(c, lb, poly_gcd(lb, rem))
+            if admits is None or admits(ring, mu):
+                return mu, [(i, cb)]
     return None
 
 
@@ -449,21 +454,21 @@ class Elimination:
 
         def multiplier(h):
             nonlocal m
-            if h.lc.rep.is_constant:
+            if h.lc.is_constant:
                 return h.lc
             if m is None:
-                m = poly_lcm(f.lc.rep, g.lc.rep)
+                m = poly_lcm(f.lc, g.lc)
             return elem(_triangular_lift(m, h))
 
         rank = self.ring.rank
         if rank is None:
-            candidates.sort(key=lambda t: (t[2].lc.rep.degree, t[0]))
+            candidates.sort(key=lambda t: (t[2].lc.degree, t[0]))
             tried = ((k, multiplier(h)) for _, k, h in candidates)
         else:
             ranked = []
             for pos, k, h in candidates:
                 lam = multiplier(h)
-                if lam.rep.is_constant:
+                if lam.is_constant:
                     tried = [(k, lam)]
                     break
                 ranked.append((rank(lam), pos, k, lam))

@@ -3,8 +3,12 @@ coefficients, plus elimination orderings.
 
 A polynomial in K[x1, x2, ..., xn] is stored as a term map from monomials in
 the tail variables (x2..xn) to coefficients in K[x1]; the same class also
-carries residue-ring coefficients for the modular phase.  Monomials are bare
-exponent tuples indexed by the tail variables in ascending precedence.
+carries residue-ring coefficients for the modular phase.  Both are
+`UniPoly`s, a residue its representative of degree below deg q, and every
+product of two coefficients goes through `ctx.ring.mul`, which reduces it
+mod q in a residue ring; a sum, a negation or a field-constant multiple of
+representatives is one already.  Monomials are bare exponent tuples indexed
+by the tail variables in ascending precedence.
 
 The search spends much of its time on term bookkeeping, so the monomial
 helpers are `map` calls over `operator` functions (C loops, no generator
@@ -123,8 +127,8 @@ class ElimOrder:
 class VarContext:
     """Session object fixing the field/ring, variable names and ordering.
 
-    `ring` is the coefficient ring marker: the field itself for K[x1]
-    coefficients, or a residue-ring context for modular coefficients.
+    `ring` is the coefficient ring: `_PolyRingTag` for K[x1] coefficients,
+    or a residue-ring context for modular coefficients.
     Mixing polynomials from different contexts is a hard error.
     """
 
@@ -145,12 +149,6 @@ class VarContext:
 
     def mon_one(self) -> Monomial:
         return mon_one(self.arity)
-
-    def ring_zero(self):
-        return self.ring.zero_elem()
-
-    def ring_one(self):
-        return self.ring.one_elem()
 
     def with_ring(self, ring) -> "VarContext":
         return VarContext(ring, self.field, self.x1, self.tilde, self.order)
@@ -174,15 +172,17 @@ class VarContext:
 
 
 class _PolyRingTag:
-    """Marker for plain K[x1] coefficients."""
+    """The ring K[x1] of plain coefficients, with the residue ring's `elem`, `mul` and constants."""
 
     def __init__(self, field):
         self.field = field
 
     @staticmethod
     def elem(p: UniPoly) -> UniPoly:
-        """The coefficient p of K[x1] itself, as a residue ring projects its representatives."""
+        """The coefficient p of K[x1] itself, as a residue ring reduces it mod q."""
         return p
+
+    mul = staticmethod(mul)     # operator.mul: a product needs no reduction
 
     def zero_elem(self) -> UniPoly:
         return UniPoly.zero(self.field)
@@ -255,7 +255,7 @@ class MultiPoly:
         if name not in ctx.tilde:
             raise ValueError(f"unknown variable {name!r}")
         mon = tuple(1 if v == name else 0 for v in ctx.tilde)
-        return cls.term(ctx, ctx.ring_one(), mon)
+        return cls.term(ctx, ctx.ring.one_elem(), mon)
 
     # -- queries -----------------------------------------------------------
 
@@ -270,7 +270,7 @@ class MultiPoly:
 
     def as_coeff(self):
         if self.is_zero:
-            return self.ctx.ring_zero()
+            return self.ctx.ring.zero_elem()
         if not self.is_coeff:
             raise ValueError("polynomial has tail-variable terms")
         return self.terms[0][1]
@@ -291,7 +291,7 @@ class MultiPoly:
         for m, c in self.terms:
             if m == mon:
                 return c
-        return self.ctx.ring_zero()
+        return self.ctx.ring.zero_elem()
 
     def tail(self) -> "MultiPoly":
         """Drop the leading term."""
@@ -321,11 +321,12 @@ class MultiPoly:
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
         self._check(other)
+        mul = self.ctx.ring.mul
         out: dict = {}
         for m1, c1 in self.terms:
             for m2, c2 in other.terms:
                 m = mon_mul(m1, m2)
-                p = c1 * c2
+                p = mul(c1, c2)
                 if m in out:
                     out[m] = out[m] + p
                 else:
@@ -333,10 +334,14 @@ class MultiPoly:
         return MultiPoly(self.ctx, out)
 
     def scale(self, c) -> "MultiPoly":
-        return MultiPoly.from_sorted(self.ctx, [(m, a * c) for m, a in self.terms])
+        mul = self.ctx.ring.mul
+        return MultiPoly.from_sorted(self.ctx, [(m, mul(a, c)) for m, a in self.terms])
 
     def mul_term(self, c, mon: Monomial) -> "MultiPoly":
-        return MultiPoly.from_sorted(self.ctx, [(mon_mul(m, mon), a * c) for m, a in self.terms])
+        mul = self.ctx.ring.mul
+        return MultiPoly.from_sorted(
+            self.ctx, [(mon_mul(m, mon), mul(a, c)) for m, a in self.terms]
+        )
 
     def sub_mul_term(self, other: "MultiPoly", c, mon: Monomial) -> "MultiPoly":
         """self - other.mul_term(c, mon), built and sorted once.
@@ -344,9 +349,10 @@ class MultiPoly:
         A term of self that meets only zero products is kept as it is.
         """
         self._check(other)
+        mul = self.ctx.ring.mul
         out = dict(self.terms)
         for m, a in other.terms:
-            p = a * c
+            p = mul(a, c)
             if p.is_zero:
                 continue
             m = mon_mul(m, mon)
@@ -362,9 +368,10 @@ class MultiPoly:
         lm other*other_mon: the two leading terms cancel, so neither is formed.
         """
         self._check(other)
-        out = {mon_mul(m, mon): a * c for m, a in self.terms[1:]}
+        mul = self.ctx.ring.mul
+        out = {mon_mul(m, mon): mul(a, c) for m, a in self.terms[1:]}
         for m, a in other.terms[1:]:
-            p = a * d
+            p = mul(a, d)
             m = mon_mul(m, other_mon)
             out[m] = out[m] - p if m in out else -p
         return MultiPoly(self.ctx, out)
@@ -400,7 +407,7 @@ class MultiPoly:
         x1 = self.ctx.x1
         pieces = []
         for mon, c in self.terms:
-            cs = c.rep.fmt(x1)
+            cs = c.fmt(x1)
             if mon_is_one(mon):
                 body, neg = cs, False
                 if body.startswith("-") and " " not in body:

@@ -1,18 +1,22 @@
 """Residue rings K[x1]/(q) with zero divisors, and the modular eliminant search.
 
-Residues are kept as polynomials of degree below deg q with arithmetic
-reduced mod q.  Units are exactly the residues coprime to q; every nonzero
-residue factors as unit * standard factor, where the standard factor is the
-monic gcd of its representative with q.  Division in the tail variables is
-restricted to steps whose interim multiplier is a unit (term divisibility by
-the whole leading term), so remainders stay meaningful despite zero divisors;
-it is the shared lcm step `engine.lcm_step`, admitting unit multipliers only,
-in the loop `engine.divide`.  A step whose leading coefficient divides the
-term's coefficient, on representatives, has multiplier one.
+A residue is its representative, the `UniPoly` of degree below deg q, so
+the coefficients of both rings have one type; `PqrCtx`, the ring, reduces a
+polynomial to its residue (`elem`), multiplies residues (`mul`), and tests
+and inverts units (`is_unit`, `inverse`).  Units are exactly the residues
+coprime to q; every nonzero residue factors as unit * standard factor,
+where the standard factor is the monic gcd of the residue with q.
+
+Division in the tail variables is restricted to steps whose interim
+multiplier is a unit (term divisibility by the whole leading term), so
+remainders stay meaningful despite zero divisors; it is the shared lcm step
+`engine.lcm_step`, admitting unit multipliers only, in the loop
+`engine.divide`.  A step whose leading coefficient divides the term's
+coefficient has multiplier one.
 
 The eliminant search is `engine.Elimination`, the same one that runs over
 K[x1]; `_ResidueRing` adapts it.  S-polynomials and skip multipliers are
-the engine's, computed on representatives (never zero).  The adapter skips
+the engine's, computed in K[x1] (never zero).  The adapter skips
 a pair only when the skip multiplier is a unit, takes the first triangular
 candidate whose multiplier it excuses (any will do), retires the elements a new
 element supersedes, scales each element it inserts whose leading
@@ -50,7 +54,7 @@ from functools import partial
 from .engine import Division, Elimination, divide, lcm_step, reduced
 from .multipoly import MultiPoly, VarContext
 from .pseudo import StrategyConfig
-from .unipoly import UniPoly, content_scale, poly_gcd, poly_half_ext_gcd, squarefree_part
+from .unipoly import UniPoly, content_scale, coprime_part, exact_div, poly_gcd, poly_half_ext_gcd
 
 
 class NotAUnitError(ValueError):
@@ -58,7 +62,12 @@ class NotAUnitError(ValueError):
 
 
 class PqrCtx:
-    """The ring of residues modulo a fixed monic non-constant q."""
+    """The ring of residues modulo a fixed monic non-constant q.
+
+    `mul` is the product of two residues; a sum, a negation or a
+    field-constant multiple of representatives is one already, so those
+    are the `UniPoly` operations.
+    """
 
     __slots__ = ("modulus",)
 
@@ -73,14 +82,38 @@ class PqrCtx:
     def field(self):
         return self.modulus.field
 
-    def elem(self, rep: UniPoly) -> "PqrElem":
-        return PqrElem(self, rep % self.modulus)
+    def elem(self, p: UniPoly) -> UniPoly:
+        """The residue of p: its remainder mod q."""
+        return p % self.modulus
 
-    def zero_elem(self) -> "PqrElem":
-        return PqrElem(self, UniPoly.zero(self.field))
+    def mul(self, a: UniPoly, b: UniPoly) -> UniPoly:
+        return a * b % self.modulus
 
-    def one_elem(self) -> "PqrElem":
-        return PqrElem(self, UniPoly.one(self.field))
+    def zero_elem(self) -> UniPoly:
+        return UniPoly.zero(self.field)
+
+    def one_elem(self) -> UniPoly:
+        return UniPoly.one(self.field)
+
+    def is_unit(self, a: UniPoly) -> bool:
+        nums = a.nums
+        if len(nums) <= 1:
+            # zero is no unit and a nonzero constant always is
+            return bool(nums)
+        return poly_gcd(a, self.modulus).is_constant
+
+    def inverse(self, a: UniPoly) -> UniPoly:
+        """The inverse of a unit: 1/c for a constant, else u from `poly_half_ext_gcd` with q."""
+        nums = a.nums
+        if not nums:
+            raise NotAUnitError("zero has no inverse")
+        if len(nums) == 1:
+            # a nonzero constant is inverted in the field
+            return UniPoly.one(self.field).scale(a._lc_inverse())
+        d, u = poly_half_ext_gcd(a, self.modulus)
+        if not d.is_constant:
+            raise NotAUnitError(f"{a.fmt()} shares {d.fmt()} with the modulus")
+        return self.elem(u)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PqrCtx) and other.modulus == self.modulus
@@ -90,87 +123,6 @@ class PqrCtx:
 
     def __repr__(self) -> str:
         return f"PqrCtx({self.modulus.fmt()})"
-
-
-class PqrElem:
-    """A residue, stored by its canonical representative of degree < deg q.
-
-    Multiplier and lcm computations read the representative `rep`, the
-    residue's one lift to K[x1].
-    """
-
-    __slots__ = ("ctx", "rep")
-
-    def __init__(self, ctx: PqrCtx, rep: UniPoly):
-        self.ctx = ctx
-        self.rep = rep
-
-    def scale_scalar(self, k) -> "PqrElem":
-        """Multiply by a nonzero field constant; a constant times a reduced residue is reduced."""
-        return PqrElem(self.ctx, self.rep.scale(k))
-
-    @property
-    def is_zero(self) -> bool:
-        return self.rep.is_zero
-
-    @property
-    def is_one(self) -> bool:
-        return self.rep.is_one
-
-    def _check(self, other: "PqrElem"):
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ValueError("mixed residue contexts")
-
-    def __add__(self, other: "PqrElem") -> "PqrElem":
-        self._check(other)
-        return self.ctx.elem(self.rep + other.rep)
-
-    def __sub__(self, other: "PqrElem") -> "PqrElem":
-        self._check(other)
-        return self.ctx.elem(self.rep - other.rep)
-
-    def __mul__(self, other: "PqrElem") -> "PqrElem":
-        self._check(other)
-        return self.ctx.elem(self.rep * other.rep)
-
-    def __neg__(self) -> "PqrElem":
-        return PqrElem(self.ctx, -self.rep)
-
-    def is_unit(self) -> bool:
-        nums = self.rep.nums
-        if len(nums) <= 1:
-            # zero is no unit and a nonzero constant always is
-            return bool(nums)
-        return poly_gcd(self.rep, self.ctx.modulus).is_constant
-
-    def inverse(self) -> "PqrElem":
-        """The inverse of a unit: 1/c for a constant, else u from `poly_half_ext_gcd` with q."""
-        nums = self.rep.nums
-        if not nums:
-            raise NotAUnitError("zero has no inverse")
-        if len(nums) == 1:
-            # a nonzero constant is inverted in the field
-            return PqrElem(self.ctx, UniPoly.one(self.ctx.field).scale(self.rep._lc_inverse()))
-        d, u = poly_half_ext_gcd(self.rep, self.ctx.modulus)
-        if not d.is_constant:
-            raise NotAUnitError(f"{self.rep.fmt()} shares {d.fmt()} with the modulus")
-        return self.ctx.elem(u)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PqrElem)
-            and self.ctx == other.ctx
-            and self.rep == other.rep
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.ctx, self.rep))
-
-    def __bool__(self) -> bool:
-        return not self.rep.is_zero
-
-    def __repr__(self) -> str:
-        return f"PqrElem({self.rep.fmt()} mod {self.ctx.modulus.fmt()})"
 
 
 # -- projections ----------------------------------------------------------------
@@ -185,22 +137,19 @@ def project_multipoly(f: MultiPoly, target: VarContext) -> MultiPoly:
 
     target keeps f's order (`residue_context` does), so the terms stay in order.
     """
-    ring: PqrCtx = target.ring
-    modulus = ring.modulus
-    return MultiPoly.from_sorted(
-        target, [(mon, PqrElem(ring, c.rep % modulus)) for mon, c in f.terms]
-    )
+    modulus = target.ring.modulus
+    return MultiPoly.from_sorted(target, [(mon, c % modulus) for mon, c in f.terms])
 
 
 def lift_multipoly(f: MultiPoly, base: VarContext) -> MultiPoly:
-    """Coefficient-wise injection of the canonical representatives; base keeps f's order."""
-    return MultiPoly.from_sorted(base, [(mon, c.rep) for mon, c in f.terms])
+    """The residues read as polynomials of K[x1]; base keeps f's order."""
+    return MultiPoly.from_sorted(base, f.terms)
 
 
 # -- proper division --------------------------------------------------------------
 
 
-_proper_step = partial(lcm_step, admits=PqrElem.is_unit)
+_proper_step = partial(lcm_step, admits=PqrCtx.is_unit)
 
 
 def proper_divide(f: MultiPoly, divisors: list[MultiPoly]) -> Division:
@@ -239,13 +188,30 @@ class ProperOutcome:
 
 
 def _unit_normalize(f: MultiPoly) -> MultiPoly:
-    """Constant-scale normalization: `content_scale` applied to every coefficient."""
+    """Constant-scale normalization: `content_scale` applied to every coefficient.
+
+    This is `pseudo.normalize_content` on residues, kept apart because
+    perfbench's tracer times that function as the pseudo layer's.
+    """
     if f.is_zero:
         return f
-    k = content_scale(f.ctx.field, (c.rep for _, c in f.terms), f.lc.rep.nums[-1])
+    k = content_scale(f.ctx.field, (c for _, c in f.terms), f.lc.nums[-1])
     if k == 1:
         return f
-    return MultiPoly.from_sorted(f.ctx, [(m, c.scale_scalar(k)) for m, c in f.terms])
+    return MultiPoly.from_sorted(f.ctx, [(m, c.scale(k)) for m, c in f.terms])
+
+
+def _valuations_below(lc: UniPoly, q: UniPoly) -> bool:
+    """Whether v_p(lc) < v_p(q) at every prime p of q, found without factoring q.
+
+    With g = gcd(lc, q), v_p(g) = min(v_p(lc), v_p(q)), so at a prime p of
+    q the condition reads v_p(g) < v_p(q), that is, p divides q/g; a prime
+    of q that does not divide g passes at once.  So the condition holds
+    exactly when every prime of g divides q/g, which is when the part of g
+    coprime to q/g is constant.  (It is g*rad(q) | q.)
+    """
+    g = poly_gcd(lc, q)
+    return g.is_constant or coprime_part(g, exact_div(q, g)).is_constant
 
 
 class _ResidueRing:
@@ -348,8 +314,9 @@ class _ResidueRing:
         read the elements as they are inserted.  Scaling leading coefficients
         that are no unit as well changed no report, but slowed Q runs.
         """
-        if not f.lc.rep.is_constant and f.lc.is_unit():
-            f = f.scale(f.lc.inverse())
+        ring = f.ctx.ring
+        if not f.lc.is_constant and ring.is_unit(f.lc):
+            f = f.scale(ring.inverse(f.lc))
         return _unit_normalize(f)
 
     def __init__(self, var_ctx: VarContext, strategy: StrategyConfig):
@@ -372,33 +339,26 @@ class _ResidueRing:
         positions to the multiplier of that reduction.  A pair stands when the
         multiplier is a unit, both leading monomials survive projection and
         for every prime power p^e exactly dividing q neither leading
-        coefficient is divisible by p^e: with r the radical of q, g*r
-        divides q for g = gcd(lc, q), which a unit leading coefficient
-        passes at once.
+        coefficient is divisible by p^e (`_valuations_below`), which a
+        constant leading coefficient passes at once.
         """
         q = self.ring.modulus
-        radical = []                    # the radical of q, once a test needs it
         stands = {}                     # position -> whether its element passes
         units = {}                      # multiplier -> whether it is a unit mod q
 
         def standing(n: int) -> bool:
             if n not in stands:
                 f = None if slots[n] is None else run.arena[slots[n]]
-                ok = f is not None and f.lm == originals[n].lm
-                if ok and not f.lc.rep.is_constant:
-                    g = poly_gcd(f.lc.rep, q)
-                    if not g.is_constant:
-                        if not radical:
-                            radical.append(squarefree_part(q))
-                        ok = (q % (g * radical[0])).is_zero
-                stands[n] = ok
+                stands[n] = (
+                    f is not None
+                    and f.lm == originals[n].lm
+                    and (f.lc.is_constant or _valuations_below(f.lc, q))
+                )
             return stands[n]
 
         def unit(lam: UniPoly) -> bool:
-            if lam.is_constant:
-                return True
             if lam not in units:
-                units[lam] = poly_gcd(lam, q).is_constant
+                units[lam] = self.ring.is_unit(lam)
             return units[lam]
 
         return [
@@ -414,19 +374,19 @@ class _ResidueRing:
     # any triangular candidate whose multiplier `excuse` accepts will do
     rank = None
 
-    def excuse(self, lam: PqrElem) -> bool:
+    def excuse(self, lam: UniPoly) -> bool:
         """Whether lam excuses a pair: a unit, or, under chi-delta, coprime to e."""
-        return lam.is_unit() or (
+        return self.ring.is_unit(lam) or (
             self.strategy.chi_delta
             and not self.strategy.base_change
             and self.e is not None
-            and poly_gcd(lam.rep, self.e).is_constant
+            and poly_gcd(lam, self.e).is_constant
         )
 
     # ----- univariate members: shrink the modulus / rebase
 
-    def fold_univariate(self, run: Elimination, r: PqrElem) -> bool:
-        g = poly_gcd(r.rep, self.ring.modulus)
+    def fold_univariate(self, run: Elimination, r: UniPoly) -> bool:
+        g = poly_gcd(r, self.ring.modulus)
         if g.is_constant:
             return False
         if self.strategy.base_change:
@@ -484,7 +444,7 @@ class _ResidueRing:
             if (slot, against) in self.behead_done:
                 continue
             self.behead_done.add((slot, against))
-            if not poly_gcd(f.lc.rep, against).is_constant:
+            if not poly_gcd(f.lc, against).is_constant:
                 run.push(run.order.key(f.lm), slot, against)
 
 

@@ -209,11 +209,6 @@ class UniPoly:
         n = self.nums[k] if 0 <= k < len(self.nums) else 0
         return n if self.field.char else Fraction(n, self.den)
 
-    @property
-    def rep(self) -> "UniPoly":
-        """This polynomial, as the canonical representative a residue keeps in K[x1]."""
-        return self
-
     def _lc_inverse(self):
         """The field element that makes this polynomial monic."""
         if self.field.char:
@@ -956,3 +951,10 @@ def squarefree_part(f: UniPoly) -> UniPoly:
     for g, _ in squarefree_decomposition(f):
         out = out * g
     return out
+
+
+def coprime_part(t: UniPoly, a: UniPoly) -> UniPoly:
+    """The largest divisor of t coprime to a: divide out gcd(t, a) until it is constant."""
+    while not (h := poly_gcd(t, a)).is_constant:
+        t = exact_div(t, h)
+    return t

@@ -123,3 +123,23 @@ def test_differential_sorts_differences_into_tails_and_verdicts(tmp_path):
     for classes in results.values():
         assert classes["verdicts"]["count"] > 0 and classes["tails"]["count"] == 0
     assert "verdicts" in done.stdout
+
+
+def test_differential_compares_the_leading_terms_of_component_bases(tmp_path):
+    # every component basis element is scaled by x1 + 1, which changes its
+    # leading coefficient and no leading monomial: the differences are in the
+    # components, and none is read as an eliminant one
+    scaled = _changed_tree(tmp_path, (
+        "\nfrom . import cli\nfrom .unipoly import UniPoly\n_assemble = cli.assemble\n"
+        "def _scaled(*args):\n"
+        "    dec = _assemble(*args)\n"
+        "    for comp in dec.components:\n"
+        "        ring = comp.var_ctx.ring\n"
+        "        c = ring.elem(UniPoly.gen(ring.field) + ring.one_elem())\n"
+        "        comp.basis = [b.scale(c) for b in comp.basis]\n"
+        "    return dec\n"
+        "cli.assemble = _scaled\n"))
+    done, results = _differential(ROOT, scaled, 6)
+    assert done.returncode == 1, done.stderr
+    for classes in results.values():
+        assert classes["components"]["count"] > 0 and classes["eliminant"]["count"] == 0

@@ -64,7 +64,7 @@ class _MultiPolyEvaluator:
         if self.peek() != "^":
             return base
         self.take()
-        value = MultiPoly.from_coeff(self.ctx, self.ctx.ring_one())
+        value = MultiPoly.from_coeff(self.ctx, self.ctx.ring.one_elem())
         for _ in range(int(self.take()[1])):
             value = value * base
         return value

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from eliminant import engine, pqr
+from eliminant import cli, engine, pqr
 from eliminant.assembly import (
     Component,
     assemble,
@@ -30,7 +30,7 @@ from eliminant.pqr import (
     residue_context,
 )
 from eliminant.pseudo import NotZeroDimensionalError, StrategyConfig, pseudo_eliminant
-from eliminant.unipoly import UniPoly, poly_ext_gcd, poly_gcd
+from eliminant.unipoly import UniPoly, poly_ext_gcd, poly_gcd, squarefree_part
 from test_differential import random_ideal_text
 from util import (
     STRATEGIES,
@@ -71,7 +71,7 @@ def test_projection_examples():
     ctx = rc("z^8")
     ring = ctx.ring
     assert ring.elem(U("z^8")).is_zero
-    assert ring.elem(U("z^9+z")).rep == U("z")
+    assert ring.elem(U("z^9+z")) == U("z")
     ctx_p = rc("(z+1)^3")
     f = P("-z^2*(z+1)^3*x+y")
     assert project_multipoly(f, ctx_p) == parse_poly("y", ctx_p)
@@ -89,13 +89,13 @@ def test_projection_examples():
 def test_units_and_inverse():
     ring = PqrCtx(U("z^8"))
     one = ring.one_elem()
-    assert one.is_unit() and one.inverse() == one
+    assert ring.is_unit(one) and ring.inverse(one) == one
     a = ring.elem(U("z+1"))
-    assert a.is_unit()
-    assert a * a.inverse() == one
-    assert not ring.elem(U("z")).is_unit()
+    assert ring.is_unit(a)
+    assert ring.mul(a, ring.inverse(a)) == one
+    assert not ring.is_unit(ring.elem(U("z")))
     with pytest.raises(NotAUnitError):
-        ring.elem(U("z")).inverse()
+        ring.inverse(ring.elem(U("z")))
 
 
 @pytest.mark.parametrize(
@@ -115,30 +115,30 @@ def test_is_unit_agrees_with_gcd_against_modulus(field, modulus):
             constants += 1
         else:
             e = ring.elem(random_unipoly(rng, field, max_deg=6, bound=4))
-        expected = not e.is_zero and poly_gcd(e.rep, ring.modulus).is_constant
-        assert e.is_unit() == expected
+        expected = not e.is_zero and poly_gcd(e, ring.modulus).is_constant
+        assert ring.is_unit(e) == expected
         # constants are inverted in the field, other units by the extended gcd
         if e.is_zero:
             with pytest.raises(NotAUnitError, match="^zero has no inverse$"):
-                e.inverse()
+                ring.inverse(e)
             continue
-        d, u, _ = poly_ext_gcd(e.rep, ring.modulus)
+        d, u, _ = poly_ext_gcd(e, ring.modulus)
         if expected:
-            assert e.inverse() == ring.elem(u) and (e * e.inverse()).is_one
+            assert ring.inverse(e) == ring.elem(u) and ring.mul(e, ring.inverse(e)).is_one
         else:
             with pytest.raises(NotAUnitError) as info:
-                e.inverse()
-            assert str(info.value) == f"{e.rep.fmt()} shares {d.fmt()} with the modulus"
+                ring.inverse(e)
+            assert str(info.value) == f"{e.fmt()} shares {d.fmt()} with the modulus"
     assert constants >= 50
-    assert not ring.zero_elem().is_unit() and ring.one_elem().is_unit()
+    assert not ring.is_unit(ring.zero_elem()) and ring.is_unit(ring.one_elem())
 
 
 def test_standard_factor():
     q = U("z^8")
     ring = PqrCtx(q)
-    assert poly_gcd(ring.elem(U("z+1")).rep, q).is_one
-    assert poly_gcd(ring.elem(U("-z^6*(6*z+1)")).rep, q) == U("z^6")
-    assert poly_gcd(ring.elem(U("z^4*(z+1)")).rep, q) == U("z^4")
+    assert poly_gcd(ring.elem(U("z+1")), q).is_one
+    assert poly_gcd(ring.elem(U("-z^6*(6*z+1)")), q) == U("z^6")
+    assert poly_gcd(ring.elem(U("z^4*(z+1)")), q) == U("z^4")
 
 
 def _modular_run_elements():
@@ -168,8 +168,8 @@ def test_spoly_q_examples():
     # coprime monomials with unit gcd: S equals (f1*g - g1*f)/d
     a = parse_poly("y^2+z", ctx8)
     b = parse_poly("x+z+1", ctx8)
-    dd = ctx8.ring.elem(poly_gcd(a.lc.rep, b.lc.rep))
-    assert dd.is_unit()
+    dd = ctx8.ring.elem(poly_gcd(a.lc, b.lc))
+    assert ctx8.ring.is_unit(dd)
     s = spoly(a, b)
     assert s.scale(dd) == a.tail() * b - b.tail() * a
 
@@ -186,7 +186,7 @@ def test_spoly_q_multipliers_nonzero():
             continue
         from eliminant.unipoly import exact_div, poly_lcm
 
-        lf, lg = f.lc.rep, g.lc.rep
+        lf, lg = f.lc, g.lc
         m_f = ring.elem(exact_div(poly_lcm(lf, lg), lf))
         m_g = ring.elem(exact_div(poly_lcm(lf, lg), lg))
         assert not m_f.is_zero and not m_g.is_zero
@@ -235,7 +235,7 @@ def test_spoly_matches_reference_in_residue_rings(field, modulus, heads):
         for c in (g.lc, ring.elem(rng.choice(heads))):
             if not c.is_zero:
                 assert spoly(f, c, check=True) == reference_spoly(f, c)
-        vanishing += ring.elem(reference_poly_lcm(f.lc.rep, g.lc.rep)).is_zero
+        vanishing += ring.elem(reference_poly_lcm(f.lc, g.lc)).is_zero
     assert vanishing >= 30, vanishing
 
 
@@ -243,19 +243,19 @@ def test_proper_divide_examples():
     ctx8, f, g, h, d, e = _modular_run_elements()
     p = parse_poly("x^2+y", ctx8)
     division = proper_divide(p, [d])
-    assert division.multiplier.rep.is_one and division.remainder == p
+    assert division.multiplier.is_one and division.remainder == p
 
     s = spoly(d, e)
     division = proper_divide(s, [d])
     assert division.remainder.is_zero
-    assert division.multiplier.is_unit()
+    assert ctx8.ring.is_unit(division.multiplier)
 
     # the S(d, f) chain ends at the temporary eliminant -z^6(6z+1)
     s = spoly(d, f)
     division = proper_divide(s, [d, e, f, g, h])
     assert division.remainder.is_coeff
     r = division.remainder.as_coeff()
-    assert poly_gcd(r.rep, ctx8.ring.modulus) == U("z^6")
+    assert poly_gcd(r, ctx8.ring.modulus) == U("z^6")
 
 
 def test_proper_division_contract_random():
@@ -273,7 +273,7 @@ def test_proper_division_contract_random():
         if f.is_zero or not divisors:
             continue
         division = proper_divide(f, divisors)
-        assert division.multiplier.is_unit()
+        assert ctx.ring.is_unit(division.multiplier)
         lhs = f.scale(division.multiplier)
         rhs = division.remainder
         qs = quotients(division)
@@ -593,7 +593,7 @@ def test_post_hoc_proper_spoly_check():
             r = proper_divide(s, basis).remainder
             if not r.is_zero:
                 assert r.is_coeff and r.as_coeff().is_zero
-        if not basis[i].lc.is_unit():
+        if not out.basis_var_ctx.ring.is_unit(basis[i].lc):
             s = spoly(basis[i], out.basis_var_ctx.ring.modulus)
             if not s.is_zero:
                 r = proper_divide(s, basis).remainder
@@ -773,3 +773,117 @@ def test_rebase_forgets_transferred_decisions(monkeypatch):
     for path in sorted((FIXTURES / "rebase").glob("*.ideal")):
         run_pipeline(parse_ideal_file(path.read_text()))
     assert sum(n > 0 for n in seen) >= 3, seen
+
+
+# -- residues are their representatives -----------------------------------------------
+
+
+def _pool_cases(monkeypatch):
+    """(text, probe texts) of every ideal of the benchmark's seed-701 pools."""
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parents[1] / "perfbench"))
+    sys.modules.pop("gen", None)
+    import gen
+
+    cases = [w.case(701, i) for w in gen.WORKLOADS.values() for i in range(w.pool)]
+    return [(case.text, [text for text, _ in case.probes]) for case in cases]
+
+
+def test_every_residue_coefficient_is_reduced(monkeypatch):
+    """Every coefficient of a residue-ring polynomial has degree below deg q.
+
+    A residue is its representative, so the ring's products must reduce it.
+    The walk covers the proper bases, the component bases and the component
+    remainders of every fixture and of the benchmark's seed-701 pools, with
+    and without base change; a fixture's probes are x1*v^2*w + v^3 for each
+    pair of tail variables v, w.  It ends with each product MultiPoly forms,
+    on random operands.
+    """
+    propers = []
+    assemble_ = cli.assemble
+    monkeypatch.setattr(cli, "assemble", lambda *a: propers.append(a[2]) or assemble_(*a))
+    cases = [(path.read_text(), None) for path in sorted(FIXTURES.rglob("*.ideal"))]
+    cases += _pool_cases(monkeypatch)
+    walked = dict.fromkeys(("proper", "component", "remainder", "tail_difference"), 0)
+
+    def check(kind, f):
+        deg = f.ctx.ring.modulus.degree
+        assert all(c.degree < deg for _, c in f.terms), (kind, f.fmt())
+        walked[kind] = walked.get(kind, 0) + 1
+
+    for text, probe_texts in cases:
+        ideal = parse_ideal_file(text)
+        ctx = ideal.ctx
+        if probe_texts is None:
+            probe_texts = [f"{ctx.x1}*{v}^2*{w} + {v}^3" for v in ctx.tilde for w in ctx.tilde]
+        probes = [parse_poly(t, ctx) for t in probe_texts]
+        for toggles in ("", "no-base-change"):
+            propers.clear()
+            try:
+                dec = run_pipeline(ideal, StrategyConfig.from_toggles(toggles)).decomposition
+            except NotZeroDimensionalError:
+                break
+            for outcome in propers[0].values() if propers else ():
+                for b in outcome.basis:
+                    check("proper", b)
+            for comp in dec.components:
+                for b in comp.basis:
+                    check("component", b)
+                for probe in probes:
+                    check("remainder", component_remainder(probe, comp))
+    # and every product a MultiPoly forms, on random residues of a ring with zero divisors
+    rng = random.Random(829)
+    ctx = rc("z^3*(z+1)^2")
+    mon = (1, 1)
+    for _ in range(100):
+        f, g = (project_multipoly(random_multipoly(rng, ctx3(), unideg=6), ctx) for _ in "fg")
+        c, d = (ctx.ring.elem(random_unipoly(rng, max_deg=6)) for _ in "cd")
+        for kind, h in (("scale", f.scale(c)), ("mul_term", f.mul_term(c, mon)),
+                        ("sub_mul_term", f.sub_mul_term(g, c, mon)), ("product", f * g)):
+            check(kind, h)
+        if f.terms and g.terms:
+            check("tail_difference", f.tail_difference(c, mon, g, d, mon))
+    assert walked["proper"] >= 2000 and walked["component"] >= 7000, walked
+    assert walked["remainder"] >= 8000 and walked["tail_difference"] >= 50, walked
+
+
+def test_transfer_guard_agrees_with_the_radical_form(monkeypatch):
+    """`_valuations_below(lc, q)` is g*rad(q) | q for g = gcd(lc, q) on every (lc, q) met.
+
+    The runs cover the benchmark's seed-701 pools, the first 200 texts of
+    `random_ideal_text(random.Random(1))`, the fixtures and GUARDED_GF5, whose
+    lc g = z^2*(z+1) is the one the runs meet that the guard refuses; the
+    residues built after them are refused often.
+    """
+    met = {}
+    guard = pqr._valuations_below
+
+    def recorded(lc, q):
+        met[lc, q] = passed = guard(lc, q)
+        return passed
+
+    monkeypatch.setattr(pqr, "_valuations_below", recorded)
+    rng = random.Random(1)
+    texts = [text for text, _ in _pool_cases(monkeypatch)]
+    texts += [random_ideal_text(rng) for _ in range(200)]
+    texts += [path.read_text() for path in sorted(FIXTURES.rglob("*.ideal"))] + [GUARDED_GF5]
+    for text in texts:
+        try:
+            run_pipeline(parse_ideal_file(text))
+        except NotZeroDimensionalError:
+            pass
+    pipeline = len(met)
+    for field, factors in ((QQ, ("z", "z+1", "z-2")), (GF(5), ("z", "z+2", "z^2+2"))):
+        z, w, v = (U(t, field=field) for t in factors)
+        q = z**3 * w**2 * v
+        for a in range(4):
+            for b in range(3):
+                for c in range(2):
+                    for extra in (U("1", field=field), U("z+3", field=field)):
+                        lc = (z**a * w**b * v**c * extra) % q
+                        if not lc.is_zero and not lc.is_constant:
+                            recorded(lc, q)
+    for (lc, q), passed in met.items():
+        g = poly_gcd(lc, q)
+        assert passed == (q % (g * squarefree_part(q))).is_zero, (lc.fmt(), q.fmt())
+    refused = len(met) - sum(met.values())
+    assert pipeline >= 300 and refused >= 20, (pipeline, refused)

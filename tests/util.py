@@ -150,10 +150,11 @@ def quotients(division) -> list[MultiPoly]:
     """
     from eliminant.multipoly import mon_div
 
+    mul = division.remainder.ctx.ring.mul
     out = [{} for _ in division.divisors]
     for mu, mon, parts in division.steps:
         if not mu.is_one:
-            out = [{m: a * mu for m, a in q.items()} for q in out]
+            out = [{m: mul(a, mu) for m, a in q.items()} for q in out]
         for i, factor in parts:
             shift = mon_div(mon, division.divisors[i].lm)
             q = out[i]
@@ -232,10 +233,10 @@ def reference_spoly(f: MultiPoly, g) -> MultiPoly:
     if isinstance(g, MultiPoly) and g.is_coeff:
         g = g.as_coeff()
     elem = f.ctx.ring.elem
-    lf = f.lc.rep
+    lf = f.lc
     if not isinstance(g, MultiPoly):
-        return f.tail().scale(elem(exact_div(reference_poly_lcm(lf, g.rep), lf)))
-    lg = g.lc.rep
+        return f.tail().scale(elem(exact_div(reference_poly_lcm(lf, g), lf)))
+    lg = g.lc
     m = reference_poly_lcm(lf, lg)
     gamma = mon_lcm(f.lm, g.lm)
     left = f.mul_term(elem(exact_div(m, lf)), mon_div(gamma, f.lm))
@@ -258,8 +259,8 @@ def reference_try_triangular(run, i, j):
     def triangular_multiplier(f, g, h):
         if not mon_divides(h.lm, mon_lcm(f.lm, g.lm)):
             return None
-        m = reference_poly_lcm(f.lc.rep, g.lc.rep)
-        lh = h.lc.rep
+        m = reference_poly_lcm(f.lc, g.lc)
+        lh = h.lc
         return f.ctx.ring.elem(exact_div(lh, reference_poly_gcd(m, lh)))
 
     f, g = run.arena[i], run.arena[j]
@@ -299,11 +300,11 @@ def reference_lcm_step(divisors, mon, c, admits=None):
 
     for i, b in enumerate(divisors):
         if mon_divides(b.lm, mon):
-            elem = b.ctx.ring.elem
-            cu, cb = lcm_cofactors(c.rep, b.lc.rep)
-            mu = elem(cu)
-            if admits is None or admits(mu):
-                return mu, [(i, elem(cb))]
+            ring = b.ctx.ring
+            cu, cb = lcm_cofactors(c, b.lc)
+            mu = ring.elem(cu)
+            if admits is None or admits(ring, mu):
+                return mu, [(i, ring.elem(cb))]
     return None
 
 
@@ -338,20 +339,20 @@ def reference_gcd_step(divisors, mon, c):
     hits = [(i, b) for i, b in enumerate(divisors) if mon_divides(b.lm, mon)]
     if not hits:
         return None
-    ring = c.ctx
-    g, cofs = poly_multi_ext_gcd([b.lc.rep for _, b in hits])
+    ring = hits[0][1].ctx.ring
+    g, cofs = poly_multi_ext_gcd([b.lc for _, b in hits])
     d_st = poly_gcd(g, ring.modulus)
-    if not d_st.is_constant and not (c.rep % d_st).is_zero:
+    if not d_st.is_constant and not (c % d_st).is_zero:
         return None
-    m = poly_lcm(c.rep, g)
-    mu = ring.elem(exact_div(m, c.rep))
-    if mu.is_unit():
+    m = poly_lcm(c, g)
+    mu = ring.elem(exact_div(m, c))
+    if ring.is_unit(mu):
         scale = ring.elem(exact_div(m, g))
     else:
         mu = ring.one_elem()
         w = reference_coprime_adjust(g, d_st, ring.modulus)
-        scale = ring.elem(exact_div(c.rep, d_st)) * ring.elem(w).inverse()
-    parts = [(i, scale * ring.elem(cof)) for (i, _), cof in zip(hits, cofs)]
+        scale = ring.mul(ring.elem(exact_div(c, d_st)), ring.inverse(ring.elem(w)))
+    parts = [(i, ring.mul(scale, ring.elem(cof))) for (i, _), cof in zip(hits, cofs)]
     return mu, [(i, factor) for i, factor in parts if not factor.is_zero]
 
 
@@ -360,7 +361,7 @@ def reference_component_remainder(f, comp):
     from eliminant.engine import divide
 
     division = divide(comp.project(f), comp.basis, reference_gcd_step)
-    return division.remainder.scale(division.multiplier.inverse())
+    return division.remainder.scale(comp.var_ctx.ring.inverse(division.multiplier))
 
 
 # -- reference monomial helpers and order keys ---------------------------------------
@@ -417,14 +418,13 @@ def reference_normalize_content(f):
 
 def reference_unit_normalize(f):
     """The residue-ring normalization by products with a constant and `% q`, always rebuilt."""
-    from eliminant.pqr import PqrElem
     from eliminant.unipoly import content_scale
 
     if f.is_zero:
         return f
     ring, field = f.ctx.ring, f.ctx.field
-    k = UniPoly.constant(field, content_scale(field, (c.rep for _, c in f.terms), f.lc.rep.lc))
-    return MultiPoly(f.ctx, {m: PqrElem(ring, (c.rep * k) % ring.modulus) for m, c in f.terms})
+    k = UniPoly.constant(field, content_scale(field, (c for _, c in f.terms), f.lc.lc))
+    return MultiPoly(f.ctx, {m: (c * k) % ring.modulus for m, c in f.terms})
 
 
 def reference_inverse(a: UniPoly, q: UniPoly) -> UniPoly:
@@ -448,15 +448,12 @@ def reference_standard_form(f):
     The scale is the inverse of the unit lift w of `reference_coprime_adjust`
     with w*gcd(lc f, q) = lc f mod q: w is lc f itself when that is a unit.
     """
-    from eliminant.pqr import PqrElem
-
     if f.is_zero:
         return f
-    ring = f.ctx.ring
-    q = ring.modulus
-    lc = f.lc.rep
+    q = f.ctx.ring.modulus
+    lc = f.lc
     unit = reference_inverse(reference_coprime_adjust(lc, reference_poly_gcd(lc, q), q), q)
-    return MultiPoly(f.ctx, {m: PqrElem(ring, (c.rep * unit) % q) for m, c in f.terms})
+    return MultiPoly(f.ctx, {m: (c * unit) % q for m, c in f.terms})
 
 
 def reference_make_reduced(basis):
@@ -472,7 +469,7 @@ def reference_make_reduced(basis):
     from eliminant.unipoly import poly_gcd, poly_multi_ext_gcd
 
     def ordered(elems):
-        return sorted(elems, key=lambda b: (b.ctx.order.key(b.lm), b.lc.rep.degree, b.fmt()))
+        return sorted(elems, key=lambda b: (b.ctx.order.key(b.lm), b.lc.degree, b.fmt()))
 
     def irredundant(elems):
         out = ordered([b for b in elems if not b.is_zero])
@@ -496,15 +493,15 @@ def reference_make_reduced(basis):
         replaced = []
         for f in out:
             hits = [i for i, b in enumerate(out) if mon_divides(b.lm, f.lm)]
-            g, cofs = poly_multi_ext_gcd([out[i].lc.rep for i in hits])
+            g, cofs = poly_multi_ext_gcd([out[i].lc for i in hits])
             d_st = poly_gcd(g, ring.modulus)
-            if poly_gcd(f.lc.rep, ring.modulus) == d_st:
+            if poly_gcd(f.lc, ring.modulus) == d_st:
                 replaced.append(f)
                 continue
-            scale = ring.elem(reference_coprime_adjust(g, d_st, ring.modulus)).inverse()
+            scale = ring.inverse(ring.elem(reference_coprime_adjust(g, d_st, ring.modulus)))
             acc = MultiPoly.zero(ctx)
             for i, cof in zip(hits, cofs):
-                factor = scale * ring.elem(cof)
+                factor = ring.mul(scale, ring.elem(cof))
                 if not factor.is_zero:
                     acc = acc + out[i].mul_term(factor, mon_div(f.lm, out[i].lm))
             assert not acc.is_zero and acc.lm == f.lm
@@ -512,7 +509,7 @@ def reference_make_reduced(basis):
         seen = set()
         kept = []
         for b in ordered(replaced):
-            key = (b.lm, poly_gcd(b.lc.rep, ring.modulus).coeffs)
+            key = (b.lm, poly_gcd(b.lc, ring.modulus).coeffs)
             if key not in seen:
                 seen.add(key)
                 kept.append(b)

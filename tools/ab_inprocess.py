@@ -165,9 +165,12 @@ def full_report(side, text: str, toggles: str, probes: list[str]) -> dict:
     except pkg.NotZeroDimensionalError:
         return {"refused": True}
     dec = report.decomposition
+    # a leading term is printed as a polynomial, which every tree can print,
+    # whatever type its coefficients have
     return {
         "json": json.loads(report.to_json()),
-        "heads": [(comp.kind, comp.modulus.fmt(), [(b.lm, b.lc.rep.fmt()) for b in comp.basis])
+        "heads": [(comp.kind, comp.modulus.fmt(),
+                   [b.from_sorted(b.ctx, b.terms[:1]).fmt() for b in comp.basis])
                   for comp in dec.components],
         "verdicts": [pkg.is_member(pkg.parse_poly(t, ideal.ctx), dec) for t in probes],
     }
